@@ -1,0 +1,8 @@
+static int indexOfValue(int[] arr, int n, int value) {
+    for (int i = 0; i < n; i = i + 1) {
+        if (arr[i] == value) {
+            return i;
+        }
+    }
+    return -1;
+}
