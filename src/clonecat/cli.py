@@ -89,16 +89,21 @@ def _apply_overrides(config, file_values: dict[str, str], args: argparse.Namespa
 
 def _load_methods(args) -> tuple[dict, dict]:
     """Methods (and streams) from --functions dir and/or --in files."""
+    paths: list[Path] = []
+    if getattr(args, "functions", None):
+        functions = Path(args.functions)
+        if not functions.is_dir():
+            raise DataError(f"--functions {functions} is not a directory")
+        paths += sorted(functions.glob("*.java"))
+    paths += [Path(p) for p in getattr(args, "inputs", None) or []]
     methods: dict = {}
     streams: dict = {}
-    if getattr(args, "functions", None):
-        for path in sorted(Path(args.functions).glob("*.java")):
-            stream = tokenize(path.read_text(), source_id=path.stem)
-            streams[path.stem] = stream
-            methods[path.stem] = categorize(stream)
-    for path_text in getattr(args, "inputs", None) or []:
-        path = Path(path_text)
-        stream = tokenize(path.read_text(), source_id=path.stem)
+    for path in paths:
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not valid UTF-8: {exc.reason}") from exc
+        stream = tokenize(text, source_id=path.stem)
         streams[path.stem] = stream
         methods[path.stem] = categorize(stream)
     if not methods:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -303,3 +304,52 @@ class TestNumericFailureExit:
         ])
         assert code == 3
         assert "numeric" in capsys.readouterr().err.lower()
+
+
+def _raw_table(tokens, bad_value=None):
+    """CCEMB1 bytes written without EmbeddingTable's checks."""
+    matrix = np.zeros((len(tokens), 100), dtype="<f4")
+    if bad_value is not None:
+        matrix[1, 0] = bad_value
+    head = b"CCEMB1" + struct.pack("<II", len(tokens), 100)
+    body = b"".join(struct.pack("<I", len(t)) + t for t in tokens)
+    return head + body + matrix.tobytes()
+
+
+def _encode_with_table(data):
+    def build(workspace, trained, tmp_path):
+        (tmp_path / "emb.bin").write_bytes(data)
+        return ["encode", "--functions", str(workspace / "funcs"),
+                "--embeddings", str(tmp_path / "emb.bin"), "--params", str(trained["enc"])]
+    return build
+
+
+def _non_utf8_java(workspace, trained, tmp_path):
+    (tmp_path / "latin1.java").write_bytes("int caf\xe9() { return 1; }".encode("latin-1"))
+    return ["tokenize", "--in", str(tmp_path / "latin1.java")]
+
+
+def _non_utf8_in_functions(workspace, trained, tmp_path):
+    _non_utf8_java(workspace, trained, tmp_path)
+    return ["embed-train", "--functions", str(tmp_path), "--out", str(tmp_path / "e.bin")]
+
+
+@pytest.mark.parametrize(
+    "build, code, message",
+    [
+        (lambda w, t, p: ["tokenize", "--functions", str(p / "absent")], 2, "absent"),
+        (_non_utf8_java, 2, "latin1.java"),
+        (_non_utf8_in_functions, 2, "latin1.java"),
+        (lambda w, t, p: ["embed-train", "--functions", str(w / "funcs"),
+                          "--out", str(p / "e.bin"), "--lr", "1e6"], 3, "epoch"),
+        (_encode_with_table(_raw_table([b"<unk>", b"int"], np.nan)), 2, "emb.bin"),
+        (_encode_with_table(_raw_table([b"<unk>", b"int", b"int"])), 2, "duplicate"),
+        (_encode_with_table(_raw_table([b"int", b"<unk>"])), 2, "<unk>"),
+    ],
+    ids=["missing-functions-dir", "non-utf8-in", "non-utf8-functions",
+         "sgns-diverges", "table-non-finite", "table-duplicate-token",
+         "table-unk-not-first"],
+)
+def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):
+    assert run(build(workspace, trained, tmp_path)) == code
+    assert message in capsys.readouterr().err

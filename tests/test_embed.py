@@ -1,7 +1,13 @@
+import bisect
+import math
+import struct
+
 import numpy as np
 import pytest
 
+from clonecat import embed
 from clonecat.embed import (
+    _STEP_CENTERS,
     EMBED_DIM,
     UNK_TOKEN,
     EmbedConfig,
@@ -13,7 +19,7 @@ from clonecat.embed import (
     token_cosine,
     train_word2vec,
 )
-from clonecat.errors import EmptyCorpus, FormatError
+from clonecat.errors import EmptyCorpus, FormatError, NumericFailure
 from clonecat.lexcat import tokenize
 
 CORPUS_SOURCES = [
@@ -113,6 +119,101 @@ class TestTraining:
             train_word2vec([], EmbedConfig())
 
 
+def sgns_oracle(id_sentences, cumdist, config, chunk_tokens):
+    """Plain-float restatement of the batched SGNS trainer.
+
+    Sentences are taken in order in groups that close once they hold
+    chunk_tokens tokens. Replays train_word2vec's draw order: the init
+    table, then per group all window shrinks and then one row of negative
+    draws per pair. Every pair of a run of _STEP_CENTERS center positions of
+    one sentence reads the tables as they were before the run; the updates
+    are summed per row and applied after.
+    """
+    rng = np.random.default_rng(config.seed)
+    vsize = len(cumdist)
+    cumdist = cumdist.tolist()
+    syn0 = ((rng.random((vsize, EMBED_DIM)) - 0.5) / EMBED_DIM).tolist()
+    syn1 = [[0.0] * EMBED_DIM for _ in range(vsize)]
+    groups, group = [], []
+    for ids in id_sentences:
+        group.append(ids)
+        if sum(map(len, group)) >= chunk_tokens:
+            groups.append(group)
+            group = []
+    groups += [group] if group else []
+    planned = config.epochs * sum(len(ids) for ids in id_sentences)
+    processed = 0
+    for _ in range(config.epochs):
+        for group in groups:
+            tokens = [(ids, pos) for ids in group for pos in range(len(ids))]
+            shrinks = rng.integers(1, config.window + 1, size=len(tokens)).tolist()
+            pairs = []  # (sentence, center position, context position, alpha)
+            for i, ((ids, pos), shrink) in enumerate(zip(tokens, shrinks)):
+                alpha = config.lr * max(1e-4, 1.0 - (processed + i) / planned)
+                for cpos in range(max(0, pos - shrink), min(len(ids), pos + shrink + 1)):
+                    if cpos != pos:
+                        pairs.append((ids, pos, cpos, alpha))
+            draws = rng.random((len(pairs), config.negatives)).tolist()
+            processed += len(tokens)
+            steps = {}
+            for pair, row_draws in zip(pairs, draws):
+                key = (id(pair[0]), pair[1] // _STEP_CENTERS)
+                steps.setdefault(key, []).append((pair, row_draws))
+            for step in steps.values():
+                d0, d1 = {}, {}
+                for (ids, pos, cpos, alpha), row_draws in step:
+                    center, context = ids[pos], ids[cpos]
+                    targets = [(context, 1.0)]
+                    for u in row_draws:
+                        t = bisect.bisect_right(cumdist, u)
+                        targets.append(((t + 1) % vsize if t == context else t, 0.0))
+                    for t, label in targets:
+                        score = sum(a * b for a, b in zip(syn0[center], syn1[t]))
+                        g = (label - 1.0 / (1.0 + math.exp(-score))) * alpha
+                        acc0 = d0.setdefault(center, [0.0] * EMBED_DIM)
+                        acc1 = d1.setdefault(t, [0.0] * EMBED_DIM)
+                        for d in range(EMBED_DIM):
+                            acc0[d] += g * syn1[t][d]
+                            acc1[d] += g * syn0[center][d]
+                for table, deltas in ((syn0, d0), (syn1, d1)):
+                    for row, delta in deltas.items():
+                        table[row] = [a + b for a, b in zip(table[row], delta)]
+    return np.array(syn0)
+
+
+class TestSgnsOracle:
+    @pytest.mark.parametrize("chunk_tokens", [embed._CHUNK_TOKENS, 20])
+    def test_batched_step_matches_plain_python(self, monkeypatch, chunk_tokens):
+        monkeypatch.setattr(embed, "_CHUNK_TOKENS", chunk_tokens)
+        corpus = make_corpus() + [tokenize(
+            "int t = 0; for (int i = 0; i < n; i++) { t += a[i] * a[i]; t -= i; } return t;",
+            source_id="long"), tokenize("return", source_id="one-token")]
+        config = EmbedConfig(epochs=2, window=3, negatives=4, lr=0.05, seed=5)
+        vocab = build_vocab(corpus)
+        ids = [np.array([vocab.id_for(t) for t in ts.lexemes()]) for ts in corpus]
+        assert max(len(s) for s in ids) > 2 * _STEP_CENTERS
+        syn0 = embed._train_syn0(ids, embed._noise_cumdist(vocab), config)
+        expected = sgns_oracle([s.tolist() for s in ids], embed._noise_cumdist(vocab), config,
+                               chunk_tokens)
+        np.testing.assert_allclose(syn0, expected, rtol=0, atol=1e-12)
+        assert np.array_equal(train_word2vec(corpus, config).matrix, syn0.astype(np.float32))
+
+    def test_long_methods_stay_finite(self):
+        body = "int s{i} = a[{i}] * b + c; if (s{i} > m) {{ m = s{i}; }} "
+        corpus = [
+            tokenize("".join(body.format(i=(i * 7 + m) % 40) for i in range(60)),
+                     source_id=f"long{m}")
+            for m in range(20)
+        ]
+        assert min(len(ts.tokens) for ts in corpus) >= 1000
+        table = train_word2vec(corpus, EmbedConfig(epochs=5, seed=0))
+        assert np.isfinite(table.matrix).all()
+
+    def test_divergence_raises_numeric_failure_naming_epoch(self):
+        with pytest.raises(NumericFailure, match="epoch"):
+            train_word2vec(make_corpus(), EmbedConfig(lr=1e6))
+
+
 class TestLookup:
     def test_known_token_returns_its_row(self, small_table):
         idx = small_table.vocab.id_for("int")
@@ -198,3 +299,33 @@ class TestSerialization:
         path.write_bytes(b"")
         with pytest.raises(FormatError):
             load_table(path)
+
+
+def write_raw_table(path, tokens, matrix):
+    """A CCEMB1 file written without EmbeddingTable's checks."""
+    with open(path, "wb") as fh:
+        fh.write(b"CCEMB1" + struct.pack("<II", len(tokens), EMBED_DIM))
+        for raw in tokens:
+            fh.write(struct.pack("<I", len(raw)) + raw)
+        fh.write(np.asarray(matrix, dtype="<f4").tobytes())
+
+
+@pytest.mark.parametrize(
+    "tokens, bad_value",
+    [
+        ([b"<unk>", b"int"], np.nan),
+        ([b"<unk>", b"int"], np.inf),
+        ([b"<unk>", b"int", b"int"], None),
+        ([b"int", b"<unk>"], None),
+        ([b"<unk>", b"\xff\xfe"], None),
+    ],
+    ids=["nan", "inf", "duplicate", "unk-not-first", "bad-utf8"],
+)
+def test_malformed_table_is_format_error(tmp_path, tokens, bad_value):
+    matrix = np.zeros((len(tokens), EMBED_DIM))
+    if bad_value is not None:
+        matrix[1, 3] = bad_value
+    path = tmp_path / "emb.bin"
+    write_raw_table(path, tokens, matrix)
+    with pytest.raises(FormatError, match="emb.bin"):
+        load_table(path)
