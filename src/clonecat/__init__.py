@@ -49,9 +49,7 @@ from .detect import (  # noqa: F401
     CloneVerdict,
     category_overlap_similarity,
     cosine_similarity,
-    detect_classifier,
     detect_corpus,
-    detect_cosine,
     overlap_similarity,
     weighted_category_similarity,
 )

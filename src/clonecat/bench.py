@@ -14,16 +14,14 @@ import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .detect import (
     CategoryWeights,
-    ClassifierDetector,
-    CloneVerdict,
-    CosineDetector,
     OverlapDetector,
+    VectorDetector,
     WeightedOverlapDetector,
     detect_corpus,
     overlap_similarity,
@@ -44,6 +42,7 @@ __all__ = [
     "CloneType",
     "Pair",
     "PairDataset",
+    "PairRow",
     "FoldPlan",
     "MetricsReport",
     "FoldMetrics",
@@ -51,7 +50,10 @@ __all__ = [
     "SynthSpec",
     "TimingReport",
     "band_for_similarity",
+    "load_methods",
+    "read_pairs",
     "load_dataset",
+    "build_detector",
     "make_folds",
     "evaluate",
     "synth_clones",
@@ -106,7 +108,6 @@ class PairDataset:
     methods: dict[str, CategorizedMethod]
     pairs: list[Pair]
     streams: dict[str, TokenStream] = field(default_factory=dict)
-    paths: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
         for pair in self.pairs:
@@ -121,53 +122,108 @@ class FoldPlan:
     seed: int
 
 
-def load_dataset(functions_dir, pairs_file) -> PairDataset:
-    """Read .java files (id = file stem) and a CSV of id1,id2,label[,clone_type]."""
-    functions_dir = Path(functions_dir)
+class PairRow(NamedTuple):
+    """One parsed row of a pairs file; label and clone_type are optional."""
+
+    line: int
+    id1: str
+    id2: str
+    label: int | None
+    clone_type: CloneType | None
+
+
+def load_methods(
+    functions_dir=None, files: Sequence = ()
+) -> tuple[dict[str, CategorizedMethod], dict[str, TokenStream]]:
+    """Methods and token streams from a directory of .java files and single files.
+
+    A method's id is its file stem. Raises DataError for a directory that
+    does not exist or holds no .java file, a file that is not valid UTF-8,
+    and an id given twice.
+    """
+    if functions_dir is None and not files:
+        raise ValueError("no input methods; pass --functions DIR and/or --in FILE")
+    paths: list[Path] = []
+    if functions_dir is not None:
+        functions_dir = Path(functions_dir)
+        if not functions_dir.is_dir():
+            raise DataError(f"functions directory {functions_dir} is not a directory")
+        paths += sorted(functions_dir.glob("*.java"))
+    paths += [Path(f) for f in files]
     methods: dict[str, CategorizedMethod] = {}
     streams: dict[str, TokenStream] = {}
-    paths: dict[str, str] = {}
-    for path in sorted(functions_dir.glob("*.java")):
-        source_id = path.stem
-        stream = tokenize(path.read_text(), source_id=source_id)
-        methods[source_id] = categorize(stream)
-        streams[source_id] = stream
-        paths[source_id] = str(path)
+    for path in paths:
+        if path.stem in methods:
+            raise DataError(f"method id {path.stem!r} given twice, again by {path}")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not valid UTF-8: {exc.reason}") from exc
+        stream = tokenize(text, source_id=path.stem)
+        streams[path.stem] = stream
+        methods[path.stem] = categorize(stream)
+    if not methods:
+        raise DataError(f"no .java files in {functions_dir}")
+    return methods, streams
 
+
+def read_pairs(path) -> list[PairRow]:
+    """Rows of ``id1,id2[,label[,clone_type]]``; a first row naming id1,id2 is a header.
+
+    Blank lines and ``#`` comments are skipped. Raises BadRow, with the
+    line number, for a wrong field count, a label other than 0 or 1, an
+    unknown clone type, or a clone type that disagrees with the label.
+    """
     type_by_name = {t.value.upper(): t for t in CloneType}
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"pairs file {path} is not valid UTF-8: {exc.reason}") from exc
+    rows: list[PairRow] = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if line_no == 1 and fields[:2] == ["id1", "id2"]:
+            continue
+        if not 2 <= len(fields) <= 4:
+            raise BadRow(line_no, f"expected 2 to 4 fields, got {len(fields)}")
+        label = ctype = None
+        if len(fields) >= 3:
+            if fields[2] not in ("0", "1"):
+                raise BadRow(line_no, f"label must be 0 or 1, got {fields[2]!r}")
+            label = int(fields[2])
+        if len(fields) == 4 and fields[3]:
+            ctype = type_by_name.get(fields[3].upper())
+            if ctype is None:
+                raise BadRow(line_no, f"unknown clone type {fields[3]!r}")
+            if (label == 0) != (ctype is CloneType.NONCLONE):
+                raise BadRow(line_no, "label and clone_type disagree")
+        rows.append(PairRow(line_no, fields[0], fields[1], label, ctype))
+    return rows
+
+
+def load_dataset(functions_dir, pairs_file) -> PairDataset:
+    """Read .java files (id = file stem) and a CSV of id1,id2,label[,clone_type].
+
+    Every row needs a label. A positive row without a clone type gets the
+    best-effort type of ``_default_clone_type``.
+    """
+    methods, streams = load_methods(functions_dir)
     pairs: list[Pair] = []
-    with open(pairs_file, newline="") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if line_no == 1 and fields[:3] == ["id1", "id2", "label"]:
-                continue
-            if len(fields) not in (3, 4):
-                raise BadRow(line_no, f"expected 3 or 4 fields, got {len(fields)}")
-            id1, id2, label_text = fields[0], fields[1], fields[2]
-            if label_text not in ("0", "1"):
-                raise BadRow(line_no, f"label must be 0 or 1, got {label_text!r}")
-            label = int(label_text)
-            for mid in (id1, id2):
-                if mid not in methods:
-                    raise MissingFunction(
-                        f"pair row {line_no} references missing function {mid!r}"
-                    )
-            if len(fields) == 4 and fields[3]:
-                type_name = fields[3].upper()
-                if type_name not in type_by_name:
-                    raise BadRow(line_no, f"unknown clone type {fields[3]!r}")
-                ctype = type_by_name[type_name]
-                if (label == 0) != (ctype is CloneType.NONCLONE):
-                    raise BadRow(line_no, "label and clone_type disagree")
-            elif label == 0:
-                ctype = CloneType.NONCLONE
-            else:
-                ctype = _default_clone_type(methods[id1], methods[id2])
-            pairs.append(Pair(id1, id2, label, ctype))
-    return PairDataset(methods=methods, pairs=pairs, streams=streams, paths=paths)
+    for row in read_pairs(pairs_file):
+        if row.label is None:
+            raise BadRow(row.line, "missing label")
+        for mid in (row.id1, row.id2):
+            if mid not in methods:
+                raise MissingFunction(f"pair row {row.line} references missing function {mid!r}")
+        ctype = row.clone_type
+        if ctype is None:
+            ctype = (CloneType.NONCLONE if row.label == 0
+                     else _default_clone_type(methods[row.id1], methods[row.id2]))
+        pairs.append(Pair(row.id1, row.id2, row.label, ctype))
+    return PairDataset(methods=methods, pairs=pairs, streams=streams)
 
 
 def _default_clone_type(cm1: CategorizedMethod, cm2: CategorizedMethod) -> CloneType:
@@ -280,16 +336,9 @@ class PipelineConfig:
             raise ValueError("weighted detector needs CategoryWeights")
 
 
-@dataclass
-class _TrainView:
-    """The subset of a dataset visible while training one fold."""
-
-    methods: Mapping[str, CategorizedMethod]
-    pairs: Sequence[Pair]
-
-
-def _build_detector(config: PipelineConfig, train_pairs: Sequence[Pair],
-                    dataset: PairDataset, fold_seed: int):
+def build_detector(config: PipelineConfig, train_pairs: Sequence[Pair],
+                   dataset: PairDataset, fold_seed: int):
+    """The detector ``config`` names; vector detectors are trained on ``train_pairs``."""
     if config.detector == "overlap":
         return OverlapDetector(threshold=config.threshold)
     if config.detector == "weighted":
@@ -299,15 +348,14 @@ def _build_detector(config: PipelineConfig, train_pairs: Sequence[Pair],
     corpus = [dataset.streams[mid] for mid in train_ids]
     table = train_word2vec(corpus, replace(config.embed, seed=fold_seed))
     params = init_params(fold_seed)
-    view = _TrainView(methods=dataset.methods, pairs=train_pairs)
+    view = replace(dataset, pairs=train_pairs)
     if config.train_encoder:
         pretrain(view, table, replace(config.pretrain, seed=fold_seed), initial=params)
     if config.detector == "classifier":
         head = init_head(config.finetune.layers, seed=fold_seed)
         finetune(params, head, view, table, replace(config.finetune, seed=fold_seed))
-        return ClassifierDetector(params, head, table,
-                                  symmetrize=config.finetune.symmetrize)
-    return CosineDetector(params, table, threshold=config.threshold)
+        return VectorDetector(params, table, head=head, symmetrize=config.finetune.symmetrize)
+    return VectorDetector(params, table, config.threshold)
 
 
 def evaluate(
@@ -335,7 +383,7 @@ def evaluate(
             on_fold_trained(fold_no, train_idx)
         train_pairs = [dataset.pairs[i] for i in sorted(train_idx)]
         test_pairs = [dataset.pairs[i] for i in fold]
-        detector = _build_detector(config, train_pairs, dataset, config.seed + fold_no)
+        detector = build_detector(config, train_pairs, dataset, config.seed + fold_no)
         verdicts = detect_corpus(
             dataset.methods,
             [(p.id1, p.id2) for p in test_pairs],

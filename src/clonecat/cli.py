@@ -20,35 +20,44 @@ import numpy as np
 from . import __version__
 from .bench import (
     PipelineConfig,
+    build_detector,
     evaluate,
     load_dataset,
+    load_methods,
     make_folds,
+    read_pairs,
     time_detection,
 )
 from .detect import (
     CategoryWeights,
-    ClassifierDetector,
-    CosineDetector,
     OverlapDetector,
+    VectorDetector,
     WeightedOverlapDetector,
     detect_corpus,
 )
 from .embed import EmbedConfig, load_table, save_table, train_word2vec
 from .encoder import encode_method, load_params, save_params
-from .errors import CloneCatError, DataError, NumericFailure
+from .errors import CloneCatError, NumericFailure
 from .explain import category_weights, format_weights_table
-from .lexcat import categorize, tokenize
 from .train import (
     FineTuneConfig,
-    FineTuneHead,
     PretrainConfig,
     finetune,
     init_head,
+    load_head,
     pretrain,
+    save_head,
     write_loss_csv,
 )
 
 VERSION_LINE = f"clonecat {__version__} (formats CCEMB1, CCENC1)"
+
+# keys a --config file may set: a field of any training config, so one file can
+# serve every command
+_CONFIG_KEYS = {
+    f.name for config in (EmbedConfig, PretrainConfig, FineTuneConfig)
+    for f in dataclass_fields(config)
+}
 
 
 def _read_config_file(path: str | None) -> dict[str, str]:
@@ -63,7 +72,10 @@ def _read_config_file(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -87,76 +99,23 @@ def _apply_overrides(config, file_values: dict[str, str], args: argparse.Namespa
     return config
 
 
-def _load_methods(args) -> tuple[dict, dict]:
-    """Methods (and streams) from --functions dir and/or --in files."""
-    paths: list[Path] = []
-    if getattr(args, "functions", None):
-        functions = Path(args.functions)
-        if not functions.is_dir():
-            raise DataError(f"--functions {functions} is not a directory")
-        paths += sorted(functions.glob("*.java"))
-    paths += [Path(p) for p in getattr(args, "inputs", None) or []]
-    methods: dict = {}
-    streams: dict = {}
-    for path in paths:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path} is not valid UTF-8: {exc.reason}") from exc
-        stream = tokenize(text, source_id=path.stem)
-        streams[path.stem] = stream
-        methods[path.stem] = categorize(stream)
-    if not methods:
-        raise ValueError("no input methods; pass --functions DIR and/or --in FILE")
-    return methods, streams
-
-
-def _read_pair_ids(path) -> list[tuple[str, str]]:
-    pairs = []
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if line_no == 1 and parts[0] == "id1":
-            continue
-        if len(parts) < 2:
-            raise DataError(f"{path}:{line_no}: need at least id1,id2")
-        pairs.append((parts[0], parts[1]))
-    return pairs
-
-
 def _read_weights_file(path) -> CategoryWeights:
     values = [float(tok) for tok in Path(path).read_text().split()]
     return CategoryWeights(np.array(values))
-
-
-def _load_head(path) -> FineTuneHead:
-    with np.load(path) as archive:
-        k = int(archive["k"])
-        weights = [archive[f"l{i}.w"].astype(np.float64) for i in range(k)]
-        biases = [archive[f"l{i}.b"].astype(np.float64) for i in range(k)]
-    return FineTuneHead(weights=weights, biases=biases)
-
-
-def _save_head(head: FineTuneHead, path) -> None:
-    payload = {name: arr for name, arr in head.tensors().items()}
-    payload["k"] = np.array(head.k)
-    np.savez(path, **payload)
 
 
 # --- subcommand handlers --------------------------------------------------
 
 
 def _cmd_tokenize(args) -> int:
-    methods, _ = _load_methods(args)
+    methods, _ = load_methods(args.functions, args.inputs)
     for source_id in sorted(methods):
         print(json.dumps(methods[source_id].to_json_dict(), sort_keys=True))
     return 0
 
 
 def _cmd_embed_train(args) -> int:
-    methods, streams = _load_methods(args)
+    methods, streams = load_methods(args.functions, args.inputs)
     config = _apply_overrides(EmbedConfig(), _read_config_file(args.config), args)
     table = train_word2vec([streams[k] for k in sorted(streams)], config)
     save_table(table, args.out)
@@ -188,7 +147,7 @@ def _cmd_finetune(args) -> int:
     head = init_head(config.layers, seed=config.seed)
     result = finetune(params, head, dataset, table, config)
     save_params(result.params, args.out_params)
-    _save_head(result.head, args.out_head)
+    save_head(result.head, args.out_head)
     print(
         json.dumps(
             {
@@ -202,7 +161,7 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    methods, _ = _load_methods(args)
+    methods, _ = load_methods(args.functions, args.inputs)
     table = load_table(args.embeddings)
     params = load_params(args.params)
     for source_id in sorted(methods):
@@ -216,40 +175,34 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    methods, _ = _load_methods(args)
-    pair_ids = _read_pair_ids(args.pairs)
-    table = load_table(args.embeddings)
-    params = load_params(args.params)
-    if args.detector == "classifier":
-        if not args.head:
-            raise ValueError("classifier detector needs --head")
-        head = _load_head(args.head)
-        detector = ClassifierDetector(params, head, table, symmetrize=args.symmetrize)
-    else:
-        detector = CosineDetector(params, table, threshold=args.threshold)
-    for verdict in detect_corpus(methods, pair_ids, detector, jobs=args.jobs):
-        print(json.dumps(verdict.to_json_dict(), sort_keys=True))
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    methods, _ = _load_methods(args)
-    pair_ids = _read_pair_ids(args.pairs)
-    if args.detector == "weighted":
+    """``detect`` and ``baseline``: score every listed pair with the named detector."""
+    methods, _ = load_methods(args.functions, args.inputs)
+    pair_ids = [(row.id1, row.id2) for row in read_pairs(args.pairs)]
+    if args.detector == "overlap":
+        detector = OverlapDetector(threshold=args.threshold)
+    elif args.detector == "weighted":
         if not args.weights:
             raise ValueError("weighted baseline needs --weights FILE (15 values)")
         detector = WeightedOverlapDetector(
             _read_weights_file(args.weights), threshold=args.threshold
         )
     else:
-        detector = OverlapDetector(threshold=args.threshold)
-    for verdict in detect_corpus(methods, pair_ids, detector, jobs=args.jobs):
+        table = load_table(args.embeddings)
+        params = load_params(args.params)
+        if args.detector == "classifier":
+            if not args.head:
+                raise ValueError("classifier detector needs --head")
+            detector = VectorDetector(params, table, head=load_head(args.head),
+                                      symmetrize=args.symmetrize)
+        else:
+            detector = VectorDetector(params, table, args.threshold)
+    for verdict in detect_corpus(methods, pair_ids, detector, jobs=getattr(args, "jobs", 1)):
         print(json.dumps(verdict.to_json_dict(), sort_keys=True))
     return 0
 
 
 def _cmd_explain(args) -> int:
-    methods, _ = _load_methods(args)
+    methods, _ = load_methods(args.functions, args.inputs)
     table = load_table(args.embeddings)
     params = load_params(args.params)
     for source_id in sorted(methods):
@@ -271,9 +224,6 @@ def _make_pipeline_config(args) -> PipelineConfig:
     _apply_overrides(config.embed, file_values, args)
     _apply_overrides(config.pretrain, file_values, args)
     _apply_overrides(config.finetune, file_values, args)
-    config.embed.seed = config.seed
-    config.pretrain.seed = config.seed
-    config.finetune.seed = config.seed
     if args.weights:
         config.weights = _read_weights_file(args.weights)
     return config
@@ -294,17 +244,11 @@ def _cmd_evaluate(args) -> int:
 def _cmd_bench_time(args) -> int:
     dataset = load_dataset(args.functions, args.pairs)
     config = _make_pipeline_config(args)
-    training_s = None
-    if config.detector in ("cosine", "classifier"):
-        from .bench import _build_detector
-
-        start = time.perf_counter()
-        detector = _build_detector(config, dataset.pairs, dataset, config.seed)
-        training_s = time.perf_counter() - start
-    elif config.detector == "weighted":
-        detector = WeightedOverlapDetector(config.weights, threshold=config.threshold)
-    else:
-        detector = OverlapDetector(threshold=config.threshold)
+    start = time.perf_counter()
+    detector = build_detector(config, dataset.pairs, dataset, config.seed)
+    training_s = time.perf_counter() - start
+    if config.detector in ("overlap", "weighted"):
+        training_s = None  # nothing was trained
     report = time_detection(
         dataset, detector, runs=args.runs, jobs=config.jobs, training_s=training_s
     )
@@ -315,21 +259,17 @@ def _cmd_bench_time(args) -> int:
 # --- parser ---------------------------------------------------------------
 
 
-def _add_common_model_flags(sub, embeddings=True, params=True):
-    if embeddings:
-        sub.add_argument("--embeddings", required=True, help="CCEMB1 embedding file")
+def _add_common_model_flags(sub, params=True):
+    sub.add_argument("--embeddings", required=True, help="CCEMB1 embedding file")
     if params:
         sub.add_argument("--params", required=True, help="CCENC1 encoder parameter file")
 
 
-def _add_input_flags(sub, functions_required=False):
+def _add_input_flags(sub):
+    sub.add_argument("--functions", help="directory of .java files (id = file stem)")
     sub.add_argument(
-        "--functions",
-        required=functions_required,
-        help="directory of .java files (id = file stem)",
-    )
-    sub.add_argument(
-        "--in", dest="inputs", action="append", metavar="FILE", help="single .java file"
+        "--in", dest="inputs", action="append", default=[], metavar="FILE",
+        help="single .java file",
     )
 
 
@@ -407,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detector", choices=("overlap", "weighted"), default="overlap")
     p.add_argument("--weights", help="text file with 15 weights, canonical order")
     p.add_argument("--threshold", type=float, default=0.7)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(handler=_cmd_baseline)
+    p.set_defaults(handler=_cmd_detect)
 
     p = subs.add_parser("explain", help="per-category attention weights")
     _add_input_flags(p)
@@ -450,7 +389,7 @@ def run(argv=None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, CloneCatError) as exc:
+    except CloneCatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -1,8 +1,11 @@
 """Clone decisions: cosine-threshold and classifier detectors over encoded
 method vectors, plus the token-overlap baselines they are measured against.
 
-Scoring ops are pure; ``detect_corpus`` computes each method's vector once
-and can fan pair scoring out across threads while keeping output order.
+Every detector has ``prepare(method)``, which turns a method into what its
+score reads (a vector, or the method itself for the overlap baselines), and
+``verdict(pair, a, b)`` over two prepared methods. Scoring ops are pure;
+``detect_corpus`` prepares each method once (encoding, on ``jobs`` threads,
+for the vector detector), then scores the pairs serially and in order.
 """
 
 from __future__ import annotations
@@ -23,13 +26,11 @@ __all__ = [
     "CloneVerdict",
     "CategoryWeights",
     "cosine_similarity",
-    "detect_cosine",
-    "detect_classifier",
+    "classifier_score",
     "overlap_similarity",
     "category_overlap_similarity",
     "weighted_category_similarity",
-    "CosineDetector",
-    "ClassifierDetector",
+    "VectorDetector",
     "OverlapDetector",
     "WeightedOverlapDetector",
     "detect_corpus",
@@ -125,8 +126,6 @@ def category_overlap_similarity(
     counts2 = cm2.counts.get(cat, {})
     total1 = sum(counts1.values())
     total2 = sum(counts2.values())
-    if total1 == 0 and total2 == 0:
-        return 0.0
     if total1 == 0 or total2 == 0:
         return 0.0
     shared = sum(min(n1, counts2.get(lexeme, 0)) for lexeme, n1 in counts1.items())
@@ -142,24 +141,6 @@ def weighted_category_similarity(
         if w:
             total += w * category_overlap_similarity(cm1, cm2, cat)
     return total
-
-
-def detect_cosine(
-    m1: CategorizedMethod,
-    m2: CategorizedMethod,
-    params: EncoderParams,
-    table: EmbeddingTable,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> CloneVerdict:
-    v1, _ = encode_method(m1, table, params)
-    v2, _ = encode_method(m2, table, params)
-    score = cosine_similarity(v1.vector, v2.vector)
-    return CloneVerdict(
-        pair=(m1.source_id, m2.source_id),
-        score=score,
-        is_clone=score > threshold,
-        detector="cosine",
-    )
 
 
 def classifier_score(
@@ -178,88 +159,61 @@ def classifier_score(
     return score
 
 
-def detect_classifier(
-    m1: CategorizedMethod,
-    m2: CategorizedMethod,
-    params: EncoderParams,
-    head: FineTuneHead,
-    table: EmbeddingTable,
-    symmetrize: bool = False,
-) -> CloneVerdict:
-    v1, _ = encode_method(m1, table, params)
-    v2, _ = encode_method(m2, table, params)
-    score = classifier_score(v1.vector, v2.vector, head, symmetrize=symmetrize)
-    return CloneVerdict(
-        pair=(m1.source_id, m2.source_id),
-        score=score,
-        is_clone=score > 0.5,
-        detector="classifier",
-    )
-
-
 # --- corpus-level detection ---------------------------------------------
 
 
-class CosineDetector:
-    name = "cosine"
-    needs_vectors = True
+class VectorDetector:
+    """Encodes each method once, then decides on the two method vectors.
+
+    Without a ``head`` it is the cosine detector: cosine similarity above
+    ``threshold``. With a fine-tuned ``head`` it is the classifier detector:
+    the head's clone-class probability above 0.5, ``threshold`` unused.
+    """
 
     def __init__(self, params: EncoderParams, table: EmbeddingTable,
-                 threshold: float = DEFAULT_THRESHOLD):
+                 threshold: float = DEFAULT_THRESHOLD, head: FineTuneHead | None = None,
+                 symmetrize: bool = False):
         self.params = params
         self.table = table
-        self.threshold = threshold
-
-    def encode(self, method: CategorizedMethod) -> np.ndarray:
-        mv, _ = encode_method(method, self.table, self.params)
-        return mv.vector
-
-    def verdict_from_vectors(self, pair, v1, v2) -> CloneVerdict:
-        score = cosine_similarity(v1, v2)
-        return CloneVerdict(pair, score, score > self.threshold, self.name)
-
-
-class ClassifierDetector:
-    name = "classifier"
-    needs_vectors = True
-
-    def __init__(self, params: EncoderParams, head: FineTuneHead,
-                 table: EmbeddingTable, symmetrize: bool = False):
-        self.params = params
         self.head = head
-        self.table = table
         self.symmetrize = symmetrize
+        self.threshold = threshold if head is None else 0.5
+        self.name = "cosine" if head is None else "classifier"
 
-    def encode(self, method: CategorizedMethod) -> np.ndarray:
+    def prepare(self, method: CategorizedMethod) -> np.ndarray:
         mv, _ = encode_method(method, self.table, self.params)
         return mv.vector
 
-    def verdict_from_vectors(self, pair, v1, v2) -> CloneVerdict:
-        score = classifier_score(v1, v2, self.head, symmetrize=self.symmetrize)
-        return CloneVerdict(pair, score, score > 0.5, self.name)
+    def verdict(self, pair, v1, v2) -> CloneVerdict:
+        if self.head is None:
+            score = cosine_similarity(v1, v2)
+        else:
+            score = classifier_score(v1, v2, self.head, self.symmetrize)
+        return CloneVerdict(pair, score, score > self.threshold, self.name)
 
 
 class OverlapDetector:
     name = "overlap"
-    needs_vectors = False
 
     def __init__(self, threshold: float = DEFAULT_THRESHOLD):
         self.threshold = threshold
 
-    def verdict_from_methods(self, pair, cm1, cm2) -> CloneVerdict:
+    def prepare(self, method: CategorizedMethod) -> CategorizedMethod:
+        return method
+
+    def verdict(self, pair, cm1, cm2) -> CloneVerdict:
         score = overlap_similarity(cm1, cm2)
         return CloneVerdict(pair, score, score > self.threshold, self.name)
 
 
-class WeightedOverlapDetector:
+class WeightedOverlapDetector(OverlapDetector):
     name = "category_overlap"
-    needs_vectors = False
 
     def __init__(self, weights: CategoryWeights, threshold: float = DEFAULT_THRESHOLD):
+        super().__init__(threshold)
         self.weights = weights
-        self.threshold = threshold
 
-    def verdict_from_methods(self, pair, cm1, cm2) -> CloneVerdict:
+    def verdict(self, pair, cm1, cm2) -> CloneVerdict:
         score = weighted_category_similarity(cm1, cm2, self.weights)
         return CloneVerdict(pair, score, score > self.threshold, self.name)
 
@@ -270,7 +224,11 @@ def detect_corpus(
     detector,
     jobs: int = 1,
 ) -> list[CloneVerdict]:
-    """Score pairs in order; each method is encoded at most once."""
+    """Score pairs in order; each method is prepared (encoded) at most once.
+
+    ``jobs`` threads share the encoding of distinct methods for a
+    ``VectorDetector``; the overlap detectors have nothing to prepare.
+    """
     pair_list = [(str(a), str(b)) for a, b in pairs]
     unique_ids: list[str] = []
     seen = set()
@@ -282,24 +240,11 @@ def detect_corpus(
                 seen.add(mid)
                 unique_ids.append(mid)
 
-    if getattr(detector, "needs_vectors", False):
-        if jobs > 1 and len(unique_ids) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                vectors = dict(
-                    zip(unique_ids, pool.map(lambda m: detector.encode(methods[m]), unique_ids))
-                )
-        else:
-            vectors = {mid: detector.encode(methods[mid]) for mid in unique_ids}
-        return [
-            detector.verdict_from_vectors((a, b), vectors[a], vectors[b])
-            for a, b in pair_list
-        ]
-
-    def score(pair):
-        a, b = pair
-        return detector.verdict_from_methods((a, b), methods[a], methods[b])
-
-    if jobs > 1 and len(pair_list) > 1:
+    if jobs > 1 and len(unique_ids) > 1 and isinstance(detector, VectorDetector):
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(score, pair_list))
-    return [score(p) for p in pair_list]
+            prepared = dict(
+                zip(unique_ids, pool.map(lambda m: detector.prepare(methods[m]), unique_ids))
+            )
+    else:
+        prepared = {mid: detector.prepare(methods[mid]) for mid in unique_ids}
+    return [detector.verdict((a, b), prepared[a], prepared[b]) for a, b in pair_list]

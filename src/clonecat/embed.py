@@ -34,7 +34,6 @@ __all__ = [
     "EmbeddingTable",
     "build_vocab",
     "train_word2vec",
-    "lookup",
     "token_cosine",
     "save_table",
     "load_table",
@@ -99,9 +98,6 @@ class Vocabulary:
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and self.tokens == other.tokens
 
-    def frequency(self, token: str) -> int:
-        return self.freqs[self.id_for(token)]
-
 
 def _corpus_sentences(corpus: Iterable[TokenStream]) -> list[list[str]]:
     return [ts.lexemes() for ts in corpus]
@@ -147,13 +143,6 @@ class EmbeddingTable:
 
     def lookup(self, lexeme: str) -> np.ndarray:
         return self.matrix[self.vocab.id_for(lexeme)]
-
-    def save(self, path) -> None:
-        save_table(self, path)
-
-
-def lookup(table: EmbeddingTable, lexeme: str) -> np.ndarray:
-    return table.lookup(lexeme)
 
 
 def token_cosine(table: EmbeddingTable, t1: str, t2: str) -> float:

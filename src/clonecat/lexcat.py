@@ -153,15 +153,6 @@ class CategorizedMethod:
     counts: dict[TokenCategory, dict[str, int]] = field(default_factory=dict)
     total_tokens: int = 0
 
-    def category_counts(self, cat: TokenCategory) -> dict[str, int]:
-        return self.counts.get(cat, {})
-
-    def present_categories(self) -> list[TokenCategory]:
-        return [c for c in _CATEGORY_ORDER if c in self.counts]
-
-    def present_mask(self) -> list[bool]:
-        return [c in self.counts for c in _CATEGORY_ORDER]
-
     def to_json_dict(self) -> dict:
         return {
             "source_id": self.source_id,

@@ -14,6 +14,7 @@ Training loops are single-threaded and deterministic under a fixed seed.
 from __future__ import annotations
 
 import csv
+import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
@@ -28,7 +29,7 @@ from .encoder import (
     init_params,
     params_tensors,
 )
-from .errors import DegenerateBatch, NumericFailure, ShapeMismatch
+from .errors import DegenerateBatch, FormatError, NumericFailure, ShapeMismatch
 from .lexcat import CategorizedMethod
 
 __all__ = [
@@ -48,6 +49,8 @@ __all__ = [
     "encode_backward",
     "pretrain",
     "init_head",
+    "save_head",
+    "load_head",
     "head_forward",
     "head_backward",
     "cross_entropy",
@@ -80,9 +83,7 @@ class PretrainConfig:
     batch_size: int = 64
     temperature: float = 0.07
     seed: int = 0
-    embedding_frozen: bool = True
-    # P classes x K samples per batch; P*K should equal batch_size
-    classes_per_batch: int = 16
+    # a batch holds P = batch_size // samples_per_class classes of K = samples_per_class
     samples_per_class: int = 4
 
     def validate(self) -> None:
@@ -92,8 +93,11 @@ class PretrainConfig:
             raise ValueError("lr must be > 0")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if not self.embedding_frozen:
-            raise ValueError("embedding updates are not supported; keep embeddings frozen")
+        if self.samples_per_class < 1 or self.batch_size % self.samples_per_class:
+            raise ValueError(
+                f"batch_size {self.batch_size} must be a multiple of "
+                f"samples_per_class {self.samples_per_class}"
+            )
 
 
 @dataclass
@@ -106,7 +110,6 @@ class FineTuneConfig:
     batch_size: int = 64
     seed: int = 0
     symmetrize: bool = False
-    require_both_classes: bool = False
 
     def validate(self) -> None:
         if self.layers not in HEAD_WIDTHS:
@@ -266,12 +269,16 @@ def sample_batches(
     config: PretrainConfig,
     rng: np.random.Generator,
 ) -> list[list[tuple[str, int]]]:
-    """One epoch of P x K batches over classes with at least two members."""
+    """One epoch of P x K batches over classes with at least two members.
+
+    K is ``config.samples_per_class`` and P is ``config.batch_size // K``,
+    capped at the number of eligible classes.
+    """
     eligible = [(ci, members) for ci, members in enumerate(classes) if len(members) >= 2]
     if not eligible:
         raise DegenerateBatch("no clone class has two or more members")
-    p = min(config.classes_per_batch, len(eligible))
     k = config.samples_per_class
+    p = min(config.batch_size // k, len(eligible))
     total = sum(len(m) for _, m in eligible)
     n_batches = max(1, -(-total // (p * k)))
     batches = []
@@ -310,6 +317,32 @@ def encode_backward(
         prefix = f"cat{cat_idx:02d}."
         for name, g in cat_grads.items():
             grads[prefix + name] = g
+    return grads
+
+
+def _encode_batch(ids: Iterable[str], dataset: SupportsPairs, table: EmbeddingTable,
+                  params: EncoderParams) -> dict[str, tuple[np.ndarray, EncodeCache]]:
+    """Vector and backward cache of each distinct id, encoded once, in sorted id order."""
+    encoded = {}
+    for mid in sorted(set(ids)):
+        mv, _, cache = encode_method(dataset.methods[mid], table, params, want_cache=True)
+        encoded[mid] = (mv.vector, cache)
+    return encoded
+
+
+def _encoder_grads(params: EncoderParams, encoded: Mapping[str, tuple[np.ndarray, EncodeCache]],
+                   row_grads: Iterable[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Encoder gradients from (method id, dL/dvector) rows of a batch.
+
+    A method that fills several rows gets the sum of their gradients
+    (linearity), so each method is backpropagated once.
+    """
+    dvec_by_id: dict[str, np.ndarray] = {}
+    for mid, dvec in row_grads:
+        dvec_by_id[mid] = dvec_by_id[mid] + dvec if mid in dvec_by_id else dvec
+    grads: dict[str, np.ndarray] = {}
+    for mid, (_vector, cache) in encoded.items():
+        _accumulate(grads, encode_backward(params, cache, dvec_by_id[mid]))
     return grads
 
 
@@ -382,27 +415,11 @@ def _pretrain_step(
     state: OptimizerState,
     config: PretrainConfig,
 ) -> float:
-    unique_ids = sorted({mid for mid, _ in batch})
-    caches: dict[str, EncodeCache] = {}
-    vectors: dict[str, np.ndarray] = {}
-    for mid in unique_ids:
-        mv, _, cache = encode_method(dataset.methods[mid], table, params, want_cache=True)
-        vectors[mid] = mv.vector
-        caches[mid] = cache
-    z = np.stack([vectors[mid] for mid, _ in batch])
+    encoded = _encode_batch((mid for mid, _ in batch), dataset, table, params)
+    z = np.stack([encoded[mid][0] for mid, _ in batch])
     labels = np.array([label for _, label in batch])
     loss, dz = supcon_loss(z, labels, config.temperature)
-
-    # a method sampled twice gets the sum of its row gradients (linearity)
-    dvec_by_id: dict[str, np.ndarray] = {}
-    for row, (mid, _) in enumerate(batch):
-        if mid in dvec_by_id:
-            dvec_by_id[mid] = dvec_by_id[mid] + dz[row]
-        else:
-            dvec_by_id[mid] = dz[row]
-    grads: dict[str, np.ndarray] = {}
-    for mid in unique_ids:
-        _accumulate(grads, encode_backward(params, caches[mid], dvec_by_id[mid]))
+    grads = _encoder_grads(params, encoded, ((mid, dz[row]) for row, (mid, _) in enumerate(batch)))
     rmsprop_step(tensors, _full_grads(tensors, grads), state, config)
     return loss
 
@@ -433,8 +450,43 @@ class FineTuneHead:
             out[f"l{i}.b"] = b
         return out
 
-    def widths(self) -> tuple[int, ...]:
-        return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
+
+def save_head(head: FineTuneHead, path) -> None:
+    """Write a head as an npz archive: ``k`` and one ``l{i}.w`` / ``l{i}.b`` per layer."""
+    np.savez(path, **head.tensors(), k=np.array(head.k))
+
+
+def load_head(path) -> FineTuneHead:
+    """Read a head written by ``save_head``.
+
+    Raises FormatError for a file that is not an npz archive or holds
+    pickled data, a missing key, a ``k`` not in HEAD_WIDTHS, a tensor whose
+    shape disagrees with ``HEAD_WIDTHS[k]``, and a non-finite value.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise FormatError(f"head file {path} is a single array, not a head npz archive")
+        with archive:
+            k = int(archive["k"])
+            if k not in HEAD_WIDTHS:
+                raise FormatError(f"head file {path}: k = {k} is not one of {sorted(HEAD_WIDTHS)}")
+            weights = [archive[f"l{i}.w"].astype(np.float64) for i in range(k)]
+            biases = [archive[f"l{i}.b"].astype(np.float64) for i in range(k)]
+    except KeyError as exc:
+        raise FormatError(f"head file {path} is missing an entry ({exc.args[0]})") from exc
+    except (TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"head file {path} is not a head npz archive: {exc}") from exc
+    widths = HEAD_WIDTHS[k]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if w.shape != widths[i : i + 2] or b.shape != widths[i + 1 : i + 2]:
+            raise FormatError(
+                f"head file {path}: layer {i} shapes {w.shape}, {b.shape} do not match "
+                f"widths {widths}"
+            )
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise FormatError(f"head file {path}: non-finite value in layer {i}")
+    return FineTuneHead(weights=weights, biases=biases)
 
 
 def init_head(k: int = 3, seed: int = 0) -> FineTuneHead:
@@ -562,34 +614,17 @@ def _finetune_step(
     config: FineTuneConfig,
 ) -> float:
     labels = np.array([p.label for p in chunk], dtype=np.int64)
-    if config.require_both_classes and len(set(labels.tolist())) < 2:
-        raise DegenerateBatch("batch contains a single class")
-
-    unique_ids = sorted({p.id1 for p in chunk} | {p.id2 for p in chunk})
-    caches: dict[str, EncodeCache] = {}
-    vectors: dict[str, np.ndarray] = {}
-    for mid in unique_ids:
-        mv, _, cache = encode_method(dataset.methods[mid], table, params, want_cache=True)
-        vectors[mid] = mv.vector
-        caches[mid] = cache
-
-    x = np.stack([np.concatenate([vectors[p.id1], vectors[p.id2]]) for p in chunk])
+    encoded = _encode_batch((mid for p in chunk for mid in (p.id1, p.id2)), dataset, table, params)
+    x = np.stack([np.concatenate([encoded[p.id1][0], encoded[p.id2][0]]) for p in chunk])
     logits, head_cache = head_forward(head, x, want_cache=True)
     loss, dlogits = cross_entropy(logits, labels)
     dx, raw_head_grads = head_backward(head, head_cache, dlogits)
 
     half = x.shape[1] // 2
-    dvec_by_id: dict[str, np.ndarray] = {}
-    for row, pair in enumerate(chunk):
-        for mid, dpart in ((pair.id1, dx[row, :half]), (pair.id2, dx[row, half:])):
-            if mid in dvec_by_id:
-                dvec_by_id[mid] = dvec_by_id[mid] + dpart
-            else:
-                dvec_by_id[mid] = dpart.copy()
-
-    grads: dict[str, np.ndarray] = {}
-    for mid in unique_ids:
-        _accumulate(grads, encode_backward(params, caches[mid], dvec_by_id[mid]))
+    grads = _encoder_grads(params, encoded, (
+        (mid, dpart) for row, p in enumerate(chunk)
+        for mid, dpart in ((p.id1, dx[row, :half]), (p.id2, dx[row, half:]))
+    ))
     for name, g in raw_head_grads.items():
         grads[f"head.{name}"] = g
     rmsprop_step(all_tensors, _full_grads(all_tensors, grads), state, config)

@@ -38,8 +38,9 @@ from clonecat.blocks import (
 from clonecat.cli import run
 from clonecat.detect import (
     CategoryWeights,
+    VectorDetector,
     category_overlap_similarity,
-    detect_cosine,
+    detect_corpus,
     overlap_similarity,
     weighted_category_similarity,
 )
@@ -478,12 +479,10 @@ def test_06_t1_t2_behaviour(small_table, enc_params, capsys):
     if not t1_pairs or not t2_pairs:
         failures.append(f"generator produced {len(t1_pairs)} T1 / {len(t2_pairs)} T2 pairs")
 
-    bad_t1 = []
-    for pair in t1_pairs:
-        verdict = detect_cosine(ds.methods[pair.id1], ds.methods[pair.id2],
-                                enc_params, small_table, threshold=0.7)
-        if verdict.score != 1.0 or not verdict.is_clone:
-            bad_t1.append((pair.id1, pair.id2, verdict.score))
+    detector = VectorDetector(enc_params, small_table, threshold=0.7)
+    verdicts = detect_corpus(ds.methods, [(p.id1, p.id2) for p in t1_pairs], detector)
+    bad_t1 = [(*verdict.pair, verdict.score) for verdict in verdicts
+              if verdict.score != 1.0 or not verdict.is_clone]
     if bad_t1:
         failures.append(f"{len(bad_t1)}/{len(t1_pairs)} T1 pairs not at cosine 1.0, "
                         f"first: {bad_t1[0]}")

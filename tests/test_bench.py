@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
 import json
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +132,8 @@ class TestLoadDataset:
                 corpus_dir,
                 write_pairs(tmp_path, "id1,id2,label\nf1,f2,1,T1,extra\n"),
             )
+        with pytest.raises(BadRow, match="missing label"):
+            load_dataset(corpus_dir, write_pairs(tmp_path, "id1,id2,label\nf1,f2\n"))
 
     def test_inconsistent_label_and_type_rejected(self, corpus_dir, tmp_path):
         with pytest.raises(BadRow):
@@ -162,7 +167,6 @@ class TestMakeFolds:
                 "m1": tokenize("int a;", "m1"),
                 "m2": tokenize("int b;", "m2"),
             },
-            paths={},
         )
 
     def test_even_split(self):
@@ -424,3 +428,16 @@ class TestTimeDetection:
         report = time_detection(timing_ds, OverlapDetector(), runs=1, training_s=1.0)
         data = json.loads(report.to_json())
         assert set(data) >= {"runs", "mean_s", "training_s"}
+
+
+def test_benchmark_traced_functions_resolve():
+    """Every function the benchmark traces exists, so no per-layer metric reads 0 unnoticed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import clonecat  # noqa: F401  (loads every traced module)
+
+    missing = [f"{module}.{name}" for module, names in spans.TRACED.items() for name in names
+               if not callable(getattr(sys.modules.get(module), name, None))]
+    assert missing == []

@@ -1,9 +1,11 @@
 import json
+import pickle
 import struct
 
 import numpy as np
 import pytest
 
+from clonecat import train
 from clonecat.cli import run
 from clonecat.embed import EmbedConfig, load_table, train_word2vec
 from clonecat.errors import NumericFailure
@@ -162,6 +164,31 @@ class TestTrainingCommands:
         lines = trained["loss"].read_text().strip().splitlines()
         assert lines[0] == "epoch,batch,loss"
         assert len(lines) >= 2
+
+    def test_batch_size_sets_p_times_k(self, workspace, trained, tmp_path, monkeypatch, capsys):
+        # three clone classes, so P = batch_size // K is not capped at the class count
+        pairs = tmp_path / "three_classes.csv"
+        pairs.write_text("add1,add2,1\nadd3,str1,1\nloop1,loop2,1\n")
+        sizes = []
+        sample_batches = train.sample_batches
+
+        def recording(classes, config, rng):
+            batches = sample_batches(classes, config, rng)
+            sizes.extend(len(batch) for batch in batches)
+            return batches
+
+        monkeypatch.setattr(train, "sample_batches", recording)
+        written = []
+        for extra in ([], ["--batch-size", "8"]):
+            out = tmp_path / f"enc{len(written)}.bin"
+            assert run([
+                "pretrain", "--functions", str(workspace / "funcs"), "--pairs", str(pairs),
+                "--embeddings", str(trained["emb"]), "--out", str(out), "--epochs", "1",
+                *extra,
+            ]) == 0
+            written.append(out.read_bytes())
+        assert sizes == [3 * 4, 2 * 4]  # default 64 // 4 = 16 classes, capped at 3
+        assert written[0] != written[1]
 
     def test_finetune_outputs(self, trained):
         assert trained["enc2"].read_bytes()[:6] == b"CCENC1"
@@ -334,6 +361,63 @@ def _non_utf8_in_functions(workspace, trained, tmp_path):
     return ["embed-train", "--functions", str(tmp_path), "--out", str(tmp_path / "e.bin")]
 
 
+def _pretrain_argv(workspace, trained, tmp_path, functions, *extra):
+    return ["pretrain", "--functions", str(functions), "--pairs", str(workspace / "pairs.csv"),
+            "--embeddings", str(trained["emb"]), "--out", str(tmp_path / "enc.bin"), *extra]
+
+
+def _non_utf8_pretrain(workspace, trained, tmp_path):
+    _non_utf8_java(workspace, trained, tmp_path)
+    return _pretrain_argv(workspace, trained, tmp_path, tmp_path)
+
+
+def _unknown_config_key(workspace, trained, tmp_path):
+    (tmp_path / "bad.cfg").write_text("# typo for epochs\nepoch = 1\n")
+    return ["embed-train", "--functions", str(workspace / "funcs"),
+            "--out", str(tmp_path / "e.bin"), "--config", str(tmp_path / "bad.cfg")]
+
+
+def _non_utf8_pairs(workspace, trained, tmp_path):
+    (tmp_path / "latin1.csv").write_bytes("add1,add2 # caf\xe9\n".encode("latin-1"))
+    return ["baseline", "--functions", str(workspace / "funcs"),
+            "--pairs", str(tmp_path / "latin1.csv")]
+
+
+def _config_batch_size_in_evaluate(workspace, trained, tmp_path):
+    (tmp_path / "p6.cfg").write_text("epochs = 1\nbatch_size = 6\n")
+    return ["evaluate", "--functions", str(workspace / "funcs"), "--folds", "2",
+            "--pairs", str(workspace / "pairs.csv"), "--config", str(tmp_path / "p6.cfg")]
+
+
+def _detect_bad_label(workspace, trained, tmp_path):
+    (tmp_path / "yes.csv").write_text("add1,add2,yes\n")
+    return ["detect", "--functions", str(workspace / "funcs"), "--pairs",
+            str(tmp_path / "yes.csv"), "--embeddings", str(trained["emb"]),
+            "--params", str(trained["enc"])]
+
+
+def _classify_with_head(write):
+    def build(workspace, trained, tmp_path):
+        write(tmp_path / "head.npz")
+        return ["detect", "--functions", str(workspace / "funcs"),
+                "--pairs", str(workspace / "pairs.csv"), "--embeddings", str(trained["emb"]),
+                "--params", str(trained["enc2"]), "--detector", "classifier",
+                "--head", str(tmp_path / "head.npz")]
+    return build
+
+
+def _npz(**arrays):
+    return lambda path: np.savez(path, **arrays)
+
+
+def _npy(path):
+    with open(path, "wb") as handle:
+        np.save(handle, np.zeros((200, 2)))
+
+
+_W, _B = {"l0.w": np.zeros((200, 2))}, {"l0.b": np.zeros(2)}
+
+
 @pytest.mark.parametrize(
     "build, code, message",
     [
@@ -345,10 +429,36 @@ def _non_utf8_in_functions(workspace, trained, tmp_path):
         (_encode_with_table(_raw_table([b"<unk>", b"int"], np.nan)), 2, "emb.bin"),
         (_encode_with_table(_raw_table([b"<unk>", b"int", b"int"])), 2, "duplicate"),
         (_encode_with_table(_raw_table([b"int", b"<unk>"])), 2, "<unk>"),
+        (_non_utf8_pretrain, 2, "latin1.java"),
+        (lambda w, t, p: _pretrain_argv(w, t, p, p / "absent"), 2, "absent"),
+        (lambda w, t, p: ["tokenize", "--functions", str(p)], 2, "no .java files"),
+        (lambda w, t, p: ["tokenize", "--functions", str(w / "funcs"),
+                          "--in", str(w / "funcs" / "add1.java")], 2, "given twice"),
+        (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs", "--batch-size", "6"),
+         1, "samples_per_class"),
+        (_unknown_config_key, 1, "bad.cfg:2"),
+        (_config_batch_size_in_evaluate, 1, "samples_per_class"),
+        (_non_utf8_pairs, 2, "latin1.csv"),
+        (_detect_bad_label, 2, "label must be 0 or 1"),
+        (_classify_with_head(lambda path: path.write_bytes(b"not a head")), 2, "head.npz"),
+        (_classify_with_head(lambda path: path.write_bytes(pickle.dumps({"k": 1}))),
+         2, "head.npz"),
+        (_classify_with_head(_npy), 2, "single array"),
+        (_classify_with_head(_npz(**_W, **_B)), 2, "missing an entry"),
+        (_classify_with_head(_npz(k=np.array(1), **_B)), 2, "missing an entry"),
+        (_classify_with_head(_npz(k=np.array(2), **_W, **_B)), 2, "k = 2"),
+        (_classify_with_head(_npz(k=np.array(1), **{"l0.w": np.zeros((200, 3)),
+                                                    "l0.b": np.zeros(3)})), 2, "shapes"),
+        (_classify_with_head(_npz(k=np.array(1), **_W, **{"l0.b": np.array([np.nan, 0.0])})),
+         2, "non-finite"),
     ],
     ids=["missing-functions-dir", "non-utf8-in", "non-utf8-functions",
          "sgns-diverges", "table-non-finite", "table-duplicate-token",
-         "table-unk-not-first"],
+         "table-unk-not-first", "pretrain-non-utf8", "pretrain-missing-functions-dir",
+         "empty-functions-dir", "id-in-functions-and-in", "batch-size-not-multiple-of-k",
+         "config-unknown-key", "evaluate-config-batch-size", "pairs-non-utf8",
+         "detect-bad-label", "head-not-npz", "head-pickled", "head-npy", "head-missing-k",
+         "head-missing-layer", "head-k-not-a-depth", "head-wrong-shape", "head-non-finite"],
 )
 def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):
     assert run(build(workspace, trained, tmp_path)) == code

@@ -5,23 +5,28 @@ from hypothesis import strategies as st
 
 from clonecat.detect import (
     CategoryWeights,
-    ClassifierDetector,
     CloneVerdict,
-    CosineDetector,
     OverlapDetector,
+    VectorDetector,
     WeightedOverlapDetector,
     category_overlap_similarity,
     classifier_score,
     cosine_similarity,
-    detect_classifier,
     detect_corpus,
-    detect_cosine,
     overlap_similarity,
     weighted_category_similarity,
 )
 from clonecat.errors import UnknownId
 from clonecat.lexcat import TokenCategory, categorize_source
 from clonecat.train import init_head
+
+
+def detect_pair(m1, m2, detector):
+    """One verdict through the corpus path."""
+    (verdict,) = detect_corpus({m1.source_id: m1, m2.source_id: m2},
+                               [(m1.source_id, m2.source_id)], detector)
+    return verdict
+
 
 EXAMPLE_WEIGHTS = {
     "DecimalInteger": 0.6,
@@ -160,7 +165,7 @@ class TestDetectCosine:
     def test_type1_pair_scores_exactly_one(self, small_table, enc_params):
         m1 = categorize_source("int f() { return 1; }", "m1")
         m2 = categorize_source("int  f() {\n  return 1; // same\n}", "m2")
-        verdict = detect_cosine(m1, m2, enc_params, small_table)
+        verdict = detect_pair(m1, m2, VectorDetector(enc_params, small_table))
         assert verdict.score == 1.0
         assert verdict.is_clone
         assert verdict.detector == "cosine"
@@ -168,12 +173,12 @@ class TestDetectCosine:
 
     def test_threshold_is_strict(self, small_table, enc_params):
         m = categorize_source("int f() { return 1; }", "m")
-        verdict = detect_cosine(m, m, enc_params, small_table, threshold=1.0)
+        verdict = detect_pair(m, m, VectorDetector(enc_params, small_table, threshold=1.0))
         assert verdict.score == 1.0
         assert not verdict.is_clone
 
     def test_verdict_json_shape(self, small_table, enc_params, gcd1, gcd2):
-        verdict = detect_cosine(gcd1, gcd2, enc_params, small_table)
+        verdict = detect_pair(gcd1, gcd2, VectorDetector(enc_params, small_table))
         d = verdict.to_json_dict()
         assert set(d) == {"id1", "id2", "score", "is_clone", "detector"}
         assert d["id1"] == "gcd1" and d["id2"] == "gcd2"
@@ -185,7 +190,7 @@ class TestDetectClassifier:
         head = init_head(1, seed=0)
         head.weights[0][:] = 0.0
         head.biases[0][:] = 0.0
-        verdict = detect_classifier(gcd1, gcd2, enc_params, head, small_table)
+        verdict = detect_pair(gcd1, gcd2, VectorDetector(enc_params, small_table, head=head))
         assert verdict.score == pytest.approx(0.5)
         assert not verdict.is_clone
         assert verdict.detector == "classifier"
@@ -194,8 +199,18 @@ class TestDetectClassifier:
         head = init_head(1, seed=0)
         head.weights[0][:] = 0.0
         head.biases[0][:] = np.array([0.0, 5.0])
-        verdict = detect_classifier(gcd1, gcd2, enc_params, head, small_table)
+        verdict = detect_pair(gcd1, gcd2, VectorDetector(enc_params, small_table, head=head))
         assert verdict.score > 0.99
+        assert verdict.is_clone
+
+    def test_head_decides_at_half_whatever_the_threshold(self, small_table, enc_params,
+                                                         gcd1, gcd2):
+        head = init_head(1, seed=0)
+        head.weights[0][:] = 0.0
+        head.biases[0][:] = np.array([0.0, 0.2])
+        detector = VectorDetector(enc_params, small_table, threshold=0.9, head=head)
+        verdict = detect_pair(gcd1, gcd2, detector)
+        assert 0.5 < verdict.score < 0.9
         assert verdict.is_clone
 
     def test_symmetrize_averages_both_orders(self):
@@ -226,23 +241,23 @@ class TestDetectCorpus:
         return {k: categorize_source(v, k) for k, v in sources.items()}
 
     def test_preserves_pair_order(self, corpus, small_table, enc_params):
-        detector = CosineDetector(enc_params, small_table)
+        detector = VectorDetector(enc_params, small_table)
         pairs = [("a", "c"), ("a", "b"), ("b", "c")]
         verdicts = detect_corpus(corpus, pairs, detector)
         assert [v.pair for v in verdicts] == pairs
 
     def test_identical_sources_flagged(self, corpus, small_table, enc_params):
-        detector = CosineDetector(enc_params, small_table)
+        detector = VectorDetector(enc_params, small_table)
         verdicts = detect_corpus(corpus, [("a", "b")], detector)
         assert verdicts[0].score == 1.0 and verdicts[0].is_clone
 
     def test_unknown_id_raises(self, corpus, small_table, enc_params):
-        detector = CosineDetector(enc_params, small_table)
+        detector = VectorDetector(enc_params, small_table)
         with pytest.raises(UnknownId):
             detect_corpus(corpus, [("a", "zzz")], detector)
 
     def test_parallel_matches_serial(self, corpus, small_table, enc_params):
-        detector = CosineDetector(enc_params, small_table)
+        detector = VectorDetector(enc_params, small_table)
         pairs = [("a", "b"), ("a", "c"), ("b", "c")]
         serial = detect_corpus(corpus, pairs, detector, jobs=1)
         parallel = detect_corpus(corpus, pairs, detector, jobs=3)
@@ -262,7 +277,7 @@ class TestDetectCorpus:
         assert verdicts[0].detector == "category_overlap"
 
     def test_empty_pairs_ok(self, corpus, small_table, enc_params):
-        detector = CosineDetector(enc_params, small_table)
+        detector = VectorDetector(enc_params, small_table)
         assert detect_corpus(corpus, [], detector) == []
 
 
@@ -271,7 +286,7 @@ class TestThresholdMonotonicity:
         pairs = [(p.id1, p.id2) for p in small_dataset.pairs[:12]]
         flagged = []
         for threshold in (0.0, 0.5, 0.9):
-            detector = CosineDetector(enc_params, small_table, threshold=threshold)
+            detector = VectorDetector(enc_params, small_table, threshold=threshold)
             verdicts = detect_corpus(small_dataset.methods, pairs, detector)
             flagged.append({v.pair for v in verdicts if v.is_clone})
         assert flagged[2] <= flagged[1] <= flagged[0]

@@ -14,7 +14,6 @@ from clonecat.embed import (
     Vocabulary,
     build_vocab,
     load_table,
-    lookup,
     save_table,
     token_cosine,
     train_word2vec,
@@ -218,17 +217,18 @@ class TestLookup:
     def test_known_token_returns_its_row(self, small_table):
         idx = small_table.vocab.id_for("int")
         assert idx != 0
-        assert np.array_equal(lookup(small_table, "int"), small_table.matrix[idx])
+        assert np.array_equal(small_table.lookup("int"), small_table.matrix[idx])
 
     def test_unknown_token_returns_unk_row(self, small_table):
         assert np.array_equal(
-            lookup(small_table, "no-such-lexeme"), small_table.matrix[0]
+            small_table.lookup("no-such-lexeme"), small_table.matrix[0]
         )
 
     def test_table_lookup_method_agrees(self, small_table):
-        assert np.array_equal(
-            small_table.lookup("int"), lookup(small_table, "int")
-        )
+        for token in small_table.vocab.tokens:
+            assert np.array_equal(
+                small_table.lookup(token), small_table.matrix[small_table.vocab.id_for(token)]
+            )
 
 
 class TestTokenCosine:
@@ -267,7 +267,7 @@ class TestSerialization:
     def test_save_method_agrees_with_function(self, small_table, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_table(small_table, p1)
-        small_table.save(p2)
+        save_table(load_table(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_rejected(self, small_table, tmp_path):

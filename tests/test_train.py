@@ -254,14 +254,14 @@ class TestCloneClasses:
 class TestSampleBatches:
     def test_deterministic_given_seed(self):
         classes = [["a", "b", "c"], ["d", "e"], ["f", "g"]]
-        cfg = PretrainConfig(classes_per_batch=2, samples_per_class=2)
+        cfg = PretrainConfig(batch_size=4, samples_per_class=2)
         b1 = sample_batches(classes, cfg, np.random.default_rng(3))
         b2 = sample_batches(classes, cfg, np.random.default_rng(3))
         assert b1 == b2
 
     def test_batch_size_and_grouping(self):
         classes = [["a", "b", "c"], ["d", "e"]]
-        cfg = PretrainConfig(classes_per_batch=16, samples_per_class=4)
+        cfg = PretrainConfig(batch_size=64, samples_per_class=4)
         batches = sample_batches(classes, cfg, np.random.default_rng(0))
         for batch in batches:
             assert len(batch) == 2 * 4  # P capped at eligible classes
@@ -270,13 +270,13 @@ class TestSampleBatches:
 
     def test_batch_count_covers_eligible_population(self):
         classes = [["a", "b", "c"], ["d", "e"]]  # 5 eligible members
-        cfg = PretrainConfig(classes_per_batch=2, samples_per_class=2)
+        cfg = PretrainConfig(batch_size=4, samples_per_class=2)
         batches = sample_batches(classes, cfg, np.random.default_rng(0))
         assert len(batches) == 2  # ceil(5 / 4)
 
     def test_singletons_are_ineligible(self):
         classes = [["a", "b"], ["solo"]]
-        cfg = PretrainConfig(classes_per_batch=4, samples_per_class=2)
+        cfg = PretrainConfig(batch_size=8, samples_per_class=2)
         batches = sample_batches(classes, cfg, np.random.default_rng(0))
         ids = {i for batch in batches for i, _ in batch}
         assert "solo" not in ids
@@ -288,7 +288,7 @@ class TestSampleBatches:
 
     def test_members_come_from_their_class(self):
         classes = [["a", "b", "c"], ["d", "e"]]
-        cfg = PretrainConfig(classes_per_batch=2, samples_per_class=3)
+        cfg = PretrainConfig(batch_size=6, samples_per_class=3)
         for batch in sample_batches(classes, cfg, np.random.default_rng(1)):
             for member, label in batch:
                 assert member in classes[label]
