@@ -37,7 +37,7 @@ from .detect import (
 )
 from .embed import EmbedConfig, load_table, save_table, train_word2vec
 from .encoder import encode_method, load_params, save_params
-from .errors import CloneCatError, NumericFailure
+from .errors import CloneCatError, DataError, NumericFailure
 from .explain import category_weights, format_weights_table
 from .train import (
     FineTuneConfig,
@@ -100,8 +100,12 @@ def _apply_overrides(config, file_values: dict[str, str], args: argparse.Namespa
 
 
 def _read_weights_file(path) -> CategoryWeights:
-    values = [float(tok) for tok in Path(path).read_text().split()]
-    return CategoryWeights(np.array(values))
+    try:
+        return CategoryWeights(np.array([float(tok) for tok in Path(path).read_text().split()]))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"weights file {path} is not valid UTF-8: {exc.reason}") from exc
+    except ValueError as exc:
+        raise DataError(f"weights file {path}: {exc}") from exc
 
 
 # --- subcommand handlers --------------------------------------------------

@@ -66,8 +66,8 @@ class CategoryWeights:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (NUM_CATEGORIES,):
             raise ValueError(f"need {NUM_CATEGORIES} weights, got shape {self.values.shape}")
-        if np.any(self.values < 0):
-            raise ValueError("weights must be non-negative")
+        if not (np.all(np.isfinite(self.values)) and np.all(self.values >= 0)):
+            raise ValueError("weights must be finite and non-negative")
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, float]) -> "CategoryWeights":

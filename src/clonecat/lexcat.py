@@ -15,11 +15,36 @@ Category mapping:
   Operator   every Java operator, compound assignments included
   Annotation the '@' sigil alone (the following name is an Identifier)
   numeric literals split by radix/suffix into the six integer/float kinds
-  Null       string/char literals, the null literal, anything unmapped
+  Null       string/char literals and the null literal
+
+Lexing is one compiled pattern, ``_TOKEN``, whose named alternatives are
+tried in this order at each position:
+  skip  whitespace, // and /* */ comments     dropped
+  text  a closed string or char literal       Null
+  open  a /*, " or ' that never closes        LexError "unterminated ..."
+  hex   0x... or 0X...                        HexInteger, HexFloatingPoint
+  bin   0b... or 0B...                        BinaryInteger
+  dec   a digit, or a point and a digit       DecimalInteger, OctalInteger,
+                                              DecimalFloatingPoint
+  word  letters, digits, '_' and '$'          Keyword, Modifier, BasicType,
+                                              Boolean, Null, Identifier
+  at    @                                     Annotation
+  sep   SEPARATORS                            Separator
+  op    OPERATORS, longest first              Operator
+  bad   any other character                   LexError "illegal character"
+
+``_number`` rejects the malformed numeric shapes: ``0b`` without a binary
+digit; ``0x`` followed by neither a hex digit nor a point; a hex exponent
+``p`` with no decimal digit; a hex fraction without a ``p`` exponent; a
+decimal float (point, exponent or f/d suffix) with an l suffix; and a
+leading-zero (octal) integer holding an 8 or a 9. A word that starts with
+a character other than a letter, '_' or '$' (a digit such as '²') is an
+illegal character.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -122,10 +147,6 @@ class Token:
     line: int
     column: int
 
-    @property
-    def position(self) -> tuple[int, int]:
-        return (self.line, self.column)
-
 
 @dataclass(frozen=True)
 class TokenStream:
@@ -164,249 +185,113 @@ class CategorizedMethod:
         }
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch == "_" or ch == "$" or ch.isalpha()
+# The complete forms of comments and quoted literals come before their bare
+# openers, so an opener matches only when the comment or literal never
+# closes.  Separators come before operators so that "::" beats ":".  A word
+# is re-checked in tokenize: \w also admits numeric characters such as '²'
+# that cannot start a name.
+_TOKEN = re.compile(
+    rf"""
+    (?P<skip>(?:[ \t\r\n\f\v]|//[^\n]*|/\*.*?\*/)+)
+  | (?P<text>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
+  | (?P<open>/\*|["'])
+  | (?P<hex>0[xX][0-9a-fA-F_]*(?:\.[0-9a-fA-F_]*)?(?:[pP][+-]?(?:[0-9][0-9_]*[fFdD]?)?|[lL])?)
+  | (?P<bin>0[bB](?:[01][01_]*[lL]?)?)
+  | (?P<dec>(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][+-]?[0-9][0-9_]*)?[fFdDlL]?)
+  | (?P<word>[\w$]+)
+  | (?P<at>@)
+  | (?P<sep>{"|".join(map(re.escape, SEPARATORS))})
+  | (?P<op>{"|".join(map(re.escape, OPERATORS))})
+  | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "char literal"}
+
+_WORD_CATEGORY = {
+    **dict.fromkeys(KEYWORDS, TokenCategory.KEYWORD),
+    **dict.fromkeys(MODIFIERS, TokenCategory.MODIFIER),
+    **dict.fromkeys(BASIC_TYPES, TokenCategory.BASIC_TYPE),
+    **dict.fromkeys(BOOLEAN_LITERALS, TokenCategory.BOOLEAN),
+    "null": TokenCategory.NULL,
+}
+
+_FIXED_CATEGORY = {
+    "text": TokenCategory.NULL,
+    "at": TokenCategory.ANNOTATION,
+    "sep": TokenCategory.SEPARATOR,
+    "op": TokenCategory.OPERATOR,
+}
 
 
-def _is_ident_part(ch: str) -> bool:
-    return ch == "_" or ch == "$" or ch.isalnum()
-
-
-def _is_digit_or_sep(ch: str) -> bool:
-    return ch.isdigit() and ch.isascii() or ch == "_"
-
-
-def _is_hex_or_sep(ch: str) -> bool:
-    return ch != "" and ch in "0123456789abcdefABCDEF_"
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, reason: str, line: int | None = None, col: int | None = None):
-        raise LexError(self.line if line is None else line,
-                       self.col if col is None else col, reason)
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def peek_in(self, chars: str, offset: int = 0) -> bool:
-        # peek() returns "" at end of input and "" is a substring of any
-        # string, so a bare `peek() in chars` would match there
-        ch = self.peek(offset)
-        return ch != "" and ch in chars
-
-    def advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos >= len(self.text):
-                return
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def match_at(self, literal: str) -> bool:
-        return self.text.startswith(literal, self.pos)
-
-    def take(self, n: int) -> str:
-        s = self.text[self.pos : self.pos + n]
-        self.advance(n)
-        return s
-
-    # --- sub-scanners -------------------------------------------------
-
-    def skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.peek()
-            if ch in " \t\r\n\f\x0b":
-                self.advance()
-            elif ch == "/" and self.peek(1) == "/":
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.advance()
-            elif ch == "/" and self.peek(1) == "*":
-                line, col = self.line, self.col
-                self.advance(2)
-                while self.pos < len(self.text) and not self.match_at("*/"):
-                    self.advance()
-                if self.pos >= len(self.text):
-                    self.error("unterminated block comment", line, col)
-                self.advance(2)
-            else:
-                return
-
-    def scan_quoted(self, quote: str, what: str) -> str:
-        line, col = self.line, self.col
-        start = self.pos
-        self.advance()  # opening quote
-        while self.pos < len(self.text):
-            ch = self.peek()
-            if ch == "\\":
-                self.advance(2)
-                continue
-            if ch == "\n":
-                break
-            if ch == quote:
-                self.advance()
-                return self.text[start : self.pos]
-            self.advance()
-        self.error(f"unterminated {what} literal", line, col)
-
-    def scan_number(self) -> tuple[str, TokenCategory]:
-        start = self.pos
-        if self.peek() == "0" and self.peek_in("xX", 1):
-            return self._scan_hex(start)
-        if self.peek() == "0" and self.peek_in("bB", 1):
-            self.advance(2)
-            if not self.peek_in("01"):
-                self.error("malformed binary literal")
-            while self.peek_in("01_"):
-                self.advance()
-            if self.peek_in("lL"):
-                self.advance()
-            return self.text[start : self.pos], TokenCategory.BINARY_INTEGER
-        return self._scan_decimal(start)
-
-    def _scan_hex(self, start: int) -> tuple[str, TokenCategory]:
-        self.advance(2)
-        if not (_is_hex_or_sep(self.peek()) or self.peek() == "."):
-            self.error("malformed hex literal")
-        while _is_hex_or_sep(self.peek()):
-            self.advance()
-        is_float = False
-        if self.peek() == ".":
-            is_float = True
-            self.advance()
-            while _is_hex_or_sep(self.peek()):
-                self.advance()
-        if self.peek_in("pP"):
-            is_float = True
-            self.advance()
-            if self.peek_in("+-"):
-                self.advance()
-            if not (self.peek().isdigit() and self.peek().isascii()):
-                self.error("malformed hex float exponent")
-            while _is_digit_or_sep(self.peek()):
-                self.advance()
-            if self.peek_in("fFdD"):
-                self.advance()
-            return self.text[start : self.pos], TokenCategory.HEX_FLOATING_POINT
+def _number(lexeme: str, kind: str, line: int, col: int) -> TokenCategory:
+    """Categorize one numeric match, or raise at its first bad character."""
+    if kind == "bin":
+        if len(lexeme) == 2:
+            raise LexError(line, col + 2, "malformed binary literal")
+        return TokenCategory.BINARY_INTEGER
+    if kind == "hex":
+        if len(lexeme) == 2 or lexeme[2] in "pPlL":
+            raise LexError(line, col + 2, "malformed hex literal")
+        if lexeme[-1] in "pP+-":
+            raise LexError(line, col + len(lexeme), "malformed hex float exponent")
+        if "p" in lexeme or "P" in lexeme:
+            return TokenCategory.HEX_FLOATING_POINT
+        mantissa = lexeme.rstrip("lL")
+        if "." in mantissa:
+            raise LexError(line, col + len(mantissa), "hex float requires a binary exponent")
+        return TokenCategory.HEX_INTEGER
+    is_float = lexeme[-1] in "fFdD" or any(ch in lexeme for ch in ".eE")
+    if lexeme[-1] in "lL":
         if is_float:
-            # hex fraction without a binary exponent is not a valid literal
-            self.error("hex float requires a binary exponent")
-        if self.peek_in("lL"):
-            self.advance()
-        return self.text[start : self.pos], TokenCategory.HEX_INTEGER
-
-    def _scan_decimal(self, start: int) -> tuple[str, TokenCategory]:
-        is_float = False
-        while _is_digit_or_sep(self.peek()):
-            self.advance()
-        if self.peek() == ".":
-            is_float = True
-            self.advance()
-            while _is_digit_or_sep(self.peek()):
-                self.advance()
-        if self.peek_in("eE") and (
-            (self.peek(1).isdigit() and self.peek(1).isascii())
-            or (self.peek_in("+-", 1) and self.peek(2).isdigit() and self.peek(2).isascii())
-        ):
-            is_float = True
-            self.advance()
-            if self.peek_in("+-"):
-                self.advance()
-            while _is_digit_or_sep(self.peek()):
-                self.advance()
-        if self.peek_in("fFdD"):
-            is_float = True
-            self.advance()
-        elif self.peek_in("lL"):
-            if is_float:
-                self.error("float literal cannot carry an integer suffix")
-            self.advance()
-        lexeme = self.text[start : self.pos]
-        if is_float:
-            return lexeme, TokenCategory.DECIMAL_FLOATING_POINT
-        digits = lexeme.rstrip("lL")
-        if digits.startswith("0") and len(digits.replace("_", "")) > 1:
-            if any(d in "89" for d in digits):
-                self.error("invalid digit in octal literal")
-            return lexeme, TokenCategory.OCTAL_INTEGER
-        return lexeme, TokenCategory.DECIMAL_INTEGER
+            raise LexError(line, col + len(lexeme) - 1,
+                           "float literal cannot carry an integer suffix")
+        digits = lexeme[:-1]
+    elif is_float:
+        return TokenCategory.DECIMAL_FLOATING_POINT
+    else:
+        digits = lexeme
+    if digits.startswith("0") and len(digits.replace("_", "")) > 1:
+        if "8" in digits or "9" in digits:
+            raise LexError(line, col + len(lexeme), "invalid digit in octal literal")
+        return TokenCategory.OCTAL_INTEGER
+    return TokenCategory.DECIMAL_INTEGER
 
 
 def tokenize(source: str, source_id: str = "<memory>") -> TokenStream:
     """Lex one Java method into its token stream.
 
     Comments and whitespace are discarded. Raises LexError at the first
-    unterminated literal/comment or illegal character.
+    unterminated literal/comment, malformed number or illegal character.
     """
-    sc = _Scanner(source)
     tokens: list[Token] = []
-    while True:
-        sc.skip_whitespace_and_comments()
-        if sc.pos >= len(sc.text):
-            break
-        line, col = sc.line, sc.col
-        ch = sc.peek()
-
-        if ch == '"':
-            lexeme = sc.scan_quoted('"', "string")
-            tokens.append(Token(lexeme, TokenCategory.NULL, line, col))
-            continue
-        if ch == "'":
-            lexeme = sc.scan_quoted("'", "char")
-            tokens.append(Token(lexeme, TokenCategory.NULL, line, col))
-            continue
-        if (ch.isdigit() and ch.isascii()) or (
-            ch == "." and sc.peek(1).isdigit() and sc.peek(1).isascii()
-        ):
-            lexeme, cat = sc.scan_number()
-            tokens.append(Token(lexeme, cat, line, col))
-            continue
-        if _is_ident_start(ch):
-            start = sc.pos
-            while sc.pos < len(sc.text) and _is_ident_part(sc.peek()):
-                sc.advance()
-            word = sc.text[start : sc.pos]
-            tokens.append(Token(word, _classify_word(word), line, col))
-            continue
-        if ch == "@":
-            sc.advance()
-            tokens.append(Token("@", TokenCategory.ANNOTATION, line, col))
-            continue
-        for sep in SEPARATORS:
-            if sc.match_at(sep):
-                tokens.append(Token(sc.take(len(sep)), TokenCategory.SEPARATOR, line, col))
-                break
-        else:
-            for op in OPERATORS:
-                if sc.match_at(op):
-                    tokens.append(Token(sc.take(len(op)), TokenCategory.OPERATOR, line, col))
-                    break
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        start, end = m.span()
+        col = start - line_start + 1
+        if kind != "skip":
+            lexeme = m.group()
+            if kind == "word":
+                if not (lexeme[0].isalpha() or lexeme[0] in "_$"):
+                    raise LexError(line, col, f"illegal character {lexeme[0]!r}")
+                category = _WORD_CATEGORY.get(lexeme, TokenCategory.IDENTIFIER)
+            elif kind in _FIXED_CATEGORY:
+                category = _FIXED_CATEGORY[kind]
+            elif kind == "open":
+                raise LexError(line, col, f"unterminated {_UNTERMINATED[lexeme]}")
+            elif kind == "bad":
+                raise LexError(line, col, f"illegal character {lexeme!r}")
             else:
-                sc.error(f"illegal character {ch!r}")
+                category = _number(lexeme, kind, line, col)
+            tokens.append(Token(lexeme, category, line, col))
+        if kind == "skip" or kind == "text":
+            newlines = source.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", start, end) + 1
     return TokenStream(tuple(tokens), source_id)
-
-
-def _classify_word(word: str) -> TokenCategory:
-    if word in MODIFIERS:
-        return TokenCategory.MODIFIER
-    if word in BASIC_TYPES:
-        return TokenCategory.BASIC_TYPE
-    if word in BOOLEAN_LITERALS:
-        return TokenCategory.BOOLEAN
-    if word == "null":
-        return TokenCategory.NULL
-    if word in KEYWORDS:
-        return TokenCategory.KEYWORD
-    return TokenCategory.IDENTIFIER
 
 
 def categorize(ts: TokenStream) -> CategorizedMethod:

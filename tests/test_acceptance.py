@@ -303,23 +303,30 @@ _GRAD_SOURCES = {
 
 
 def _composition_check(methods, table, labels, keep, seed):
-    """FD-check encode_method -> SupCon through every reachable tensor."""
+    """FD-check encode_method -> SupCon through every reachable tensor.
+
+    The analytic gradients are computed once, before any perturbation;
+    grad_check reads only the loss of its perturbed evaluations, so those
+    run the forward pass alone.
+    """
     params = init_params(seed=seed)
     live = params_tensors(params)
     subset = {name: arr for name, arr in live.items() if name.split(".")[0] in keep}
 
+    vecs, caches = [], []
+    for m in methods:
+        mv, _, cache = encode_method(m, table, params, want_cache=True)
+        vecs.append(mv.vector)
+        caches.append(cache)
+    _, dz = supcon_loss(np.stack(vecs), labels)
+    grads = {name: np.zeros_like(arr) for name, arr in live.items()}
+    for cache, dv in zip(caches, dz):
+        for name, g in encode_backward(params, cache, dv).items():
+            grads[name] += g
+
     def loss_fn(_):
-        vecs, caches = [], []
-        for m in methods:
-            mv, _, cache = encode_method(m, table, params, want_cache=True)
-            vecs.append(mv.vector)
-            caches.append(cache)
-        loss, dz = supcon_loss(np.stack(vecs), labels)
-        grads = {name: np.zeros_like(arr) for name, arr in live.items()}
-        for cache, dv in zip(caches, dz):
-            for name, g in encode_backward(params, cache, dv).items():
-                grads[name] += g
-        return loss, grads
+        vecs = [encode_method(m, table, params)[0].vector for m in methods]
+        return supcon_loss(np.stack(vecs), labels)[0], grads
 
     return grad_check(loss_fn, subset, tol=1e-4, samples_per_tensor=1, seed=seed)
 

@@ -396,6 +396,16 @@ def _detect_bad_label(workspace, trained, tmp_path):
             "--params", str(trained["enc"])]
 
 
+def _bad_weights(data, command="baseline"):
+    def build(workspace, trained, tmp_path):
+        (tmp_path / "w.txt").write_bytes(data)
+        argv = [command, "--functions", str(workspace / "funcs"), "--pairs",
+                str(workspace / "pairs.csv"), "--detector", "weighted",
+                "--weights", str(tmp_path / "w.txt")]
+        return argv + ["--folds", "2"] if command == "evaluate" else argv
+    return build
+
+
 def _classify_with_head(write):
     def build(workspace, trained, tmp_path):
         write(tmp_path / "head.npz")
@@ -451,6 +461,11 @@ _W, _B = {"l0.w": np.zeros((200, 2))}, {"l0.b": np.zeros(2)}
                                                     "l0.b": np.zeros(3)})), 2, "shapes"),
         (_classify_with_head(_npz(k=np.array(1), **_W, **{"l0.b": np.array([np.nan, 0.0])})),
          2, "non-finite"),
+        (_bad_weights(b"abc" + b" 0" * 14), 2, "w.txt"),
+        (_bad_weights(b"1 " * 14, "evaluate"), 2, "w.txt"),
+        (_bad_weights(b"-1" + b" 0" * 14, "bench-time"), 2, "w.txt"),
+        (_bad_weights(b"nan" + b" 0" * 14, "evaluate"), 2, "w.txt"),
+        (_bad_weights("caf\xe9".encode("latin-1") + b" 0" * 15, "bench-time"), 2, "w.txt"),
     ],
     ids=["missing-functions-dir", "non-utf8-in", "non-utf8-functions",
          "sgns-diverges", "table-non-finite", "table-duplicate-token",
@@ -458,7 +473,9 @@ _W, _B = {"l0.w": np.zeros((200, 2))}, {"l0.b": np.zeros(2)}
          "empty-functions-dir", "id-in-functions-and-in", "batch-size-not-multiple-of-k",
          "config-unknown-key", "evaluate-config-batch-size", "pairs-non-utf8",
          "detect-bad-label", "head-not-npz", "head-pickled", "head-npy", "head-missing-k",
-         "head-missing-layer", "head-k-not-a-depth", "head-wrong-shape", "head-non-finite"],
+         "head-missing-layer", "head-k-not-a-depth", "head-wrong-shape", "head-non-finite",
+         "weights-not-a-number", "weights-wrong-count", "weights-negative", "weights-nan",
+         "weights-non-utf8"],
 )
 def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):
     assert run(build(workspace, trained, tmp_path)) == code

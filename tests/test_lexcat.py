@@ -175,6 +175,70 @@ class TestLexErrors:
         assert "#" in str(exc.value)
 
 
+# Every LexError reason with the exact position the lexer reports.  Number
+# errors point at the first character the literal cannot take; an
+# unterminated comment or literal points at its opener.
+LEX_ERROR_CONTRACT = [
+    ("int x;\n  /* never closed", 2, 3, "unterminated block comment"),
+    ("/*/", 1, 1, "unterminated block comment"),
+    ('s = "abc\n";', 1, 5, "unterminated string literal"),
+    ('s = "ab\\', 1, 5, "unterminated string literal"),
+    ("x\r'ab", 1, 3, "unterminated char literal"),
+    ("c = 'a\n';", 1, 5, "unterminated char literal"),
+    ("0b2", 1, 3, "malformed binary literal"),
+    ("0b", 1, 3, "malformed binary literal"),
+    ("x = 0x;", 1, 7, "malformed hex literal"),
+    ("0xL", 1, 3, "malformed hex literal"),
+    ("0xp1", 1, 3, "malformed hex literal"),
+    ("0x1p+;", 1, 6, "malformed hex float exponent"),
+    ("0x1P", 1, 5, "malformed hex float exponent"),
+    ("0x1.8;", 1, 6, "hex float requires a binary exponent"),
+    ("0x1.8L", 1, 6, "hex float requires a binary exponent"),
+    ("0x.", 1, 4, "hex float requires a binary exponent"),
+    ("1.0L", 1, 4, "float literal cannot carry an integer suffix"),
+    ("1e5L", 1, 4, "float literal cannot carry an integer suffix"),
+    (".5e-3l", 1, 6, "float literal cannot carry an integer suffix"),
+    ("08", 1, 3, "invalid digit in octal literal"),
+    ("int a;\n  09L", 2, 6, "invalid digit in octal literal"),
+    ("0_8", 1, 4, "invalid digit in octal literal"),
+    ("int #x;", 1, 5, "illegal character '#'"),
+    ("a = ²;", 1, 5, "illegal character '²'"),
+    ("a\r²", 1, 3, "illegal character '²'"),
+    ("٣x", 1, 1, "illegal character '٣'"),
+]
+
+
+@pytest.mark.parametrize("source,line,column,reason", LEX_ERROR_CONTRACT)
+def test_lex_error_contract(source, line, column, reason):
+    with pytest.raises(LexError) as exc:
+        tokenize(source, source_id="bad")
+    assert (exc.value.line, exc.value.column, exc.value.reason) == (line, column, reason)
+
+
+# Lexemes that lex as themselves when whitespace or a comment follows them;
+# the string with an escaped newline spans two lines.
+_CONTRACT_LEXEMES = [
+    "x", "_y", "$z", "café", "x²", "int", "public", "true", "null", "while",
+    "0", "42", "017", "0x1F", "0b1010L", "1.5e3", ".5", "5.", "0x1.8p1f", "3f",
+    '"s t"', '"a\\\nb"', "'\\n'", "'x'", "@", "...", "::", "(", ";", ".",
+    ">>>=", "->", "+", "/", "*", "!=",
+]
+_JOINERS = [" ", "\t", "\n", "\r\n", "\r ", " // note\n", " /* one\n two\n */ ", " /**/ "]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_CONTRACT_LEXEMES), st.sampled_from(_JOINERS)),
+                max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_token_positions_locate_lexemes(pieces):
+    source = "".join(lexeme + joiner for lexeme, joiner in pieces)
+    line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    tokens = tokenize(source, "t").tokens
+    assert [t.lexeme for t in tokens] == [lexeme for lexeme, _ in pieces]
+    for tok in tokens:
+        offset = line_starts[tok.line - 1] + tok.column - 1
+        assert source[offset : offset + len(tok.lexeme)] == tok.lexeme
+
+
 class TestCommentAndWhitespaceInvariance:
     BODY = "int gcd(int a, int b) { while (b != 0) { int t = b; b = a % b; a = t; } return a; }"
 
