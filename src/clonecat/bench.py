@@ -327,7 +327,6 @@ class PipelineConfig:
     train_encoder: bool = True  # False = random-frozen attention baseline
     weights: CategoryWeights | None = None
     seed: int = 0
-    jobs: int = 1
 
     def validate(self) -> None:
         if self.detector not in ("cosine", "classifier", "overlap", "weighted"):
@@ -384,12 +383,7 @@ def evaluate(
         train_pairs = [dataset.pairs[i] for i in sorted(train_idx)]
         test_pairs = [dataset.pairs[i] for i in fold]
         detector = build_detector(config, train_pairs, dataset, config.seed + fold_no)
-        verdicts = detect_corpus(
-            dataset.methods,
-            [(p.id1, p.id2) for p in test_pairs],
-            detector,
-            jobs=config.jobs,
-        )
+        verdicts = detect_corpus(dataset.methods, [(p.id1, p.id2) for p in test_pairs], detector)
         tp = fp = fn = tn = 0
         for pair, verdict in zip(test_pairs, verdicts):
             if pair.label == 1:
@@ -778,7 +772,6 @@ def time_detection(
     dataset: PairDataset,
     detector,
     runs: int = 3,
-    jobs: int = 1,
     training_s: float | None = None,
 ) -> TimingReport:
     """Wall-clock the full-pair scan ``runs`` times under identical order."""
@@ -788,6 +781,6 @@ def time_detection(
     samples: list[float] = []
     for _ in range(runs):
         start = time.perf_counter()
-        detect_corpus(dataset.methods, pair_ids, detector, jobs=jobs)
+        detect_corpus(dataset.methods, pair_ids, detector)
         samples.append(time.perf_counter() - start)
     return TimingReport(runs=samples, mean_s=float(np.mean(samples)), training_s=training_s)

@@ -200,7 +200,7 @@ def _cmd_detect(args) -> int:
                                       symmetrize=args.symmetrize)
         else:
             detector = VectorDetector(params, table, args.threshold)
-    for verdict in detect_corpus(methods, pair_ids, detector, jobs=getattr(args, "jobs", 1)):
+    for verdict in detect_corpus(methods, pair_ids, detector):
         print(json.dumps(verdict.to_json_dict(), sort_keys=True))
     return 0
 
@@ -223,7 +223,6 @@ def _make_pipeline_config(args) -> PipelineConfig:
     config.detector = args.detector
     config.threshold = args.threshold
     config.seed = args.seed if args.seed is not None else 0
-    config.jobs = args.jobs
     config.train_encoder = not args.no_train_encoder
     _apply_overrides(config.embed, file_values, args)
     _apply_overrides(config.pretrain, file_values, args)
@@ -253,9 +252,7 @@ def _cmd_bench_time(args) -> int:
     training_s = time.perf_counter() - start
     if config.detector in ("overlap", "weighted"):
         training_s = None  # nothing was trained
-    report = time_detection(
-        dataset, detector, runs=args.runs, jobs=config.jobs, training_s=training_s
-    )
+    report = time_detection(dataset, detector, runs=args.runs, training_s=training_s)
     print(report.to_json())
     return 0
 
@@ -342,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detector", choices=("cosine", "classifier"), default="cosine")
     p.add_argument("--threshold", type=float, default=0.7)
     p.add_argument("--symmetrize", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_detect)
 
     p = subs.add_parser("baseline", help="token-overlap baselines")
@@ -369,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weights")
         p.add_argument("--config")
         p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--no-train-encoder", dest="no_train_encoder", action="store_true")
         if name == "evaluate":
             p.add_argument("--folds", type=int, default=10)

@@ -4,13 +4,12 @@ method vectors, plus the token-overlap baselines they are measured against.
 Every detector has ``prepare(method)``, which turns a method into what its
 score reads (a vector, or the method itself for the overlap baselines), and
 ``verdict(pair, a, b)`` over two prepared methods. Scoring ops are pure;
-``detect_corpus`` prepares each method once (encoding, on ``jobs`` threads,
-for the vector detector), then scores the pairs serially and in order.
+``detect_corpus`` prepares each distinct method once, in first-seen order,
+then scores the pairs in order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -37,6 +36,12 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 0.7
+
+
+def _finite_threshold(threshold: float) -> float:
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+    return threshold
 
 
 @dataclass
@@ -177,7 +182,7 @@ class VectorDetector:
         self.table = table
         self.head = head
         self.symmetrize = symmetrize
-        self.threshold = threshold if head is None else 0.5
+        self.threshold = _finite_threshold(threshold) if head is None else 0.5
         self.name = "cosine" if head is None else "classifier"
 
     def prepare(self, method: CategorizedMethod) -> np.ndarray:
@@ -196,7 +201,7 @@ class OverlapDetector:
     name = "overlap"
 
     def __init__(self, threshold: float = DEFAULT_THRESHOLD):
-        self.threshold = threshold
+        self.threshold = _finite_threshold(threshold)
 
     def prepare(self, method: CategorizedMethod) -> CategorizedMethod:
         return method
@@ -222,29 +227,12 @@ def detect_corpus(
     methods: Mapping[str, CategorizedMethod],
     pairs: Sequence[tuple[str, str]] | Iterable[tuple[str, str]],
     detector,
-    jobs: int = 1,
 ) -> list[CloneVerdict]:
-    """Score pairs in order; each method is prepared (encoded) at most once.
-
-    ``jobs`` threads share the encoding of distinct methods for a
-    ``VectorDetector``; the overlap detectors have nothing to prepare.
-    """
+    """Score pairs in order; each method is prepared (encoded) at most once."""
     pair_list = [(str(a), str(b)) for a, b in pairs]
-    unique_ids: list[str] = []
-    seen = set()
-    for a, b in pair_list:
-        for mid in (a, b):
-            if mid not in seen:
-                if mid not in methods:
-                    raise UnknownId(f"unknown method id {mid!r}")
-                seen.add(mid)
-                unique_ids.append(mid)
-
-    if jobs > 1 and len(unique_ids) > 1 and isinstance(detector, VectorDetector):
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            prepared = dict(
-                zip(unique_ids, pool.map(lambda m: detector.prepare(methods[m]), unique_ids))
-            )
-    else:
-        prepared = {mid: detector.prepare(methods[mid]) for mid in unique_ids}
+    distinct = dict.fromkeys(mid for pair in pair_list for mid in pair)  # first-seen order
+    for mid in distinct:
+        if mid not in methods:
+            raise UnknownId(f"unknown method id {mid!r}")
+    prepared = {mid: detector.prepare(methods[mid]) for mid in distinct}
     return [detector.verdict((a, b), prepared[a], prepared[b]) for a, b in pair_list]

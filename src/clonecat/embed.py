@@ -69,6 +69,8 @@ class EmbedConfig:
             raise ValueError("negatives must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not np.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
         if self.min_count < 1:

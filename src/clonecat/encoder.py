@@ -80,9 +80,8 @@ class AttentionTrace:
 class EncodeCache:
     """Everything the backward pass needs to reach the parameters."""
 
-    category: list[tuple[int, np.ndarray, BlockCache, int]]  # (cat index, X, cache, n rows)
+    category: list[tuple[int, BlockCache]]  # (cat index, cache), present categories in order
     present_idx: np.ndarray
-    type_input: np.ndarray
     type_cache: Optional[BlockCache]
 
 
@@ -155,14 +154,14 @@ def encode_method(
     mask[present] = True
 
     stacked = np.zeros((NUM_CATEGORIES, D_MODEL))
-    cat_states: list[tuple[int, np.ndarray, BlockCache, int]] = []
+    cat_states: list[tuple[int, BlockCache]] = []
     for i in present:
-        vec, x, cache = encode_category(
+        vec, _x, cache = encode_category(
             method, order[i], table, params.category_blocks[i], want_cache=want_cache
         )
         stacked[i] = vec
         if want_cache:
-            cat_states.append((i, x, cache, x.shape[0]))
+            cat_states.append((i, cache))
 
     trace = np.zeros((NUM_CATEGORIES, NUM_CATEGORIES))
     present_idx = np.array(present, dtype=np.int64)
@@ -181,12 +180,7 @@ def encode_method(
     mv = MethodVector(source_id=method.source_id, vector=vector)
     at = AttentionTrace(matrix=trace, present_mask=mask)
     if want_cache:
-        cache = EncodeCache(
-            category=cat_states,
-            present_idx=present_idx,
-            type_input=stacked[present_idx] if present else np.zeros((0, D_MODEL)),
-            type_cache=type_cache,
-        )
+        cache = EncodeCache(category=cat_states, present_idx=present_idx, type_cache=type_cache)
         return mv, at, cache
     return mv, at
 
@@ -249,4 +243,8 @@ def load_params(path) -> EncoderParams:
         loaded.append(AttentionBlock(**tensors))
     if reader.off != len(reader.data):
         raise FormatError(f"trailing bytes in parameter file {path}")
-    return EncoderParams(category_blocks=loaded[:NUM_CATEGORIES], type_block=loaded[-1])
+    params = EncoderParams(category_blocks=loaded[:NUM_CATEGORIES], type_block=loaded[-1])
+    for name, arr in params_tensors(params).items():
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"non-finite value in tensor {name} of parameter file {path}")
+    return params

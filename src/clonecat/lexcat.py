@@ -51,12 +51,14 @@ from enum import Enum
 from .errors import LexError
 
 __all__ = [
+    "NUM_CATEGORIES",
     "TokenCategory",
     "Token",
     "TokenStream",
     "CategorizedMethod",
     "tokenize",
     "categorize",
+    "categorize_source",
     "category_order",
 ]
 

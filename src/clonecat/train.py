@@ -63,6 +63,16 @@ RMSPROP_ALPHA = 0.99
 RMSPROP_EPS = 1e-8
 
 
+def _check_options(config, *finite: str) -> None:
+    """The named fields are finite and ``epochs`` is not negative."""
+    for name in finite:
+        value = getattr(config, name)
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if config.epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {config.epochs}")
+
+
 class PairRecord(Protocol):
     id1: str
     id2: str
@@ -87,6 +97,7 @@ class PretrainConfig:
     samples_per_class: int = 4
 
     def validate(self) -> None:
+        _check_options(self, "lr", "temperature", "weight_decay", "rmsprop_momentum")
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
         if self.lr <= 0:
@@ -114,6 +125,7 @@ class FineTuneConfig:
     def validate(self) -> None:
         if self.layers not in HEAD_WIDTHS:
             raise ValueError(f"layers must be one of {sorted(HEAD_WIDTHS)}")
+        _check_options(self, "lr", "weight_decay", "rmsprop_momentum")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
         if self.batch_size < 1:
@@ -309,7 +321,8 @@ def encode_backward(
     d_type_in, type_grads = block_backward(params.type_block, cache.type_cache, d_type_out)
     for name, g in type_grads.items():
         grads[f"type.{name}"] = g
-    for row, (cat_idx, _x, cat_cache, n_rows) in enumerate(cache.category):
+    for row, (cat_idx, cat_cache) in enumerate(cache.category):
+        n_rows = cat_cache.x.shape[0]
         d_cat_out = np.tile(d_type_in[row] / n_rows, (n_rows, 1))
         _, cat_grads = block_backward(
             params.category_blocks[cat_idx], cat_cache, d_cat_out

@@ -1,6 +1,9 @@
+import ast
 import dataclasses
+import importlib
 import importlib.util
 import json
+import pkgutil
 import sys
 import warnings
 from pathlib import Path
@@ -441,3 +444,22 @@ def test_benchmark_traced_functions_resolve():
     missing = [f"{module}.{name}" for module, names in spans.TRACED.items() for name in names
                if not callable(getattr(sys.modules.get(module), name, None))]
     assert missing == []
+
+
+def test_package_exports_match_module_all():
+    """Every name ``clonecat/__init__.py`` imports is in its module's ``__all__``,
+    and every ``__all__`` name of every submodule resolves."""
+    import clonecat
+
+    problems = []
+    tree = ast.parse(Path(clonecat.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            exported = importlib.import_module(f"clonecat.{node.module}").__all__
+            problems += [f"{node.module}.{alias.name} not in __all__"
+                         for alias in node.names if alias.name not in exported]
+    for info in pkgutil.iter_modules(clonecat.__path__):
+        module = importlib.import_module(f"clonecat.{info.name}")
+        problems += [f"{info.name}.{name} does not resolve"
+                     for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert problems == []

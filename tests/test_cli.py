@@ -406,6 +406,34 @@ def _bad_weights(data, command="baseline"):
     return build
 
 
+def _with_nan_params(command):
+    """``command`` over a CCENC1 file whose last tensor (type.be2) ends in NaN."""
+    def build(workspace, trained, tmp_path):
+        data = trained["enc"].read_bytes()
+        (tmp_path / "enc_nan.bin").write_bytes(data[:-4] + struct.pack("<f", np.nan))
+        argv = [command, "--functions", str(workspace / "funcs"),
+                "--embeddings", str(trained["emb"]), "--params", str(tmp_path / "enc_nan.bin")]
+        return argv + ["--pairs", str(workspace / "pairs.csv")] if command == "detect" else argv
+    return build
+
+
+def _with_threshold_nan(command):
+    def build(workspace, trained, tmp_path):
+        argv = [command, "--functions", str(workspace / "funcs"),
+                "--pairs", str(workspace / "pairs.csv"), "--threshold", "nan"]
+        if command == "detect":
+            argv += ["--embeddings", str(trained["emb"]), "--params", str(trained["enc"])]
+        return argv
+    return build
+
+
+def _finetune_argv(workspace, trained, tmp_path, *extra):
+    return ["finetune", "--functions", str(workspace / "funcs"),
+            "--pairs", str(workspace / "pairs.csv"), "--embeddings", str(trained["emb"]),
+            "--params", str(trained["enc"]), "--out-params", str(tmp_path / "enc2.bin"),
+            "--out-head", str(tmp_path / "head.npz"), "--layers", "1", *extra]
+
+
 def _classify_with_head(write):
     def build(workspace, trained, tmp_path):
         write(tmp_path / "head.npz")
@@ -466,6 +494,15 @@ _W, _B = {"l0.w": np.zeros((200, 2))}, {"l0.b": np.zeros(2)}
         (_bad_weights(b"-1" + b" 0" * 14, "bench-time"), 2, "w.txt"),
         (_bad_weights(b"nan" + b" 0" * 14, "evaluate"), 2, "w.txt"),
         (_bad_weights("caf\xe9".encode("latin-1") + b" 0" * 15, "bench-time"), 2, "w.txt"),
+        (_with_nan_params("detect"), 2, "type.be2 of parameter file"),
+        (_with_nan_params("encode"), 2, "enc_nan.bin"),
+        (_with_threshold_nan("detect"), 1, "threshold must be finite"),
+        (_with_threshold_nan("baseline"), 1, "threshold must be finite"),
+        (lambda w, t, p: _finetune_argv(w, t, p, "--epochs", "1", "--lr", "nan"),
+         1, "lr must be finite"),
+        (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs", "--epochs", "-1"),
+         1, "epochs must be >= 0"),
+        (lambda w, t, p: _finetune_argv(w, t, p, "--epochs", "-1"), 1, "epochs must be >= 0"),
     ],
     ids=["missing-functions-dir", "non-utf8-in", "non-utf8-functions",
          "sgns-diverges", "table-non-finite", "table-duplicate-token",
@@ -475,8 +512,12 @@ _W, _B = {"l0.w": np.zeros((200, 2))}, {"l0.b": np.zeros(2)}
          "detect-bad-label", "head-not-npz", "head-pickled", "head-npy", "head-missing-k",
          "head-missing-layer", "head-k-not-a-depth", "head-wrong-shape", "head-non-finite",
          "weights-not-a-number", "weights-wrong-count", "weights-negative", "weights-nan",
-         "weights-non-utf8"],
+         "weights-non-utf8", "params-non-finite-detect", "params-non-finite-encode",
+         "threshold-nan-detect", "threshold-nan-baseline", "finetune-lr-nan",
+         "pretrain-epochs-negative", "finetune-epochs-negative"],
 )
 def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):
     assert run(build(workspace, trained, tmp_path)) == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.splitlines()) == 1  # one clean line, no traceback

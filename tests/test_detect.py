@@ -256,15 +256,6 @@ class TestDetectCorpus:
         with pytest.raises(UnknownId):
             detect_corpus(corpus, [("a", "zzz")], detector)
 
-    def test_parallel_matches_serial(self, corpus, small_table, enc_params):
-        detector = VectorDetector(enc_params, small_table)
-        pairs = [("a", "b"), ("a", "c"), ("b", "c")]
-        serial = detect_corpus(corpus, pairs, detector, jobs=1)
-        parallel = detect_corpus(corpus, pairs, detector, jobs=3)
-        assert [(v.pair, v.score, v.is_clone) for v in serial] == [
-            (v.pair, v.score, v.is_clone) for v in parallel
-        ]
-
     def test_overlap_detector_needs_no_vectors(self, corpus):
         verdicts = detect_corpus(corpus, [("a", "b"), ("a", "c")], OverlapDetector())
         assert verdicts[0].score == 1.0

@@ -271,7 +271,7 @@ class TestEncodeMethod:
         )
         from clonecat.blocks import block_forward as bf
 
-        y, _, _ = bf(enc_params.type_block, cache.type_input)
+        y, _, _ = bf(enc_params.type_block, cache.type_cache.x)
         np.testing.assert_allclose(vec.vector, y.mean(axis=0), atol=1e-12)
         assert len(cache.present_idx) == int(trace.present_mask.sum())
 
