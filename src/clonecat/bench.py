@@ -9,8 +9,8 @@ from and is a documented caveat, not an accident.
 from __future__ import annotations
 
 import json
+import sys
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -260,22 +260,17 @@ class FoldMetrics:
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
-    if tp + fp == 0:
-        warnings.warn("precision denominator is zero; reporting 0", stacklevel=3)
-        precision = 0.0
-    else:
-        precision = tp / (tp + fp)
-    if tp + fn == 0:
-        warnings.warn("recall denominator is zero; reporting 0", stacklevel=3)
-        recall = 0.0
-    else:
-        recall = tp / (tp + fn)
-    if precision + recall == 0:
-        warnings.warn("F1 denominator is zero; reporting 0", stacklevel=3)
-        f1 = 0.0
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-    return precision, recall, f1
+    """Precision, recall and F1; a zero denominator reports 0 and prints one note to stderr."""
+
+    def ratio(num: float, den: float, what: str) -> float:
+        if den == 0:
+            print(f"note: {what} denominator is zero; reporting 0", file=sys.stderr)
+            return 0.0
+        return num / den
+
+    precision = ratio(tp, tp + fp, "precision")
+    recall = ratio(tp, tp + fn, "recall")
+    return precision, recall, ratio(2 * precision * recall, precision + recall, "F1")
 
 
 @dataclass

@@ -161,28 +161,36 @@ class BlockCache:
 
 
 def _split_heads(x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    return x.reshape(n, N_HEADS, D_HEAD).transpose(1, 0, 2)
+    """(..., n, d_model) -> (..., heads, n, d_head)"""
+    return x.reshape(*x.shape[:-1], N_HEADS, D_HEAD).swapaxes(-3, -2)
 
 
 def _join_heads(xh: np.ndarray) -> np.ndarray:
-    n = xh.shape[1]
-    return xh.transpose(1, 0, 2).reshape(n, D_MODEL)
+    """(..., heads, n, d_head) -> (..., n, d_model)"""
+    x = xh.swapaxes(-3, -2)
+    return x.reshape(*x.shape[:-2], D_MODEL)
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """Every row of a (n, width) or (B, n, width) array as one (rows, width) matrix."""
+    return x.reshape(-1, x.shape[-1])
 
 
 def block_forward(block: AttentionBlock, x: np.ndarray, want_cache: bool = False):
-    """Run one block over ``x`` of shape (n, d_model), n >= 1.
+    """Run one block over ``x`` of shape (n, d_model), n >= 1, or over a stack
+    (B, n, d_model) of inputs with one row count; each slice of a stack gives
+    the bytes of its own 2-D call, as every product is a per-slice ``@``.
 
     Returns (y, probs, cache); ``probs`` is the head-stacked post-softmax
-    attention (heads, n, n); cache is None unless requested.
+    attention (..., heads, n, n); cache is None unless requested.
     """
-    if x.ndim != 2 or x.shape[1] != D_MODEL:
-        raise ShapeMismatch(f"block input must be (n, {D_MODEL}), got {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-1] != D_MODEL:
+        raise ShapeMismatch(f"block input must be ([B,] n, {D_MODEL}), got {x.shape}")
     q = x @ block.wq
     k = x @ block.wk
     v = x @ block.wv
     qh, kh, vh = _split_heads(q), _split_heads(k), _split_heads(v)
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(D_HEAD)
+    scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(D_HEAD)
     probs = softmax(scores, axis=-1)
     concat = _join_heads(probs @ vh)
     attended = concat @ block.wo
@@ -201,39 +209,40 @@ def block_backward(block: AttentionBlock, cache: BlockCache, dy: np.ndarray):
     """Gradients of a scalar loss wrt block input and every tensor.
 
     ``dy`` is dL/dy for the block output. Returns (dx, grads) where grads
-    maps tensor name -> array matching the parameter shape.
+    maps tensor name -> array matching the parameter shape; for a stack, one
+    product over all B * n rows sums the slices' weight gradients.
     """
     dr2, dg2, dbe2 = layernorm_backward(dy, cache.ln2, block.g2)
     dl1 = dr2.copy()
     dhidden = dr2 @ block.w2.T
-    dw2 = cache.hidden.T @ dr2
-    db2 = dr2.sum(axis=0)
+    dw2 = _rows(cache.hidden).T @ _rows(dr2)
+    db2 = _rows(dr2).sum(axis=0)
     dpre = dhidden * (cache.pre_relu > 0.0)
     dl1 += dpre @ block.w1.T
-    dw1 = cache.l1.T @ dpre
-    db1 = dpre.sum(axis=0)
+    dw1 = _rows(cache.l1).T @ _rows(dpre)
+    db1 = _rows(dpre).sum(axis=0)
 
     dr1, dg1, dbe1 = layernorm_backward(dl1, cache.ln1, block.g1)
     dx = dr1.copy()
     dconcat = dr1 @ block.wo.T
-    dwo = cache.concat.T @ dr1
+    dwo = _rows(cache.concat).T @ _rows(dr1)
 
     doh = _split_heads(dconcat)
-    dprobs = doh @ cache.vh.transpose(0, 2, 1)
-    dvh = cache.probs.transpose(0, 2, 1) @ doh
+    dprobs = doh @ cache.vh.swapaxes(-1, -2)
+    dvh = cache.probs.swapaxes(-1, -2) @ doh
     # softmax jacobian, rowwise: p * (dp - sum(dp * p))
     inner = (dprobs * cache.probs).sum(axis=-1, keepdims=True)
     dscores = cache.probs * (dprobs - inner) / np.sqrt(D_HEAD)
     dqh = dscores @ cache.kh
-    dkh = dscores.transpose(0, 2, 1) @ cache.qh
+    dkh = dscores.swapaxes(-1, -2) @ cache.qh
 
     dq, dk, dv = _join_heads(dqh), _join_heads(dkh), _join_heads(dvh)
     dx += dq @ block.wq.T + dk @ block.wk.T + dv @ block.wv.T
-    x = cache.x
+    x = _rows(cache.x)
     grads = {
-        "wq": x.T @ dq,
-        "wk": x.T @ dk,
-        "wv": x.T @ dv,
+        "wq": x.T @ _rows(dq),
+        "wk": x.T @ _rows(dk),
+        "wv": x.T @ _rows(dv),
         "wo": dwo,
         "w1": dw1,
         "b1": db1,

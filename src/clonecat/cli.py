@@ -29,6 +29,7 @@ from .bench import (
     time_detection,
 )
 from .detect import (
+    DEFAULT_THRESHOLD,
     CategoryWeights,
     OverlapDetector,
     VectorDetector,
@@ -180,6 +181,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_detect(args) -> int:
     """``detect`` and ``baseline``: score every listed pair with the named detector."""
+    if args.detector == "classifier" and args.threshold is not None:
+        raise ValueError("--threshold is for the cosine detector; the classifier decides at 0.5")
     methods, _ = load_methods(args.functions, args.inputs)
     pair_ids = [(row.id1, row.id2) for row in read_pairs(args.pairs)]
     if args.detector == "overlap":
@@ -199,7 +202,8 @@ def _cmd_detect(args) -> int:
             detector = VectorDetector(params, table, head=load_head(args.head),
                                       symmetrize=args.symmetrize)
         else:
-            detector = VectorDetector(params, table, args.threshold)
+            threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
+            detector = VectorDetector(params, table, threshold)
     for verdict in detect_corpus(methods, pair_ids, detector):
         print(json.dumps(verdict.to_json_dict(), sort_keys=True))
     return 0
@@ -337,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_model_flags(p)
     p.add_argument("--head", help="classifier head file (npz)")
     p.add_argument("--detector", choices=("cosine", "classifier"), default="cosine")
-    p.add_argument("--threshold", type=float, default=0.7)
+    p.add_argument("--threshold", type=float, help="cosine threshold (default 0.7)")
     p.add_argument("--symmetrize", action="store_true")
     p.set_defaults(handler=_cmd_detect)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "EncodeCache",
     "init_params",
     "encode_category",
+    "encode_methods",
     "encode_method",
     "params_tensors",
     "save_params",
@@ -78,11 +79,11 @@ class AttentionTrace:
 
 @dataclass
 class EncodeCache:
-    """Everything the backward pass needs to reach the parameters."""
+    """What the backward pass needs: one entry per stacked block call, whose
+    member rows index the encoded batch."""
 
-    category: list[tuple[int, BlockCache]]  # (cat index, cache), present categories in order
-    present_idx: np.ndarray
-    type_cache: Optional[BlockCache]
+    category: list[tuple[int, np.ndarray, BlockCache]]  # (category, members, cache)
+    type: list[tuple[np.ndarray, np.ndarray, BlockCache]]  # (members, (B, k) categories, cache)
 
 
 def init_params(seed: int = 0) -> EncoderParams:
@@ -107,13 +108,8 @@ def category_input_matrix(
 ) -> np.ndarray:
     """Rows = distinct lexemes sorted ascending, scaled by occurrence count."""
     counts = method.counts.get(cat, {})
-    lexemes = sorted(counts)
-    if not lexemes:
-        return np.zeros((0, D_MODEL))
-    rows = np.empty((len(lexemes), D_MODEL))
-    for i, lex in enumerate(lexemes):
-        rows[i] = counts[lex] * table.lookup(lex).astype(np.float64)
-    return rows
+    rows = [counts[lex] * table.lookup(lex).astype(np.float64) for lex in sorted(counts)]
+    return np.array(rows).reshape(-1, D_MODEL)
 
 
 def encode_category(
@@ -135,54 +131,56 @@ def encode_category(
     return y.mean(axis=0), x, cache
 
 
-def encode_method(
-    method: CategorizedMethod,
-    table: EmbeddingTable,
-    params: EncoderParams,
-    want_cache: bool = False,
-):
-    """Encode one method; returns (MethodVector, AttentionTrace[, cache]).
+def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
+                   params: EncoderParams, want_cache: bool = False):
+    """Encode a batch of methods; returns (vectors (M, 100), traces, cache or None).
 
-    The type block sees only rows for categories the method contains:
-    present rows are gathered, attended, scattered back. The method vector
-    is the mean over present positions; a method with no tokens encodes to
-    the zero vector and an all-zero trace.
+    Per category, the methods whose input has the same row count run as one
+    (B, n, 100) stack through the block, with no padding; the type block,
+    which sees only the categories a method contains, stacks methods by
+    their number. A method's vector and trace are the same bytes alone and
+    in any batch; a method with no tokens gets zeros.
     """
     order = category_order()
-    present = [i for i in range(NUM_CATEGORIES) if method.counts.get(order[i])]
-    mask = np.zeros(NUM_CATEGORIES, dtype=bool)
-    mask[present] = True
+    stacked = np.zeros((len(methods), NUM_CATEGORIES, D_MODEL))
+    present = np.zeros((len(methods), NUM_CATEGORIES), dtype=bool)
+    buckets: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
+    for row, method in enumerate(methods):
+        for i, cat in enumerate(order):
+            if method.counts.get(cat):
+                x = category_input_matrix(method, cat, table)
+                buckets.setdefault((i, len(x)), []).append((row, x))
+                present[row, i] = True
+    cache = EncodeCache(category=[], type=[])
+    for (i, _n), entries in buckets.items():
+        members = np.array([row for row, _x in entries])
+        xs = np.concatenate([x for _row, x in entries]).reshape(len(entries), -1, D_MODEL)
+        y, _, block_cache = block_forward(params.category_blocks[i], xs, want_cache)
+        stacked[members, i] = y.mean(axis=1)
+        cache.category.append((i, members, block_cache))
 
-    stacked = np.zeros((NUM_CATEGORIES, D_MODEL))
-    cat_states: list[tuple[int, BlockCache]] = []
-    for i in present:
-        vec, _x, cache = encode_category(
-            method, order[i], table, params.category_blocks[i], want_cache=want_cache
+    vectors = np.zeros((len(methods), D_MODEL))
+    matrices = np.zeros((len(methods), NUM_CATEGORIES, NUM_CATEGORIES))
+    counts = present.sum(axis=1)
+    for k in sorted(set(counts.tolist()) - {0}):
+        members = np.flatnonzero(counts == k)
+        cats = np.nonzero(present[members])[1].reshape(len(members), k)
+        y, probs, block_cache = block_forward(
+            params.type_block, stacked[members[:, None], cats], want_cache
         )
-        stacked[i] = vec
-        if want_cache:
-            cat_states.append((i, cache))
+        vectors[members] = y.mean(axis=1)
+        matrices[members[:, None, None], cats[:, :, None], cats[:, None, :]] = probs.mean(axis=1)
+        cache.type.append((members, cats, block_cache))
+    traces = [AttentionTrace(matrix=m, present_mask=p) for m, p in zip(matrices, present)]
+    return vectors, traces, cache if want_cache else None
 
-    trace = np.zeros((NUM_CATEGORIES, NUM_CATEGORIES))
-    present_idx = np.array(present, dtype=np.int64)
-    type_cache = None
-    if present:
-        gathered = stacked[present_idx]
-        y, probs, type_cache = block_forward(
-            params.type_block, gathered, want_cache=want_cache
-        )
-        vector = y.mean(axis=0)
-        head_avg = probs.mean(axis=0)
-        trace[np.ix_(present_idx, present_idx)] = head_avg
-    else:
-        vector = np.zeros(D_MODEL)
 
-    mv = MethodVector(source_id=method.source_id, vector=vector)
-    at = AttentionTrace(matrix=trace, present_mask=mask)
-    if want_cache:
-        cache = EncodeCache(category=cat_states, present_idx=present_idx, type_cache=type_cache)
-        return mv, at, cache
-    return mv, at
+def encode_method(method: CategorizedMethod, table: EmbeddingTable, params: EncoderParams,
+                  want_cache: bool = False):
+    """Encode one method (a batch of one); returns (MethodVector, AttentionTrace[, cache])."""
+    vectors, traces, cache = encode_methods([method], table, params, want_cache)
+    mv = MethodVector(source_id=method.source_id, vector=vectors[0])
+    return (mv, traces[0], cache) if want_cache else (mv, traces[0])
 
 
 # --- serialization ------------------------------------------------------

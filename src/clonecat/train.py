@@ -20,17 +20,17 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .blocks import block_backward
+from .blocks import D_MODEL, block_backward
 from .embed import EmbeddingTable
 from .encoder import (
     EncodeCache,
     EncoderParams,
-    encode_method,
+    encode_methods,
     init_params,
     params_tensors,
 )
 from .errors import DegenerateBatch, FormatError, NumericFailure, ShapeMismatch
-from .lexcat import CategorizedMethod
+from .lexcat import NUM_CATEGORIES, CategorizedMethod
 
 __all__ = [
     "RMSPROP_ALPHA",
@@ -312,59 +312,51 @@ def sample_batches(
 def encode_backward(
     params: EncoderParams, cache: EncodeCache, dvec: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients of loss wrt all touched encoder tensors, given dL/dvector."""
+    """Gradients of loss wrt all touched encoder tensors, given dL/dvector:
+    one row per method the cache encoded ((100,) for one method). Each
+    stacked block call is backpropagated once."""
+    dvec = np.reshape(dvec, (-1, D_MODEL))
     grads: dict[str, np.ndarray] = {}
-    k = len(cache.present_idx)
-    if k == 0:
-        return grads
-    d_type_out = np.tile(dvec / k, (k, 1))
-    d_type_in, type_grads = block_backward(params.type_block, cache.type_cache, d_type_out)
-    for name, g in type_grads.items():
-        grads[f"type.{name}"] = g
-    for row, (cat_idx, cat_cache) in enumerate(cache.category):
-        n_rows = cat_cache.x.shape[0]
-        d_cat_out = np.tile(d_type_in[row] / n_rows, (n_rows, 1))
-        _, cat_grads = block_backward(
-            params.category_blocks[cat_idx], cat_cache, d_cat_out
-        )
-        prefix = f"cat{cat_idx:02d}."
-        for name, g in cat_grads.items():
-            grads[prefix + name] = g
+
+    def add(prefix: str, block_grads: Mapping[str, np.ndarray]) -> None:
+        for name, g in block_grads.items():
+            key = prefix + name
+            grads[key] = grads[key] + g if key in grads else g
+    d_stacked = np.zeros((len(dvec), NUM_CATEGORIES, D_MODEL))
+    for members, cats, block_cache in cache.type:
+        dy = np.broadcast_to((dvec[members] / cats.shape[1])[:, None], block_cache.x.shape)
+        d_in, block_grads = block_backward(params.type_block, block_cache, dy)
+        add("type.", block_grads)
+        d_stacked[members[:, None], cats] = d_in
+    for cat, members, block_cache in cache.category:
+        n_rows = block_cache.x.shape[1]
+        dy = np.broadcast_to((d_stacked[members, cat] / n_rows)[:, None], block_cache.x.shape)
+        _, block_grads = block_backward(params.category_blocks[cat], block_cache, dy)
+        add(f"cat{cat:02d}.", block_grads)
     return grads
 
 
-def _encode_batch(ids: Iterable[str], dataset: SupportsPairs, table: EmbeddingTable,
-                  params: EncoderParams) -> dict[str, tuple[np.ndarray, EncodeCache]]:
-    """Vector and backward cache of each distinct id, encoded once, in sorted id order."""
-    encoded = {}
-    for mid in sorted(set(ids)):
-        mv, _, cache = encode_method(dataset.methods[mid], table, params, want_cache=True)
-        encoded[mid] = (mv.vector, cache)
-    return encoded
+def _encode_batch(ids: Sequence[str], dataset: SupportsPairs, table: EmbeddingTable,
+                  params: EncoderParams) -> tuple[np.ndarray, np.ndarray, EncodeCache]:
+    """Encode the distinct ids once, as one batch; returns the vector of each
+    entry of ``ids``, the row of its distinct method, and the batch cache."""
+    distinct, rows = np.unique(np.array(ids), return_inverse=True)
+    vectors, _, cache = encode_methods(
+        [dataset.methods[mid] for mid in distinct], table, params, want_cache=True
+    )
+    return vectors[rows], rows, cache
 
 
-def _encoder_grads(params: EncoderParams, encoded: Mapping[str, tuple[np.ndarray, EncodeCache]],
-                   row_grads: Iterable[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Encoder gradients from (method id, dL/dvector) rows of a batch.
+def _encoder_grads(params: EncoderParams, cache: EncodeCache, rows: np.ndarray,
+                   row_grads: np.ndarray) -> dict[str, np.ndarray]:
+    """Encoder gradients from dL/dvector of each batch row, ``rows`` naming its method.
 
     A method that fills several rows gets the sum of their gradients
-    (linearity), so each method is backpropagated once.
+    (linearity), so the batch is backpropagated once.
     """
-    dvec_by_id: dict[str, np.ndarray] = {}
-    for mid, dvec in row_grads:
-        dvec_by_id[mid] = dvec_by_id[mid] + dvec if mid in dvec_by_id else dvec
-    grads: dict[str, np.ndarray] = {}
-    for mid, (_vector, cache) in encoded.items():
-        _accumulate(grads, encode_backward(params, cache, dvec_by_id[mid]))
-    return grads
-
-
-def _accumulate(total: dict[str, np.ndarray], part: Mapping[str, np.ndarray]) -> None:
-    for name, g in part.items():
-        if name in total:
-            total[name] += g
-        else:
-            total[name] = g.copy()
+    dvecs = np.zeros((rows.max() + 1, D_MODEL))  # one row per distinct method
+    np.add.at(dvecs, rows, row_grads)
+    return encode_backward(params, cache, dvecs)
 
 
 def _full_grads(
@@ -428,11 +420,10 @@ def _pretrain_step(
     state: OptimizerState,
     config: PretrainConfig,
 ) -> float:
-    encoded = _encode_batch((mid for mid, _ in batch), dataset, table, params)
-    z = np.stack([encoded[mid][0] for mid, _ in batch])
+    z, rows, cache = _encode_batch([mid for mid, _ in batch], dataset, table, params)
     labels = np.array([label for _, label in batch])
     loss, dz = supcon_loss(z, labels, config.temperature)
-    grads = _encoder_grads(params, encoded, ((mid, dz[row]) for row, (mid, _) in enumerate(batch)))
+    grads = _encoder_grads(params, cache, rows, dz)
     rmsprop_step(tensors, _full_grads(tensors, grads), state, config)
     return loss
 
@@ -627,17 +618,15 @@ def _finetune_step(
     config: FineTuneConfig,
 ) -> float:
     labels = np.array([p.label for p in chunk], dtype=np.int64)
-    encoded = _encode_batch((mid for p in chunk for mid in (p.id1, p.id2)), dataset, table, params)
-    x = np.stack([np.concatenate([encoded[p.id1][0], encoded[p.id2][0]]) for p in chunk])
+    vectors, rows, cache = _encode_batch(
+        [mid for p in chunk for mid in (p.id1, p.id2)], dataset, table, params
+    )
+    x = vectors.reshape(len(chunk), 2 * D_MODEL)  # each row: id1's vector, then id2's
     logits, head_cache = head_forward(head, x, want_cache=True)
     loss, dlogits = cross_entropy(logits, labels)
     dx, raw_head_grads = head_backward(head, head_cache, dlogits)
 
-    half = x.shape[1] // 2
-    grads = _encoder_grads(params, encoded, (
-        (mid, dpart) for row, p in enumerate(chunk)
-        for mid, dpart in ((p.id1, dx[row, :half]), (p.id2, dx[row, half:]))
-    ))
+    grads = _encoder_grads(params, cache, rows, dx.reshape(-1, D_MODEL))
     for name, g in raw_head_grads.items():
         grads[f"head.{name}"] = g
     rmsprop_step(all_tensors, _full_grads(all_tensors, grads), state, config)

@@ -365,11 +365,11 @@ class TestEvaluate:
         )
         assert pooled_positives == sum(1 for p in eval_ds.pairs if p.label == 1)
 
-    def test_impossible_threshold_warns_on_empty_predictions(self, eval_ds, eval_plan):
+    def test_impossible_threshold_warns_on_empty_predictions(self, eval_ds, eval_plan, capsys):
         config = PipelineConfig(detector="overlap", threshold=1.0,
                                 train_encoder=False)
-        with pytest.warns(UserWarning):
-            report = evaluate(eval_ds, eval_plan, config)
+        report = evaluate(eval_ds, eval_plan, config)
+        assert "note: precision denominator is zero; reporting 0" in capsys.readouterr().err
         assert report.precision == 0.0
 
     def test_leakage_hook_sees_disjoint_train_sets(self, eval_ds, eval_plan):

@@ -305,6 +305,23 @@ class TestInferenceCommands:
         report = json.loads(capsys.readouterr().out.strip())
         assert 0.0 <= report["overall"]["f1"] <= 1.0
 
+    def test_evaluate_zero_denominator_is_one_plain_note(self, workspace, capsys):
+        """An impossible threshold predicts nothing: one stderr note per zero
+        denominator, naming no source file, and stdout stays the report."""
+        assert run([
+            "evaluate", "--functions", str(workspace / "funcs"),
+            "--pairs", str(workspace / "pairs.csv"),
+            "--detector", "overlap", "--threshold", "1.0", "--folds", "2",
+        ]) == 0
+        captured = capsys.readouterr()
+        folds = json.loads(captured.out.strip())["folds"]
+        expected = sum((f["tp"] + f["fp"] == 0) + (f["tp"] + f["fn"] == 0)
+                       + (f["precision"] + f["recall"] == 0) for f in folds)
+        lines = captured.err.splitlines()
+        assert expected >= 2 and len(lines) == expected
+        assert all(line.startswith("note: ") and "denominator is zero" in line for line in lines)
+        assert ".py" not in captured.err
+
     def test_bench_time(self, workspace, capsys):
         assert run([
             "bench-time", "--functions", str(workspace / "funcs"),
@@ -498,6 +515,11 @@ _W, _B = {"l0.w": np.zeros((200, 2))}, {"l0.b": np.zeros(2)}
         (_with_nan_params("encode"), 2, "enc_nan.bin"),
         (_with_threshold_nan("detect"), 1, "threshold must be finite"),
         (_with_threshold_nan("baseline"), 1, "threshold must be finite"),
+        (lambda w, t, p: ["detect", "--functions", str(w / "funcs"),
+                          "--pairs", str(w / "pairs.csv"), "--embeddings", str(t["emb"]),
+                          "--params", str(t["enc2"]), "--detector", "classifier",
+                          "--head", str(t["head"]), "--threshold", "nan"],
+         1, "--threshold is for the cosine detector"),
         (lambda w, t, p: _finetune_argv(w, t, p, "--epochs", "1", "--lr", "nan"),
          1, "lr must be finite"),
         (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs", "--epochs", "-1"),
@@ -513,7 +535,8 @@ _W, _B = {"l0.w": np.zeros((200, 2))}, {"l0.b": np.zeros(2)}
          "head-missing-layer", "head-k-not-a-depth", "head-wrong-shape", "head-non-finite",
          "weights-not-a-number", "weights-wrong-count", "weights-negative", "weights-nan",
          "weights-non-utf8", "params-non-finite-detect", "params-non-finite-encode",
-         "threshold-nan-detect", "threshold-nan-baseline", "finetune-lr-nan",
+         "threshold-nan-detect", "threshold-nan-baseline", "threshold-with-classifier",
+         "finetune-lr-nan",
          "pretrain-epochs-negative", "finetune-epochs-negative"],
 )
 def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from labeled_corpus import LABELED_SNIPPETS
 
 from clonecat.blocks import (
     D_HEAD,
@@ -16,6 +19,7 @@ from clonecat.encoder import (
     category_input_matrix,
     encode_category,
     encode_method,
+    encode_methods,
     init_params,
     load_params,
     params_tensors,
@@ -153,6 +157,54 @@ class TestBlockBackward:
             assert grads[name].shape == arr.shape
 
 
+def _stacked_pass(block, b, n, seed):
+    """Random (b, n, 100) inputs and output gradients, and their stacked forward and backward."""
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((b, n, D_MODEL))
+    dys = rng.standard_normal((b, n, D_MODEL))
+    y, probs, cache = block_forward(block, xs, want_cache=True)
+    dx, grads = block_backward(block, cache, dys)
+    return xs, dys, (y, probs, dx, grads)
+
+
+class TestBlockStack:
+    @pytest.mark.parametrize("b, n", [(1, 1), (4, 1), (3, 6), (2, 40)])
+    def test_stack_equals_per_slice_calls(self, block, b, n):
+        xs, dys, (y, probs, dx, grads) = _stacked_pass(block, b, n, seed=10 * b + n)
+        assert y.shape == (b, n, D_MODEL) and probs.shape == (b, N_HEADS, n, n)
+        summed: dict[str, np.ndarray] = {}
+        for i in range(b):
+            yi, pi, ci = block_forward(block, xs[i], want_cache=True)
+            dxi, gi = block_backward(block, ci, dys[i])
+            assert yi.tobytes() == y[i].tobytes()
+            assert pi.tobytes() == probs[i].tobytes()
+            assert dxi.tobytes() == dx[i].tobytes()
+            for name, g in gi.items():
+                summed[name] = summed[name] + g if name in summed else g
+        assert set(grads) == set(summed)
+        for name, g in summed.items():
+            assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+    def test_rejects_four_axes(self, block):
+        with pytest.raises(ShapeMismatch):
+            block_forward(block, np.zeros((1, 2, 3, D_MODEL)))
+
+    @needs_torch
+    def test_stack_matches_torch_autograd(self, block):
+        xs, dys, (y, probs, dx, grads) = _stacked_pass(block, 3, 5, seed=6)
+        summed: dict[str, np.ndarray] = {}
+        for i in range(3):
+            xt, leaves, yt, pt = torch_block(block, xs[i])
+            yt.backward(torch.tensor(dys[i]))
+            np.testing.assert_allclose(y[i], yt.detach().numpy(), atol=1e-9)
+            np.testing.assert_allclose(probs[i], pt.detach().numpy(), atol=1e-9)
+            np.testing.assert_allclose(dx[i], xt.grad.numpy(), atol=1e-9)
+            for name, leaf in leaves.items():
+                summed[name] = summed.get(name, 0.0) + leaf.grad.numpy()
+        for name, g in summed.items():
+            np.testing.assert_allclose(grads[name], g, atol=1e-9, err_msg=name)
+
+
 class TestInitParams:
     def test_deterministic(self):
         a = params_tensors(init_params(seed=0))
@@ -271,9 +323,10 @@ class TestEncodeMethod:
         )
         from clonecat.blocks import block_forward as bf
 
-        y, _, _ = bf(enc_params.type_block, cache.type_cache.x)
+        [(_members, cats, type_cache)] = cache.type
+        y, _, _ = bf(enc_params.type_block, type_cache.x[0])
         np.testing.assert_allclose(vec.vector, y.mean(axis=0), atol=1e-12)
-        assert len(cache.present_idx) == int(trace.present_mask.sum())
+        np.testing.assert_array_equal(cats[0], np.flatnonzero(trace.present_mask))
 
     def test_empty_method_yields_zero_vector(self, small_table, enc_params):
         cm = categorize_source("", "empty")
@@ -287,6 +340,30 @@ class TestEncodeMethod:
         v2, _ = encode_method(gcd1, small_table, enc_params)
         np.testing.assert_array_equal(v1.vector, v2.vector)
         assert v1.source_id == "gcd1"
+
+
+# the labelled snippets are short, so many share a row count per category
+_SNIPPETS = [categorize_source(src, f"snippet{i:02d}") for i, (src, _) in enumerate(LABELED_SNIPPETS)]
+_SNIPPETS.append(categorize_source("", "empty"))
+
+
+class TestEncodeMethods:
+    @given(st.lists(st.integers(0, len(_SNIPPETS) - 1), min_size=1, max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_vector_does_not_depend_on_batch(self, small_table, enc_params, picks):
+        vectors, traces, _ = encode_methods([_SNIPPETS[i] for i in picks], small_table, enc_params)
+        for row, i in enumerate(picks):
+            mv, trace = encode_method(_SNIPPETS[i], small_table, enc_params)
+            assert vectors[row].tobytes() == mv.vector.tobytes()
+            assert traces[row].matrix.tobytes() == trace.matrix.tobytes()
+            np.testing.assert_array_equal(traces[row].present_mask, trace.present_mask)
+
+    def test_equal_row_counts_share_one_block_call(self, small_table, enc_params):
+        _, traces, cache = encode_methods(_SNIPPETS, small_table, enc_params, want_cache=True)
+        per_method_calls = sum(int(t.present_mask.sum()) + int(t.present_mask.any()) for t in traces)
+        assert len(cache.category) + len(cache.type) < per_method_calls / 4
+        assert max(len(members) for _cat, members, _c in cache.category) > 1
+        assert max(len(members) for members, _cats, _c in cache.type) > 1
 
 
 class TestSerialization:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from clonecat import train
 from clonecat.bench import CloneType, Pair
-from clonecat.encoder import encode_method, init_params, params_tensors
+from clonecat.blocks import D_MODEL
+from clonecat.encoder import encode_method, init_params, params_tensors, save_params
 from clonecat.errors import DegenerateBatch, NumericFailure, ShapeMismatch
 from clonecat.train import (
     FineTuneConfig,
@@ -315,6 +317,12 @@ class TestPretrain:
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
+    def test_same_seed_writes_identical_file(self, small_dataset, small_table, tmp_path):
+        for name in ("a.bin", "b.bin"):
+            result = pretrain(small_dataset, small_table, PretrainConfig(epochs=2, seed=3))
+            save_params(result.params, tmp_path / name)
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
     def test_loss_decreases(self, small_dataset, small_table):
         result = pretrain(small_dataset, small_table, PretrainConfig(epochs=3, seed=0))
         assert len(result.epoch_losses) == 3
@@ -372,6 +380,49 @@ class TestEncodeBackward:
             return loss, grads
 
         report = grad_check(loss_fn, tensors, tol=1e-4, samples_per_tensor=1, seed=0)
+        assert report.ok, report.failures[:5]
+        assert report.checked == len(tensors)
+
+
+def _batch_ids(dataset):
+    """Eight methods of two clone classes; the first member of each fills two rows."""
+    ids, labels = [], []
+    for label, base in enumerate(("sum_array", "max_array")):
+        members = sorted(i for i in dataset.methods if i.split("__")[0] == base)
+        ids += members[:3] + members[:1]
+        labels += [label] * 4
+    return ids, np.array(labels)
+
+
+class TestBatchedEncoderGrads:
+    def test_equal_per_method_encode_backward_sums(self, small_dataset, small_table):
+        params = init_params(seed=1)
+        ids, _ = _batch_ids(small_dataset)
+        dz = np.random.default_rng(0).standard_normal((len(ids), D_MODEL))
+        z, rows, cache = train._encode_batch(ids, small_dataset, small_table, params)
+        batched = train._encoder_grads(params, cache, rows, dz)
+        summed: dict[str, np.ndarray] = {}
+        for row, (mid, dv) in enumerate(zip(ids, dz)):
+            mv, _, one = encode_method(small_dataset.methods[mid], small_table, params, want_cache=True)
+            assert z[row].tobytes() == mv.vector.tobytes()
+            for name, g in encode_backward(params, one, dv).items():
+                summed[name] = summed[name] + g if name in summed else g
+        assert set(batched) == set(summed)
+        for name, g in summed.items():
+            assert np.max(np.abs(batched[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+    def test_supcon_step_matches_finite_differences(self, small_dataset, small_table):
+        """Central differences of one SupCon step over a batch of eight rows."""
+        ids, labels = _batch_ids(small_dataset)
+        params = init_params(seed=2)
+        tensors = params_tensors(params)
+
+        def loss_fn(_):
+            z, rows, cache = train._encode_batch(ids, small_dataset, small_table, params)
+            loss, dz = supcon_loss(z, labels)
+            return loss, train._full_grads(tensors, train._encoder_grads(params, cache, rows, dz))
+
+        report = grad_check(loss_fn, tensors, tol=1e-4, samples_per_tensor=1, seed=1)
         assert report.ok, report.failures[:5]
         assert report.checked == len(tensors)
 
