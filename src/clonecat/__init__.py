@@ -27,7 +27,6 @@ from .encoder import (  # noqa: F401
     AttentionTrace,
     EncoderParams,
     MethodVector,
-    encode_category,
     encode_method,
     init_params,
     load_params,

@@ -65,7 +65,10 @@ def _read_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     values: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8: {exc.reason}") from exc
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -107,6 +110,15 @@ def _read_weights_file(path) -> CategoryWeights:
         raise DataError(f"weights file {path} is not valid UTF-8: {exc.reason}") from exc
     except ValueError as exc:
         raise DataError(f"weights file {path}: {exc}") from exc
+
+
+def _threshold(args) -> float:
+    """``--threshold``, or DEFAULT_THRESHOLD when absent; the classifier takes none."""
+    if args.threshold is None:
+        return DEFAULT_THRESHOLD
+    if args.detector == "classifier":
+        raise ValueError("--threshold is for the cosine detector; the classifier decides at 0.5")
+    return args.threshold
 
 
 # --- subcommand handlers --------------------------------------------------
@@ -181,17 +193,16 @@ def _cmd_encode(args) -> int:
 
 def _cmd_detect(args) -> int:
     """``detect`` and ``baseline``: score every listed pair with the named detector."""
-    if args.detector == "classifier" and args.threshold is not None:
-        raise ValueError("--threshold is for the cosine detector; the classifier decides at 0.5")
+    threshold = _threshold(args)
     methods, _ = load_methods(args.functions, args.inputs)
     pair_ids = [(row.id1, row.id2) for row in read_pairs(args.pairs)]
     if args.detector == "overlap":
-        detector = OverlapDetector(threshold=args.threshold)
+        detector = OverlapDetector(threshold)
     elif args.detector == "weighted":
         if not args.weights:
             raise ValueError("weighted baseline needs --weights FILE (15 values)")
         detector = WeightedOverlapDetector(
-            _read_weights_file(args.weights), threshold=args.threshold
+            _read_weights_file(args.weights), threshold
         )
     else:
         table = load_table(args.embeddings)
@@ -202,7 +213,6 @@ def _cmd_detect(args) -> int:
             detector = VectorDetector(params, table, head=load_head(args.head),
                                       symmetrize=args.symmetrize)
         else:
-            threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
             detector = VectorDetector(params, table, threshold)
     for verdict in detect_corpus(methods, pair_ids, detector):
         print(json.dumps(verdict.to_json_dict(), sort_keys=True))
@@ -225,8 +235,8 @@ def _make_pipeline_config(args) -> PipelineConfig:
     file_values = _read_config_file(args.config)
     config = PipelineConfig()
     config.detector = args.detector
-    config.threshold = args.threshold
-    config.seed = args.seed if args.seed is not None else 0
+    config.threshold = _threshold(args)
+    config.seed = args.seed if args.seed is not None else int(file_values.get("seed", 0))
     config.train_encoder = not args.no_train_encoder
     _apply_overrides(config.embed, file_values, args)
     _apply_overrides(config.pretrain, file_values, args)
@@ -350,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--detector", choices=("overlap", "weighted"), default="overlap")
     p.add_argument("--weights", help="text file with 15 weights, canonical order")
-    p.add_argument("--threshold", type=float, default=0.7)
+    p.add_argument("--threshold", type=float, help="overlap threshold (default 0.7)")
     p.set_defaults(handler=_cmd_detect)
 
     p = subs.add_parser("explain", help="per-category attention weights")
@@ -365,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--detector",
                        choices=("cosine", "classifier", "overlap", "weighted"),
                        default="cosine")
-        p.add_argument("--threshold", type=float, default=0.7)
+        p.add_argument("--threshold", type=float, help="cosine or overlap threshold (0.7)")
         p.add_argument("--weights")
         p.add_argument("--config")
         p.add_argument("--seed", type=int)

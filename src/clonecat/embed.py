@@ -345,43 +345,57 @@ def save_table(table: EmbeddingTable, path) -> None:
         fh.write(np.ascontiguousarray(table.matrix, dtype="<f4").tobytes())
 
 
+class ModelReader:
+    """Reads a model file front to back: its magic, then little-endian fields.
+
+    Every failure is a FormatError naming the file kind and path: a wrong
+    magic, a read past the end ("truncated"), bytes left over at ``done``
+    ("trailing bytes"), and a non-finite float32 value.
+    """
+
+    def __init__(self, path, magic: bytes, kind: str):
+        with open(path, "rb") as fh:
+            self.data = fh.read()
+        self.path = path
+        self.kind = kind
+        if self.data[: len(magic)] != magic:
+            raise FormatError(f"bad magic in {kind} file {path}")
+        self.off = len(magic)
+
+    def take(self, n: int) -> bytes:
+        if self.off + n > len(self.data):
+            raise FormatError(f"truncated {self.kind} file {self.path}")
+        self.off += n
+        return self.data[self.off - n : self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """A read-only float32 array of ``shape``; ``what`` names it in the error."""
+        arr = np.frombuffer(self.take(4 * int(np.prod(shape))), dtype="<f4").reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"non-finite value in {what} of {self.kind} file {self.path}")
+        return arr
+
+    def done(self) -> None:
+        if self.off != len(self.data):
+            raise FormatError(f"trailing bytes in {self.kind} file {self.path}")
+
+
 def load_table(path) -> EmbeddingTable:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(EMBED_MAGIC)] != EMBED_MAGIC:
-        raise FormatError(f"bad magic in embedding file {path}")
-    off = len(EMBED_MAGIC)
-    try:
-        vsize, dim = struct.unpack_from("<II", data, off)
-    except struct.error as exc:
-        raise FormatError(f"truncated embedding file {path}") from exc
-    off += 8
+    reader = ModelReader(path, EMBED_MAGIC, "embedding")
+    vsize, dim = reader.unpack("<II")
     if dim != EMBED_DIM:
         raise FormatError(f"embedding dim {dim} != {EMBED_DIM} in {path}")
-    tokens = []
     try:
-        for _ in range(vsize):
-            (tlen,) = struct.unpack_from("<I", data, off)
-            off += 4
-            if off + tlen > len(data):
-                raise FormatError(f"truncated embedding file {path}")
-            tokens.append(data[off : off + tlen].decode("utf-8"))
-            off += tlen
-    except struct.error as exc:
-        raise FormatError(f"truncated embedding file {path}") from exc
+        tokens = [reader.take(reader.unpack("<I")[0]).decode("utf-8") for _ in range(vsize)]
     except UnicodeDecodeError as exc:
         raise FormatError(f"token is not valid UTF-8 in embedding file {path}") from exc
     if not tokens or tokens[0] != UNK_TOKEN:
         raise FormatError(f"first token is not {UNK_TOKEN} in embedding file {path}")
     if len(set(tokens)) != len(tokens):
         raise FormatError(f"duplicate token in embedding file {path}")
-    need = vsize * EMBED_DIM * 4
-    if len(data) - off < need:
-        raise FormatError(f"truncated embedding file {path}")
-    if len(data) - off > need:
-        raise FormatError(f"trailing bytes in embedding file {path}")
-    matrix = np.frombuffer(data[off : off + need], dtype="<f4").reshape(vsize, EMBED_DIM)
-    if not np.all(np.isfinite(matrix)):
-        raise FormatError(f"non-finite vector in embedding file {path}")
-    vocab = Vocabulary(tokens, [0] * vsize)
-    return EmbeddingTable(vocab, matrix.copy())
+    matrix = reader.floats((vsize, EMBED_DIM), "the vector table")
+    reader.done()
+    return EmbeddingTable(Vocabulary(tokens, [0] * vsize), matrix.copy())

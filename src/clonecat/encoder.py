@@ -25,7 +25,7 @@ from .blocks import (
     block_forward,
     init_block,
 )
-from .embed import EmbeddingTable
+from .embed import EmbeddingTable, ModelReader
 from .errors import FormatError, ShapeMismatch
 from .lexcat import NUM_CATEGORIES, CategorizedMethod, TokenCategory, category_order
 
@@ -35,7 +35,6 @@ __all__ = [
     "AttentionTrace",
     "EncodeCache",
     "init_params",
-    "encode_category",
     "encode_methods",
     "encode_method",
     "params_tensors",
@@ -44,6 +43,8 @@ __all__ = [
 ]
 
 ENCODER_MAGIC = b"CCENC1"
+# tensor name prefix of each block, in file order: cat00..cat14, then type
+_BLOCK_PREFIXES = [f"cat{i:02d}" for i in range(NUM_CATEGORIES)] + ["type"]
 
 
 @dataclass
@@ -94,13 +95,10 @@ def init_params(seed: int = 0) -> EncoderParams:
 
 def params_tensors(params: EncoderParams) -> dict[str, np.ndarray]:
     """Flat name -> array view over all 16 blocks, canonical order."""
-    out: dict[str, np.ndarray] = {}
-    for i, block in enumerate(params.category_blocks):
-        for name, arr in block.tensors().items():
-            out[f"cat{i:02d}.{name}"] = arr
-    for name, arr in params.type_block.tensors().items():
-        out[f"type.{name}"] = arr
-    return out
+    all_blocks = [*params.category_blocks, params.type_block]
+    return {f"{prefix}.{name}": arr
+            for prefix, block in zip(_BLOCK_PREFIXES, all_blocks)
+            for name, arr in block.tensors().items()}
 
 
 def category_input_matrix(
@@ -110,25 +108,6 @@ def category_input_matrix(
     counts = method.counts.get(cat, {})
     rows = [counts[lex] * table.lookup(lex).astype(np.float64) for lex in sorted(counts)]
     return np.array(rows).reshape(-1, D_MODEL)
-
-
-def encode_category(
-    method: CategorizedMethod,
-    cat: TokenCategory,
-    table: EmbeddingTable,
-    block: AttentionBlock,
-    want_cache: bool = False,
-):
-    """One category vector: block over lexeme rows, mean-pooled.
-
-    Absent categories yield the zero vector (they are masked upstream and
-    never reach the type block). Returns (vector, X, cache).
-    """
-    x = category_input_matrix(method, cat, table)
-    if x.shape[0] == 0:
-        return np.zeros(D_MODEL), x, None
-    y, _, cache = block_forward(block, x, want_cache=want_cache)
-    return y.mean(axis=0), x, cache
 
 
 def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
@@ -186,63 +165,29 @@ def encode_method(method: CategorizedMethod, table: EmbeddingTable, params: Enco
 # --- serialization ------------------------------------------------------
 
 
-def _write_tensor(fh, arr: np.ndarray) -> None:
-    fh.write(struct.pack("<B", arr.ndim))
-    for dim in arr.shape:
-        fh.write(struct.pack("<I", dim))
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
 def save_params(params: EncoderParams, path) -> None:
+    """Write the magic, then per tensor in ``params_tensors`` order: ndim as a byte,
+    each dim as a uint32, the float32 values."""
     params.validate()
-    all_blocks = list(params.category_blocks) + [params.type_block]
     with open(path, "wb") as fh:
         fh.write(ENCODER_MAGIC)
-        for block in all_blocks:
-            for name in BLOCK_TENSOR_NAMES:
-                _write_tensor(fh, getattr(block, name))
-
-
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.off = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise FormatError(f"truncated parameter file {self.path}")
-        chunk = self.data[self.off : self.off + n]
-        self.off += n
-        return chunk
-
-    def tensor(self, expected_shape: tuple[int, ...]) -> np.ndarray:
-        (ndim,) = struct.unpack("<B", self.take(1))
-        shape = tuple(struct.unpack("<I", self.take(4))[0] for _ in range(ndim))
-        if shape != expected_shape:
-            raise FormatError(
-                f"tensor shape {shape} != expected {expected_shape} in {self.path}"
-            )
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(count * 4)
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+        for arr in params_tensors(params).values():
+            fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def load_params(path) -> EncoderParams:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(ENCODER_MAGIC)] != ENCODER_MAGIC:
-        raise FormatError(f"bad magic in parameter file {path}")
-    reader = _Reader(data[len(ENCODER_MAGIC) :], path)
+    reader = ModelReader(path, ENCODER_MAGIC, "parameter")
     shapes = blocks._expected_shapes()
     loaded: list[AttentionBlock] = []
-    for _ in range(NUM_CATEGORIES + 1):
-        tensors = {name: reader.tensor(shapes[name]) for name in BLOCK_TENSOR_NAMES}
+    for prefix in _BLOCK_PREFIXES:
+        tensors = {}
+        for name in BLOCK_TENSOR_NAMES:
+            (ndim,) = reader.unpack("<B")
+            shape = reader.unpack(f"<{ndim}I")
+            if shape != shapes[name]:
+                raise FormatError(f"tensor shape {shape} != expected {shapes[name]} in {path}")
+            tensors[name] = reader.floats(shape, f"tensor {prefix}.{name}").astype(np.float64)
         loaded.append(AttentionBlock(**tensors))
-    if reader.off != len(reader.data):
-        raise FormatError(f"trailing bytes in parameter file {path}")
-    params = EncoderParams(category_blocks=loaded[:NUM_CATEGORIES], type_block=loaded[-1])
-    for name, arr in params_tensors(params).items():
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(f"non-finite value in tensor {name} of parameter file {path}")
-    return params
+    reader.done()
+    return EncoderParams(category_blocks=loaded[:NUM_CATEGORIES], type_block=loaded[-1])

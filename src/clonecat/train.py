@@ -14,7 +14,10 @@ Training loops are single-threaded and deterministic under a fixed seed.
 from __future__ import annotations
 
 import csv
+import struct
 import zipfile
+import zlib
+from tokenize import TokenError
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
@@ -465,32 +468,40 @@ def load_head(path) -> FineTuneHead:
 
     Raises FormatError for a file that is not an npz archive or holds
     pickled data, a missing key, a ``k`` not in HEAD_WIDTHS, a tensor whose
-    shape disagrees with ``HEAD_WIDTHS[k]``, and a non-finite value.
+    shape disagrees with ``HEAD_WIDTHS[k]``, and a tensor that is not real
+    floating point or holds a non-finite value (checked before the float64 cast).
     """
-    try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise FormatError(f"head file {path} is a single array, not a head npz archive")
-        with archive:
+    # np.load given a path leaks the file when the zip cannot be read, so open it here
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise FormatError(f"head file {path} is a single array, not a head npz archive")
             k = int(archive["k"])
             if k not in HEAD_WIDTHS:
                 raise FormatError(f"head file {path}: k = {k} is not one of {sorted(HEAD_WIDTHS)}")
-            weights = [archive[f"l{i}.w"].astype(np.float64) for i in range(k)]
-            biases = [archive[f"l{i}.b"].astype(np.float64) for i in range(k)]
-    except KeyError as exc:
-        raise FormatError(f"head file {path} is missing an entry ({exc.args[0]})") from exc
-    except (TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise FormatError(f"head file {path} is not a head npz archive: {exc}") from exc
+            # a member that is not an .npy file comes back as raw bytes
+            layers = [(np.asarray(archive[f"l{i}.w"]), np.asarray(archive[f"l{i}.b"]))
+                      for i in range(k)]
+        except KeyError as exc:
+            raise FormatError(f"head file {path} is missing an entry ({exc.args[0]})") from exc
+        # what zipfile and numpy's .npy parser raise on bytes they cannot read
+        except (TypeError, ValueError, OverflowError, EOFError, OSError, RuntimeError,
+                SyntaxError, TokenError, struct.error, zlib.error, zipfile.BadZipFile) as exc:
+            raise FormatError(f"head file {path} is not a head npz archive: {exc}") from exc
     widths = HEAD_WIDTHS[k]
-    for i, (w, b) in enumerate(zip(weights, biases)):
+    for i, (w, b) in enumerate(layers):
         if w.shape != widths[i : i + 2] or b.shape != widths[i + 1 : i + 2]:
             raise FormatError(
                 f"head file {path}: layer {i} shapes {w.shape}, {b.shape} do not match "
                 f"widths {widths}"
             )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise FormatError(f"head file {path}: non-finite value in layer {i}")
-    return FineTuneHead(weights=weights, biases=biases)
+        # real floats no wider than float64: the cast below cannot drop or overflow a value
+        if not all(arr.dtype.kind == "f" and arr.dtype.itemsize <= 8 and np.all(np.isfinite(arr))
+                   for arr in (w, b)):
+            raise FormatError(f"head file {path}: non-finite or non-real value in layer {i}")
+    return FineTuneHead(weights=[w.astype(np.float64) for w, _ in layers],
+                        biases=[b.astype(np.float64) for _, b in layers])
 
 
 def init_head(k: int = 3, seed: int = 0) -> FineTuneHead:

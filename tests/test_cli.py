@@ -1,9 +1,15 @@
+import io
 import json
 import pickle
 import struct
+import warnings
+import zipfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clonecat import train
 from clonecat.cli import run
@@ -322,6 +328,20 @@ class TestInferenceCommands:
         assert all(line.startswith("note: ") and "denominator is zero" in line for line in lines)
         assert ".py" not in captured.err
 
+    def test_evaluate_config_seed_applies_and_flag_wins(self, workspace, tmp_path, capsys):
+        (tmp_path / "seed5.cfg").write_text("seed = 5\n")
+
+        def report(*extra):
+            assert run(["evaluate", "--functions", str(workspace / "funcs"),
+                        "--pairs", str(workspace / "pairs.csv"), "--detector", "overlap",
+                        "--folds", "2", *extra]) == 0
+            return capsys.readouterr().out
+
+        from_file = report("--config", str(tmp_path / "seed5.cfg"))
+        assert from_file == report("--seed", "5")
+        assert from_file != report()
+        assert report("--config", str(tmp_path / "seed5.cfg"), "--seed", "0") == report()
+
     def test_bench_time(self, workspace, capsys):
         assert run([
             "bench-time", "--functions", str(workspace / "funcs"),
@@ -423,11 +443,11 @@ def _bad_weights(data, command="baseline"):
     return build
 
 
-def _with_nan_params(command):
-    """``command`` over a CCENC1 file whose last tensor (type.be2) ends in NaN."""
+def _with_nan_params(command, nan=struct.pack("<f", np.nan)):
+    """``command`` over a CCENC1 file whose last tensor (type.be2) ends in ``nan``."""
     def build(workspace, trained, tmp_path):
         data = trained["enc"].read_bytes()
-        (tmp_path / "enc_nan.bin").write_bytes(data[:-4] + struct.pack("<f", np.nan))
+        (tmp_path / "enc_nan.bin").write_bytes(data[:-4] + nan)
         argv = [command, "--functions", str(workspace / "funcs"),
                 "--embeddings", str(trained["emb"]), "--params", str(tmp_path / "enc_nan.bin")]
         return argv + ["--pairs", str(workspace / "pairs.csv")] if command == "detect" else argv
@@ -442,6 +462,19 @@ def _with_threshold_nan(command):
             argv += ["--embeddings", str(trained["emb"]), "--params", str(trained["enc"])]
         return argv
     return build
+
+
+def _classifier_threshold(command):
+    def build(workspace, trained, tmp_path):
+        return [command, "--functions", str(workspace / "funcs"), "--pairs",
+                str(workspace / "pairs.csv"), "--detector", "classifier", "--threshold", "nan"]
+    return build
+
+
+def _non_utf8_config(workspace, trained, tmp_path):
+    (tmp_path / "latin1.cfg").write_bytes("# caf\xe9\nepochs = 1\n".encode("latin-1"))
+    return ["evaluate", "--functions", str(workspace / "funcs"), "--folds", "2",
+            "--pairs", str(workspace / "pairs.csv"), "--config", str(tmp_path / "latin1.cfg")]
 
 
 def _finetune_argv(workspace, trained, tmp_path, *extra):
@@ -471,6 +504,8 @@ def _npy(path):
 
 
 _W, _B = {"l0.w": np.zeros((200, 2))}, {"l0.b": np.zeros(2)}
+# float32 bits of a signalling NaN: casting it to float64 raises numpy's "invalid" flag
+_SNAN = struct.pack("<I", 0x7F800001)
 
 
 @pytest.mark.parametrize(
@@ -513,6 +548,12 @@ _W, _B = {"l0.w": np.zeros((200, 2))}, {"l0.b": np.zeros(2)}
         (_bad_weights("caf\xe9".encode("latin-1") + b" 0" * 15, "bench-time"), 2, "w.txt"),
         (_with_nan_params("detect"), 2, "type.be2 of parameter file"),
         (_with_nan_params("encode"), 2, "enc_nan.bin"),
+        (_with_nan_params("encode", _SNAN), 2, "type.be2 of parameter file"),
+        (_classify_with_head(_npz(k=np.array(1), **_W,
+                                  **{"l0.b": np.frombuffer(_SNAN * 2, dtype="<f4")})),
+         2, "non-finite"),
+        (_classify_with_head(_npz(k=np.array(1), **{"l0.w": np.zeros((200, 2), complex)}, **_B)),
+         2, "non-real"),
         (_with_threshold_nan("detect"), 1, "threshold must be finite"),
         (_with_threshold_nan("baseline"), 1, "threshold must be finite"),
         (lambda w, t, p: ["detect", "--functions", str(w / "funcs"),
@@ -520,6 +561,9 @@ _W, _B = {"l0.w": np.zeros((200, 2))}, {"l0.b": np.zeros(2)}
                           "--params", str(t["enc2"]), "--detector", "classifier",
                           "--head", str(t["head"]), "--threshold", "nan"],
          1, "--threshold is for the cosine detector"),
+        (_classifier_threshold("evaluate"), 1, "--threshold is for the cosine detector"),
+        (_classifier_threshold("bench-time"), 1, "--threshold is for the cosine detector"),
+        (_non_utf8_config, 1, "latin1.cfg"),
         (lambda w, t, p: _finetune_argv(w, t, p, "--epochs", "1", "--lr", "nan"),
          1, "lr must be finite"),
         (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs", "--epochs", "-1"),
@@ -535,7 +579,10 @@ _W, _B = {"l0.w": np.zeros((200, 2))}, {"l0.b": np.zeros(2)}
          "head-missing-layer", "head-k-not-a-depth", "head-wrong-shape", "head-non-finite",
          "weights-not-a-number", "weights-wrong-count", "weights-negative", "weights-nan",
          "weights-non-utf8", "params-non-finite-detect", "params-non-finite-encode",
+         "params-signalling-nan", "head-signalling-nan", "head-complex",
          "threshold-nan-detect", "threshold-nan-baseline", "threshold-with-classifier",
+         "threshold-with-classifier-evaluate", "threshold-with-classifier-bench-time",
+         "config-non-utf8",
          "finetune-lr-nan",
          "pretrain-epochs-negative", "finetune-epochs-negative"],
 )
@@ -544,3 +591,85 @@ def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code,
     err = capsys.readouterr().err
     assert message in err
     assert len(err.splitlines()) == 1  # one clean line, no traceback
+
+
+# --- corrupted input files ------------------------------------------------
+
+_POSITION = st.integers(-(2**24), 2**24)  # taken modulo the file length
+_MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), _POSITION, st.none()),
+    st.tuples(st.just("flip"), _POSITION, st.integers(0, 7)),
+    st.tuples(st.just("overwrite"), _POSITION, st.binary(min_size=1, max_size=8)),
+)
+
+
+def _mutate(data: bytes, mutation) -> bytes:
+    kind, at, arg = mutation
+    at %= len(data)
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ (1 << arg)]) + data[at + 1:]
+    return data[:at] + arg + data[at + len(arg):]
+
+
+def _mutate_npz_member(data: bytes, member: str, mutation) -> bytes:
+    """Mutate one array of an npz and zip it again, so the bytes pass the CRC."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    members[member] = _mutate(members[member], mutation)
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as archive:
+        for name, raw in members.items():
+            archive.writestr(name, raw)
+    return out.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+@given(
+    target=st.sampled_from(["emb", "enc", "head", "head/k", "head/l0.w", "head/l0.b",
+                            "pairs", "weights"]),
+    mutation=_MUTATION,
+)
+@example(target="enc", mutation=("overwrite", -4, _SNAN))
+@example(target="head/l0.w", mutation=("overwrite", 22, b"c"))  # '<f8' -> '<c8', complex64
+@settings(max_examples=300, deadline=None)
+def test_corrupted_file_exits_cleanly(workspace, trained, target, mutation):
+    """A mutated input file either runs cleanly or exits 2 with one stderr line.
+
+    Exit 0 must print only JSON lines without NaN or infinity; any Python
+    warning, which would reach a user's stderr, fails the test.
+    """
+    funcs, pairs = ["--functions", str(workspace / "funcs")], ["--pairs", str(workspace / "pairs.csv")]
+    models = {"emb": trained["emb"], "enc": trained["enc2"], "head": trained["head"],
+              "pairs": workspace / "pairs.csv", "weights": workspace / "weights.txt"}
+    name, _, member = target.partition("/")
+    data = models[name].read_bytes()
+    bad = workspace / "corrupt" / models[name].name
+    bad.parent.mkdir(exist_ok=True)
+    bad.write_bytes(_mutate_npz_member(data, member + ".npy", mutation) if member
+                    else _mutate(data, mutation))
+    models[name] = bad
+    if name == "pairs":
+        argv = ["baseline", *funcs, "--pairs", str(bad)]
+    elif name == "weights":
+        argv = ["baseline", *funcs, *pairs, "--detector", "weighted", "--weights", str(bad)]
+    else:
+        argv = ["detect", *funcs, *pairs, "--embeddings", str(models["emb"]),
+                "--params", str(models["enc"]), "--detector", "classifier",
+                "--head", str(models["head"])]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", DeprecationWarning)  # Python hides these from users
+        code = run(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_reject_constant)
+    else:
+        assert code == 2, err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1

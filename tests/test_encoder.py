@@ -17,7 +17,6 @@ from clonecat.blocks import (
 )
 from clonecat.encoder import (
     category_input_matrix,
-    encode_category,
     encode_method,
     encode_methods,
     init_params,
@@ -26,7 +25,7 @@ from clonecat.encoder import (
     save_params,
 )
 from clonecat.errors import FormatError, ShapeMismatch
-from clonecat.lexcat import TokenCategory, categorize_source
+from clonecat.lexcat import TokenCategory, categorize_source, category_order
 
 try:
     import torch
@@ -267,26 +266,6 @@ class TestCategoryInput:
         np.testing.assert_array_equal(xa, xb)
 
 
-class TestEncodeCategory:
-    def test_absent_category_is_zero_vector(self, small_table, enc_params):
-        cm = categorize_source("int a;", "m")
-        vec, x, cache = encode_category(
-            cm, TokenCategory.ANNOTATION, small_table,
-            enc_params.category_blocks[0],
-        )
-        assert x.shape[0] == 0 and cache is None
-        np.testing.assert_array_equal(vec, np.zeros(D_MODEL))
-
-    def test_present_category_is_mean_pooled_block_output(
-        self, small_table, enc_params
-    ):
-        cm = categorize_source("int a = b + c;", "m")
-        block = enc_params.category_blocks[10]
-        vec, x, _ = encode_category(cm, TokenCategory.IDENTIFIER, small_table, block)
-        y, _, _ = block_forward(block, x)
-        np.testing.assert_allclose(vec, y.mean(axis=0), atol=1e-12)
-
-
 class TestEncodeMethod:
     def test_present_mask_tracks_nonempty_categories(self, small_table, enc_params):
         cm = categorize_source("int a = 1;", "m")
@@ -357,6 +336,23 @@ class TestEncodeMethods:
             assert vectors[row].tobytes() == mv.vector.tobytes()
             assert traces[row].matrix.tobytes() == trace.matrix.tobytes()
             np.testing.assert_array_equal(traces[row].present_mask, trace.present_mask)
+
+    def test_type_block_sees_only_present_category_means(self, small_table, enc_params):
+        """A method's type-block input has one row per category it contains, in
+        canonical order, and that row is the mean of its category block's output."""
+        order = category_order()
+        _, _, cache = encode_methods(_SNIPPETS, small_table, enc_params, want_cache=True)
+        reached = []
+        for members, cats, type_cache in cache.type:
+            for row, row_cats, x in zip(members, cats, type_cache.x):
+                method = _SNIPPETS[row]
+                reached.append(row)
+                assert row_cats.tolist() == [i for i, c in enumerate(order) if method.counts.get(c)]
+                for i, x_row in zip(row_cats, x):
+                    cat_x = category_input_matrix(method, order[i], small_table)
+                    y, _, _ = block_forward(enc_params.category_blocks[i], cat_x)
+                    assert x_row.tobytes() == y.mean(axis=0).tobytes()
+        assert sorted(reached) == [row for row, m in enumerate(_SNIPPETS) if m.total_tokens]
 
     def test_equal_row_counts_share_one_block_call(self, small_table, enc_params):
         _, traces, cache = encode_methods(_SNIPPETS, small_table, enc_params, want_cache=True)
