@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -235,6 +235,8 @@ def _default_clone_type(cm1: CategorizedMethod, cm2: CategorizedMethod) -> Clone
 
 def make_folds(dataset: PairDataset, seed: int = 0, n_folds: int = 10) -> FoldPlan:
     """Seeded shuffle, then round-robin assignment; sizes differ by <= 1."""
+    if n_folds < 1:
+        raise ValueError(f"n_folds must be >= 1, got {n_folds}")
     n = len(dataset.pairs)
     if n < n_folds:
         raise TooFewPairs(f"need at least {n_folds} pairs, got {n}")
@@ -292,18 +294,7 @@ class MetricsReport:
             },
             "per_type": self.per_type_recall,
             "per_type_counts": self.per_type_counts,
-            "folds": [
-                {
-                    "precision": fm.precision,
-                    "recall": fm.recall,
-                    "f1": fm.f1,
-                    "tp": fm.tp,
-                    "fp": fm.fp,
-                    "fn": fm.fn,
-                    "tn": fm.tn,
-                }
-                for fm in self.folds
-            ],
+            "folds": [asdict(fm) for fm in self.folds],
             "seed": self.seed,
         }
         return json.dumps(payload, sort_keys=True)

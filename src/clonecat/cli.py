@@ -408,6 +408,10 @@ def run(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing file {exc.filename}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a directory, no permission: any other path that cannot be used
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1

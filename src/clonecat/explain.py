@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import softmax
 from .encoder import AttentionTrace
 from .lexcat import NUM_CATEGORIES, category_order
 
@@ -35,10 +36,7 @@ def category_weights(trace: AttentionTrace, source_id: str = "") -> ExplainRepor
     present = np.flatnonzero(trace.present_mask)
     weights = np.zeros(NUM_CATEGORIES)
     if present.size:
-        col_sums = trace.matrix.sum(axis=0)[present]
-        shifted = col_sums - col_sums.max()
-        expd = np.exp(shifted)
-        weights[present] = expd / expd.sum()
+        weights[present] = softmax(trace.matrix.sum(axis=0)[present])
     return ExplainReport(
         source_id=source_id,
         weights=weights,

@@ -8,7 +8,8 @@ decay folded into the gradient:
     m <- mu*m + (g + lambda*theta) / sqrt(s + eps)
     theta <- theta - lr*m
 
-Training loops are single-threaded and deterministic under a fixed seed.
+Pretraining and fine-tuning run the same loop, which is single-threaded and
+deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import zipfile
 import zlib
 from tokenize import TokenError
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -66,16 +67,6 @@ RMSPROP_ALPHA = 0.99
 RMSPROP_EPS = 1e-8
 
 
-def _check_options(config, *finite: str) -> None:
-    """The named fields are finite and ``epochs`` is not negative."""
-    for name in finite:
-        value = getattr(config, name)
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if config.epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {config.epochs}")
-
-
 class PairRecord(Protocol):
     id1: str
     id2: str
@@ -87,26 +78,51 @@ class SupportsPairs(Protocol):
     pairs: Sequence[PairRecord]
 
 
+_Batch = TypeVar("_Batch")
+# the vector of each batch row -> (loss, dL/dvector of each row, non-encoder gradients)
+_BatchLoss = Callable[[np.ndarray], tuple[float, np.ndarray, Mapping[str, np.ndarray]]]
+
+
 @dataclass
-class PretrainConfig:
+class _TrainConfig:
+    """The RMSProp and loop fields that pretraining and fine-tuning share."""
+
     lr: float = 1e-4
     rmsprop_momentum: float = 0.9
     weight_decay: float = 1e-4
     epochs: int = 10
     batch_size: int = 64
-    temperature: float = 0.07
     seed: int = 0
+
+    _finite = ("lr", "weight_decay", "rmsprop_momentum")
+    _min_batch_size = 1
+
+    def validate(self) -> None:
+        for name in self._finite:
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.lr <= 0:
+            raise ValueError("lr must be > 0")
+        if self.batch_size < self._min_batch_size:
+            raise ValueError(f"batch_size must be >= {self._min_batch_size}")
+
+
+@dataclass
+class PretrainConfig(_TrainConfig):
+    temperature: float = 0.07
     # a batch holds P = batch_size // samples_per_class classes of K = samples_per_class
     samples_per_class: int = 4
 
+    _finite = ("lr", "temperature", "weight_decay", "rmsprop_momentum")
+    _min_batch_size = 2
+
     def validate(self) -> None:
-        _check_options(self, "lr", "temperature", "weight_decay", "rmsprop_momentum")
+        super().validate()
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
         if self.samples_per_class < 1 or self.batch_size % self.samples_per_class:
             raise ValueError(
                 f"batch_size {self.batch_size} must be a multiple of "
@@ -115,24 +131,14 @@ class PretrainConfig:
 
 
 @dataclass
-class FineTuneConfig:
+class FineTuneConfig(_TrainConfig):
     layers: int = 3
-    lr: float = 1e-4
-    rmsprop_momentum: float = 0.9
-    weight_decay: float = 1e-4
-    epochs: int = 10
-    batch_size: int = 64
-    seed: int = 0
     symmetrize: bool = False
 
     def validate(self) -> None:
         if self.layers not in HEAD_WIDTHS:
             raise ValueError(f"layers must be one of {sorted(HEAD_WIDTHS)}")
-        _check_options(self, "lr", "weight_decay", "rmsprop_momentum")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        super().validate()
 
 
 # --- SupCon loss --------------------------------------------------------
@@ -339,27 +345,28 @@ def encode_backward(
     return grads
 
 
-def _encode_batch(ids: Sequence[str], dataset: SupportsPairs, table: EmbeddingTable,
-                  params: EncoderParams) -> tuple[np.ndarray, np.ndarray, EncodeCache]:
-    """Encode the distinct ids once, as one batch; returns the vector of each
-    entry of ``ids``, the row of its distinct method, and the batch cache."""
+def _batch_grads(
+    ids: Sequence[str], dataset: SupportsPairs, table: EmbeddingTable,
+    params: EncoderParams, batch_loss: _BatchLoss,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and gradients of one batch whose rows are the methods ``ids``.
+
+    The distinct ids are encoded once, as one batch. ``batch_loss`` takes the
+    vector of each entry of ``ids`` and returns (loss, dL/dvector of each
+    row, gradients of tensors outside the encoder). A method that fills
+    several rows gets the sum of their gradients (linearity), so the batch
+    is backpropagated once.
+    """
     distinct, rows = np.unique(np.array(ids), return_inverse=True)
     vectors, _, cache = encode_methods(
         [dataset.methods[mid] for mid in distinct], table, params, want_cache=True
     )
-    return vectors[rows], rows, cache
-
-
-def _encoder_grads(params: EncoderParams, cache: EncodeCache, rows: np.ndarray,
-                   row_grads: np.ndarray) -> dict[str, np.ndarray]:
-    """Encoder gradients from dL/dvector of each batch row, ``rows`` naming its method.
-
-    A method that fills several rows gets the sum of their gradients
-    (linearity), so the batch is backpropagated once.
-    """
-    dvecs = np.zeros((rows.max() + 1, D_MODEL))  # one row per distinct method
+    loss, row_grads, other_grads = batch_loss(vectors[rows])
+    dvecs = np.zeros((len(distinct), D_MODEL))  # one row per distinct method
     np.add.at(dvecs, rows, row_grads)
-    return encode_backward(params, cache, dvecs)
+    grads = encode_backward(params, cache, dvecs)
+    grads.update(other_grads)
+    return loss, grads
 
 
 def _full_grads(
@@ -368,6 +375,34 @@ def _full_grads(
     return {
         name: partial.get(name, np.zeros_like(arr)) for name, arr in tensors.items()
     }
+
+
+def _fit(
+    tensors: Mapping[str, np.ndarray],
+    config: _TrainConfig,
+    epoch_batches: Callable[[], Iterable[_Batch]],
+    batch_grads: Callable[[_Batch], tuple[float, Mapping[str, np.ndarray]]],
+) -> tuple[list[float], list[tuple[int, int, float]]]:
+    """RMSProp over ``config.epochs`` epochs, updating ``tensors`` in place.
+
+    ``epoch_batches()`` is called at the start of each epoch for its
+    batches; ``batch_grads(batch)`` returns the batch loss and the gradients
+    of the tensors it touches. Returns the mean loss of each epoch and the
+    (epoch, batch, loss) log.
+    """
+    state = OptimizerState.for_params(tensors)
+    epoch_losses: list[float] = []
+    log: list[tuple[int, int, float]] = []
+    for epoch in range(config.epochs):
+        batch_losses = []
+        for batch_no, batch in enumerate(epoch_batches()):
+            loss, grads = batch_grads(batch)
+            rmsprop_step(tensors, _full_grads(tensors, grads), state, config)
+            del grads  # not held while the next batch is encoded
+            batch_losses.append(loss)
+            log.append((epoch, batch_no, loss))
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return epoch_losses, log
 
 
 # --- pretraining --------------------------------------------------------
@@ -394,41 +429,17 @@ def pretrain(
     config = config or PretrainConfig()
     config.validate()
     params = initial if initial is not None else init_params(config.seed)
-    if config.epochs == 0:
-        return PretrainResult(params=params, epoch_losses=[])
-
     classes = clone_classes(dataset.pairs)
     rng = np.random.default_rng(config.seed)
-    tensors = params_tensors(params)
-    state = OptimizerState.for_params(tensors)
-    epoch_losses: list[float] = []
-    log: list[tuple[int, int, float]] = []
 
-    for epoch in range(config.epochs):
-        batch_losses = []
-        for batch_no, batch in enumerate(sample_batches(classes, config, rng)):
-            loss = _pretrain_step(batch, dataset, table, params, tensors, state, config)
-            batch_losses.append(loss)
-            log.append((epoch, batch_no, loss))
-        epoch_losses.append(float(np.mean(batch_losses)))
+    def batch_grads(batch: list[tuple[str, int]]):
+        labels = np.array([label for _, label in batch])
+        return _batch_grads([mid for mid, _ in batch], dataset, table, params,
+                            lambda z: (*supcon_loss(z, labels, config.temperature), {}))
+
+    epoch_losses, log = _fit(params_tensors(params), config,
+                             lambda: sample_batches(classes, config, rng), batch_grads)
     return PretrainResult(params=params, epoch_losses=epoch_losses, log=log)
-
-
-def _pretrain_step(
-    batch: list[tuple[str, int]],
-    dataset: SupportsPairs,
-    table: EmbeddingTable,
-    params: EncoderParams,
-    tensors: Mapping[str, np.ndarray],
-    state: OptimizerState,
-    config: PretrainConfig,
-) -> float:
-    z, rows, cache = _encode_batch([mid for mid, _ in batch], dataset, table, params)
-    labels = np.array([label for _, label in batch])
-    loss, dz = supcon_loss(z, labels, config.temperature)
-    grads = _encoder_grads(params, cache, rows, dz)
-    rmsprop_step(tensors, _full_grads(tensors, grads), state, config)
-    return loss
 
 
 # --- fine-tune head -----------------------------------------------------
@@ -599,49 +610,30 @@ def finetune(
         raise DegenerateBatch("no pairs to fine-tune on")
 
     rng = np.random.default_rng(config.seed)
-    enc_tensors = params_tensors(params)
-    all_tensors = dict(enc_tensors)
+    tensors = params_tensors(params)
     for name, arr in head.tensors().items():
-        all_tensors[f"head.{name}"] = arr
-    state = OptimizerState.for_params(all_tensors)
+        tensors[f"head.{name}"] = arr
 
-    epoch_losses: list[float] = []
-    for _epoch in range(config.epochs):
+    def epoch_batches():
         order = rng.permutation(len(pairs))
-        batch_losses = []
         for start in range(0, len(order), config.batch_size):
-            chunk = [pairs[i] for i in order[start : start + config.batch_size]]
-            batch_losses.append(
-                _finetune_step(chunk, dataset, table, params, head, all_tensors, state, config)
-            )
-        epoch_losses.append(float(np.mean(batch_losses)))
+            yield [pairs[i] for i in order[start : start + config.batch_size]]
+
+    def batch_grads(chunk: list[PairRecord]):
+        labels = np.array([p.label for p in chunk], dtype=np.int64)
+
+        def batch_loss(vectors):
+            x = vectors.reshape(len(chunk), 2 * D_MODEL)  # each row: id1's vector, then id2's
+            logits, head_cache = head_forward(head, x, want_cache=True)
+            loss, dlogits = cross_entropy(logits, labels)
+            dx, head_grads = head_backward(head, head_cache, dlogits)
+            return loss, dx.reshape(-1, D_MODEL), {f"head.{n}": g for n, g in head_grads.items()}
+
+        return _batch_grads([mid for p in chunk for mid in (p.id1, p.id2)],
+                            dataset, table, params, batch_loss)
+
+    epoch_losses, _ = _fit(tensors, config, epoch_batches, batch_grads)
     return FineTuneResult(params=params, head=head, epoch_losses=epoch_losses)
-
-
-def _finetune_step(
-    chunk: Sequence[PairRecord],
-    dataset: SupportsPairs,
-    table: EmbeddingTable,
-    params: EncoderParams,
-    head: FineTuneHead,
-    all_tensors: Mapping[str, np.ndarray],
-    state: OptimizerState,
-    config: FineTuneConfig,
-) -> float:
-    labels = np.array([p.label for p in chunk], dtype=np.int64)
-    vectors, rows, cache = _encode_batch(
-        [mid for p in chunk for mid in (p.id1, p.id2)], dataset, table, params
-    )
-    x = vectors.reshape(len(chunk), 2 * D_MODEL)  # each row: id1's vector, then id2's
-    logits, head_cache = head_forward(head, x, want_cache=True)
-    loss, dlogits = cross_entropy(logits, labels)
-    dx, raw_head_grads = head_backward(head, head_cache, dlogits)
-
-    grads = _encoder_grads(params, cache, rows, dx.reshape(-1, D_MODEL))
-    for name, g in raw_head_grads.items():
-        grads[f"head.{name}"] = g
-    rmsprop_step(all_tensors, _full_grads(all_tensors, grads), state, config)
-    return loss
 
 
 def write_loss_csv(log: Sequence[tuple[int, int, float]], path) -> None:

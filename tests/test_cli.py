@@ -1,10 +1,13 @@
+import ast
 import io
 import json
 import pickle
+import re
 import struct
 import warnings
 import zipfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,6 +480,19 @@ def _non_utf8_config(workspace, trained, tmp_path):
             "--pairs", str(workspace / "pairs.csv"), "--config", str(tmp_path / "latin1.cfg")]
 
 
+def _a_dir(tmp_path):
+    """A directory given where a file is expected."""
+    (tmp_path / "a_dir").mkdir()
+    return str(tmp_path / "a_dir")
+
+
+def _evaluate_folds(folds):
+    def build(workspace, trained, tmp_path):
+        return ["evaluate", "--functions", str(workspace / "funcs"),
+                "--pairs", str(workspace / "pairs.csv"), "--folds", folds]
+    return build
+
+
 def _finetune_argv(workspace, trained, tmp_path, *extra):
     return ["finetune", "--functions", str(workspace / "funcs"),
             "--pairs", str(workspace / "pairs.csv"), "--embeddings", str(trained["emb"]),
@@ -569,6 +585,22 @@ _SNAN = struct.pack("<I", 0x7F800001)
         (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs", "--epochs", "-1"),
          1, "epochs must be >= 0"),
         (lambda w, t, p: _finetune_argv(w, t, p, "--epochs", "-1"), 1, "epochs must be >= 0"),
+        (_evaluate_folds("0"), 1, "n_folds must be >= 1"),
+        (_evaluate_folds("-1"), 1, "n_folds must be >= 1"),
+        (lambda w, t, p: ["encode", "--in", str(w / "funcs" / "add1.java"),
+                          "--embeddings", _a_dir(p), "--params", str(t["enc"])], 2, "a_dir"),
+        (lambda w, t, p: ["encode", "--in", str(w / "funcs" / "add1.java"),
+                          "--embeddings", str(t["emb"]), "--params", _a_dir(p)], 2, "a_dir"),
+        (lambda w, t, p: ["detect", "--functions", str(w / "funcs"),
+                          "--pairs", str(w / "pairs.csv"), "--embeddings", str(t["emb"]),
+                          "--params", str(t["enc2"]), "--detector", "classifier",
+                          "--head", _a_dir(p)], 2, "a_dir"),
+        (lambda w, t, p: ["baseline", "--functions", str(w / "funcs"), "--pairs", _a_dir(p)],
+         2, "a_dir"),
+        (lambda w, t, p: ["baseline", "--functions", str(w / "funcs"),
+                          "--pairs", str(w / "pairs.csv"), "--detector", "weighted",
+                          "--weights", _a_dir(p)], 2, "a_dir"),
+        (lambda w, t, p: ["tokenize", "--in", _a_dir(p)], 2, "a_dir"),
     ],
     ids=["missing-functions-dir", "non-utf8-in", "non-utf8-functions",
          "sgns-diverges", "table-non-finite", "table-duplicate-token",
@@ -584,7 +616,10 @@ _SNAN = struct.pack("<I", 0x7F800001)
          "threshold-with-classifier-evaluate", "threshold-with-classifier-bench-time",
          "config-non-utf8",
          "finetune-lr-nan",
-         "pretrain-epochs-negative", "finetune-epochs-negative"],
+         "pretrain-epochs-negative", "finetune-epochs-negative",
+         "evaluate-folds-zero", "evaluate-folds-negative",
+         "embeddings-is-dir", "params-is-dir", "head-is-dir", "pairs-is-dir",
+         "weights-is-dir", "in-is-dir"],
 )
 def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):
     assert run(build(workspace, trained, tmp_path)) == code
@@ -673,3 +708,19 @@ def test_corrupted_file_exits_cleanly(workspace, trained, target, mutation):
     else:
         assert code == 2, err.getvalue()
         assert len(err.getvalue().splitlines()) == 1
+
+
+# --- README --------------------------------------------------------------
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    """The README's first python block runs as printed beside a.java and b.java."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "a.java").write_text(ADD1)
+    (tmp_path / "b.java").write_text(ADD3)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    verdict, weights = map(ast.literal_eval, capsys.readouterr().out.splitlines())
+    assert (verdict["id1"], verdict["id2"]) == ("a", "b")
+    assert abs(sum(weights["weights"].values()) - 1.0) < 1e-9

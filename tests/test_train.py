@@ -399,8 +399,14 @@ class TestBatchedEncoderGrads:
         params = init_params(seed=1)
         ids, _ = _batch_ids(small_dataset)
         dz = np.random.default_rng(0).standard_normal((len(ids), D_MODEL))
-        z, rows, cache = train._encode_batch(ids, small_dataset, small_table, params)
-        batched = train._encoder_grads(params, cache, rows, dz)
+        seen = []
+
+        def batch_loss(z):
+            seen.append(z)
+            return 0.0, dz, {}
+
+        _, batched = train._batch_grads(ids, small_dataset, small_table, params, batch_loss)
+        (z,) = seen
         summed: dict[str, np.ndarray] = {}
         for row, (mid, dv) in enumerate(zip(ids, dz)):
             mv, _, one = encode_method(small_dataset.methods[mid], small_table, params, want_cache=True)
@@ -418,9 +424,9 @@ class TestBatchedEncoderGrads:
         tensors = params_tensors(params)
 
         def loss_fn(_):
-            z, rows, cache = train._encode_batch(ids, small_dataset, small_table, params)
-            loss, dz = supcon_loss(z, labels)
-            return loss, train._full_grads(tensors, train._encoder_grads(params, cache, rows, dz))
+            loss, grads = train._batch_grads(ids, small_dataset, small_table, params,
+                                             lambda z: (*supcon_loss(z, labels), {}))
+            return loss, train._full_grads(tensors, grads)
 
         report = grad_check(loss_fn, tensors, tol=1e-4, samples_per_tensor=1, seed=1)
         assert report.ok, report.failures[:5]
