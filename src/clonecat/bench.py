@@ -28,8 +28,8 @@ from .detect import (
 )
 from .embed import EmbedConfig, train_word2vec
 from .encoder import init_params
-from .errors import BadRow, DataError, MissingFunction, TooFewPairs
-from .lexcat import CategorizedMethod, TokenCategory, TokenStream, categorize, tokenize
+from .errors import BadRow, DataError, LexError, MissingFunction, TooFewPairs
+from .lexcat import CategorizedMethod, TokenCategory, categorize, tokenize
 from .train import (
     FineTuneConfig,
     PretrainConfig,
@@ -107,7 +107,6 @@ class Pair:
 class PairDataset:
     methods: dict[str, CategorizedMethod]
     pairs: list[Pair]
-    streams: dict[str, TokenStream] = field(default_factory=dict)
 
     def validate(self) -> None:
         for pair in self.pairs:
@@ -132,14 +131,13 @@ class PairRow(NamedTuple):
     clone_type: CloneType | None
 
 
-def load_methods(
-    functions_dir=None, files: Sequence = ()
-) -> tuple[dict[str, CategorizedMethod], dict[str, TokenStream]]:
-    """Methods and token streams from a directory of .java files and single files.
+def load_methods(functions_dir=None, files: Sequence = ()) -> dict[str, CategorizedMethod]:
+    """Methods from a directory of .java files and from single files.
 
     A method's id is its file stem. Raises DataError for a directory that
     does not exist or holds no .java file, a file that is not valid UTF-8,
-    and an id given twice.
+    and an id given twice, and LexError, naming the file, for source that
+    does not lex.
     """
     if functions_dir is None and not files:
         raise ValueError("no input methods; pass --functions DIR and/or --in FILE")
@@ -151,7 +149,6 @@ def load_methods(
         paths += sorted(functions_dir.glob("*.java"))
     paths += [Path(f) for f in files]
     methods: dict[str, CategorizedMethod] = {}
-    streams: dict[str, TokenStream] = {}
     for path in paths:
         if path.stem in methods:
             raise DataError(f"method id {path.stem!r} given twice, again by {path}")
@@ -159,12 +156,13 @@ def load_methods(
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not valid UTF-8: {exc.reason}") from exc
-        stream = tokenize(text, source_id=path.stem)
-        streams[path.stem] = stream
-        methods[path.stem] = categorize(stream)
+        try:
+            methods[path.stem] = categorize(tokenize(text, source_id=path.stem))
+        except LexError as exc:
+            raise LexError(exc.line, exc.column, exc.reason, path) from None
     if not methods:
         raise DataError(f"no .java files in {functions_dir}")
-    return methods, streams
+    return methods
 
 
 def read_pairs(path) -> list[PairRow]:
@@ -210,7 +208,7 @@ def load_dataset(functions_dir, pairs_file) -> PairDataset:
     Every row needs a label. A positive row without a clone type gets the
     best-effort type of ``_default_clone_type``.
     """
-    methods, streams = load_methods(functions_dir)
+    methods = load_methods(functions_dir)
     pairs: list[Pair] = []
     for row in read_pairs(pairs_file):
         if row.label is None:
@@ -223,7 +221,7 @@ def load_dataset(functions_dir, pairs_file) -> PairDataset:
             ctype = (CloneType.NONCLONE if row.label == 0
                      else _default_clone_type(methods[row.id1], methods[row.id2]))
         pairs.append(Pair(row.id1, row.id2, row.label, ctype))
-    return PairDataset(methods=methods, pairs=pairs, streams=streams)
+    return PairDataset(methods=methods, pairs=pairs)
 
 
 def _default_clone_type(cm1: CategorizedMethod, cm2: CategorizedMethod) -> CloneType:
@@ -330,7 +328,7 @@ def build_detector(config: PipelineConfig, train_pairs: Sequence[Pair],
         return WeightedOverlapDetector(config.weights, threshold=config.threshold)
 
     train_ids = sorted({p.id1 for p in train_pairs} | {p.id2 for p in train_pairs})
-    corpus = [dataset.streams[mid] for mid in train_ids]
+    corpus = [dataset.methods[mid] for mid in train_ids]
     table = train_word2vec(corpus, replace(config.embed, seed=fold_seed))
     params = init_params(fold_seed)
     view = replace(dataset, pairs=train_pairs)
@@ -438,10 +436,9 @@ def _t1_variant(source: str, j: int) -> str:
 
 def _t2_variant(source: str, j: int, substitute_literals: bool) -> str:
     """Consistent identifier renaming, optionally new literal values."""
-    stream = tokenize(source)
     suffix = "_" + _T2_SUFFIXES[j % len(_T2_SUFFIXES)] + (str(j) if j >= len(_T2_SUFFIXES) else "")
     out = []
-    for token in stream:
+    for token in tokenize(source):
         lex = token.lexeme
         if token.category is TokenCategory.IDENTIFIER:
             lex = lex + suffix
@@ -485,7 +482,6 @@ def synth_clones(base_methods: Mapping[str, str], spec: SynthSpec | None = None)
     rng = np.random.default_rng(spec.seed)
 
     methods: dict[str, CategorizedMethod] = {}
-    streams: dict[str, TokenStream] = {}
     kinds: dict[str, str] = {}
     classes: list[list[str]] = []
 
@@ -507,9 +503,7 @@ def synth_clones(base_methods: Mapping[str, str], spec: SynthSpec | None = None)
             kinds[mid] = "t3"
         class_ids = []
         for mid, text in members:
-            stream = tokenize(text, source_id=mid)
-            streams[mid] = stream
-            methods[mid] = categorize(stream)
+            methods[mid] = categorize(tokenize(text, source_id=mid))
             class_ids.append(mid)
         classes.append(class_ids)
 
@@ -534,7 +528,7 @@ def synth_clones(base_methods: Mapping[str, str], spec: SynthSpec | None = None)
         seen.add(key)
         pairs.append(Pair(key[0], key[1], 0, CloneType.NONCLONE))
 
-    return PairDataset(methods=methods, pairs=pairs, streams=streams)
+    return PairDataset(methods=methods, pairs=pairs)
 
 
 def _positive_type(

@@ -53,18 +53,27 @@ from .train import (
 
 VERSION_LINE = f"clonecat {__version__} (formats CCEMB1, CCENC1)"
 
-# keys a --config file may set: a field of any training config, so one file can
-# serve every command
-_CONFIG_KEYS = {
-    f.name for config in (EmbedConfig, PretrainConfig, FineTuneConfig)
+# keys a --config file may set, with the type of their value: a field of any
+# training config, so one file can serve every command
+_CONFIG_TYPES = {
+    f.name: type(f.default) for config in (EmbedConfig, PretrainConfig, FineTuneConfig)
     for f in dataclass_fields(config)
 }
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _read_config_file(path: str | None) -> dict[str, str]:
+def _parse_value(kind: type, raw: str):
+    if kind is bool:
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"expected one of 1/0/true/false/yes/no, got {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    return kind(raw)
+
+
+def _read_config_file(path: str | None) -> dict[str, object]:
     if not path:
         return {}
-    values: dict[str, str] = {}
+    values: dict[str, object] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -77,35 +86,49 @@ def _read_config_file(path: str | None) -> dict[str, str]:
             raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = value.strip()
+        try:
+            values[key] = _parse_value(_CONFIG_TYPES[key], value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     return values
 
 
-def _apply_overrides(config, file_values: dict[str, str], args: argparse.Namespace):
-    """File values first, then explicit CLI flags, onto a dataclass config."""
+def _apply_overrides(config, file_values: dict[str, object], args: argparse.Namespace):
+    """Explicit CLI flags, else file values, onto a dataclass config.
+
+    A config that holds a file value and fails validation names the file.
+    """
+    from_file = False
     for f in dataclass_fields(config):
-        if f.name in file_values:
-            current = getattr(config, f.name)
-            raw = file_values[f.name]
-            if isinstance(current, bool):
-                setattr(config, f.name, raw.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(config, f.name, int(raw))
-            elif isinstance(current, float):
-                setattr(config, f.name, float(raw))
-            else:
-                setattr(config, f.name, raw)
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
             setattr(config, f.name, flag_value)
+        elif f.name in file_values:
+            setattr(config, f.name, file_values[f.name])
+            from_file = True
+    if from_file:
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     return config
+
+
+def _check_outputs(*paths) -> None:
+    """Before any work, reject an output path that is a directory or lies in no directory."""
+    for path in (Path(p) for p in paths if p is not None):
+        if path.is_dir():
+            raise DataError(f"output {path} is a directory")
+        if not path.parent.is_dir():
+            raise DataError(f"output {path}: no such directory {path.parent}")
 
 
 def _read_weights_file(path) -> CategoryWeights:
     try:
-        return CategoryWeights(np.array([float(tok) for tok in Path(path).read_text().split()]))
+        text = Path(path).read_text(encoding="utf-8")
+        return CategoryWeights(np.array([float(tok) for tok in text.split()]))
     except UnicodeDecodeError as exc:
         raise DataError(f"weights file {path} is not valid UTF-8: {exc.reason}") from exc
     except ValueError as exc:
@@ -125,22 +148,24 @@ def _threshold(args) -> float:
 
 
 def _cmd_tokenize(args) -> int:
-    methods, _ = load_methods(args.functions, args.inputs)
+    methods = load_methods(args.functions, args.inputs)
     for source_id in sorted(methods):
         print(json.dumps(methods[source_id].to_json_dict(), sort_keys=True))
     return 0
 
 
 def _cmd_embed_train(args) -> int:
-    methods, streams = load_methods(args.functions, args.inputs)
+    _check_outputs(args.out)
+    methods = load_methods(args.functions, args.inputs)
     config = _apply_overrides(EmbedConfig(), _read_config_file(args.config), args)
-    table = train_word2vec([streams[k] for k in sorted(streams)], config)
+    table = train_word2vec([methods[k] for k in sorted(methods)], config)
     save_table(table, args.out)
     print(json.dumps({"out": args.out, "vocab": len(table.vocab), "dim": table.dim}))
     return 0
 
 
 def _cmd_pretrain(args) -> int:
+    _check_outputs(args.out, args.loss_log)
     dataset = load_dataset(args.functions, args.pairs)
     table = load_table(args.embeddings)
     config = _apply_overrides(PretrainConfig(), _read_config_file(args.config), args)
@@ -157,6 +182,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
+    _check_outputs(args.out_params, args.out_head)
     dataset = load_dataset(args.functions, args.pairs)
     table = load_table(args.embeddings)
     params = load_params(args.params)
@@ -178,7 +204,7 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    methods, _ = load_methods(args.functions, args.inputs)
+    methods = load_methods(args.functions, args.inputs)
     table = load_table(args.embeddings)
     params = load_params(args.params)
     for source_id in sorted(methods):
@@ -194,7 +220,7 @@ def _cmd_encode(args) -> int:
 def _cmd_detect(args) -> int:
     """``detect`` and ``baseline``: score every listed pair with the named detector."""
     threshold = _threshold(args)
-    methods, _ = load_methods(args.functions, args.inputs)
+    methods = load_methods(args.functions, args.inputs)
     pair_ids = [(row.id1, row.id2) for row in read_pairs(args.pairs)]
     if args.detector == "overlap":
         detector = OverlapDetector(threshold)
@@ -220,7 +246,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    methods, _ = load_methods(args.functions, args.inputs)
+    methods = load_methods(args.functions, args.inputs)
     table = load_table(args.embeddings)
     params = load_params(args.params)
     for source_id in sorted(methods):
@@ -236,7 +262,7 @@ def _make_pipeline_config(args) -> PipelineConfig:
     config = PipelineConfig()
     config.detector = args.detector
     config.threshold = _threshold(args)
-    config.seed = args.seed if args.seed is not None else int(file_values.get("seed", 0))
+    config.seed = args.seed if args.seed is not None else file_values.get("seed", 0)
     config.train_encoder = not args.no_train_encoder
     _apply_overrides(config.embed, file_values, args)
     _apply_overrides(config.pretrain, file_values, args)
@@ -247,18 +273,21 @@ def _make_pipeline_config(args) -> PipelineConfig:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_outputs(args.out)
     dataset = load_dataset(args.functions, args.pairs)
     config = _make_pipeline_config(args)
     folds = make_folds(dataset, seed=config.seed, n_folds=args.folds)
     report = evaluate(dataset, folds, config)
     output = report.to_json()
     if args.out:
-        Path(args.out).write_text(output + "\n")
+        Path(args.out).write_text(output + "\n", encoding="utf-8")
     print(output)
     return 0
 
 
 def _cmd_bench_time(args) -> int:
+    if args.runs < 1:
+        raise ValueError("runs must be >= 1")
     dataset = load_dataset(args.functions, args.pairs)
     config = _make_pipeline_config(args)
     start = time.perf_counter()

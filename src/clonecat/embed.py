@@ -1,4 +1,4 @@
-"""Skip-gram token embeddings trained over method token streams.
+"""Skip-gram token embeddings trained over the lexemes of methods.
 
 One method = one sentence. Training is single-threaded and fully
 deterministic under a fixed seed; lookups are read-only. Rare tokens are
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyCorpus, FormatError, NumericFailure
-from .lexcat import TokenStream
+from .lexcat import CategorizedMethod, TokenStream
 
 __all__ = [
     "EMBED_DIM",
@@ -101,11 +101,11 @@ class Vocabulary:
         return isinstance(other, Vocabulary) and self.tokens == other.tokens
 
 
-def _corpus_sentences(corpus: Iterable[TokenStream]) -> list[list[str]]:
+def _corpus_sentences(corpus: Iterable[TokenStream | CategorizedMethod]) -> list[list[str]]:
     return [ts.lexemes() for ts in corpus]
 
 
-def build_vocab(corpus: Iterable[TokenStream], min_count: int = 1) -> Vocabulary:
+def build_vocab(corpus: Iterable[TokenStream | CategorizedMethod], min_count: int = 1) -> Vocabulary:
     """Count lexemes; tokens under min_count fold into UNK."""
     return _vocab_from_sentences(_corpus_sentences(corpus), min_count)
 
@@ -171,7 +171,8 @@ def _noise_cumdist(vocab: Vocabulary) -> np.ndarray:
     return cumdist
 
 
-def train_word2vec(corpus: Iterable[TokenStream], config: EmbedConfig | None = None) -> EmbeddingTable:
+def train_word2vec(corpus: Iterable[TokenStream | CategorizedMethod],
+                   config: EmbedConfig | None = None) -> EmbeddingTable:
     """Skip-gram with negative sampling, in bounded batched steps.
 
     Each chunk of whole sentences draws all its window shrinks, then all

@@ -17,14 +17,16 @@ class DataError(CloneCatError):
 class LexError(DataError):
     """Source text cannot be lexed.
 
-    Carries the first offending position (1-based line/column).
+    Carries the first offending position (1-based line/column) and, when
+    known, the file it is in.
     """
 
-    def __init__(self, line: int, column: int, reason: str):
+    def __init__(self, line: int, column: int, reason: str, path=None):
         self.line = line
         self.column = column
         self.reason = reason
-        super().__init__(f"{line}:{column}: {reason}")
+        where = f"{path}:" if path is not None else ""
+        super().__init__(f"{where}{line}:{column}: {reason}")
 
 
 class EmptyCorpus(DataError):

@@ -3,7 +3,7 @@
 A method body is lexed as free-standing text (no parsing) into a stream of
 tokens, each assigned one of 15 syntactic categories. Whitespace and
 comments never appear in the stream, so two methods differing only in
-layout or comments produce identical streams.
+layout or comments lex to the same tokens.
 
 Category mapping:
   Keyword    reserved words minus modifiers and basic types
@@ -169,12 +169,20 @@ class TokenStream:
 class CategorizedMethod:
     """Per-category lexeme multisets; the lexical fingerprint of one method.
 
-    Only non-empty categories are stored in ``counts``.
+    Only non-empty categories are stored in ``counts``. ``sequence`` holds
+    the lexemes in source order, which skip-gram training reads.
     """
 
     source_id: str
     counts: dict[TokenCategory, dict[str, int]] = field(default_factory=dict)
     total_tokens: int = 0
+    sequence: tuple[str, ...] = field(default=(), compare=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.sequence)
+
+    def lexemes(self) -> list[str]:
+        return list(self.sequence)
 
     def to_json_dict(self) -> dict:
         return {
@@ -297,12 +305,12 @@ def tokenize(source: str, source_id: str = "<memory>") -> TokenStream:
 
 
 def categorize(ts: TokenStream) -> CategorizedMethod:
-    """Aggregate a token stream into per-category lexeme counts."""
+    """Aggregate a token stream into per-category lexeme counts, keeping its lexemes."""
     counts: dict[TokenCategory, dict[str, int]] = {}
     for tok in ts.tokens:
         per_cat = counts.setdefault(tok.category, {})
         per_cat[tok.lexeme] = per_cat.get(tok.lexeme, 0) + 1
-    return CategorizedMethod(ts.source_id, counts, len(ts.tokens))
+    return CategorizedMethod(ts.source_id, counts, len(ts.tokens), tuple(ts.lexemes()))
 
 
 def categorize_source(source: str, source_id: str = "<memory>") -> CategorizedMethod:

@@ -637,7 +637,7 @@ def finetune(
 
 
 def write_loss_csv(log: Sequence[tuple[int, int, float]], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "batch", "loss"])
         for epoch, batch, loss in log:

@@ -47,7 +47,7 @@ def small_dataset():
 @pytest.fixture(scope="session")
 def small_table(small_dataset):
     return train_word2vec(
-        small_dataset.streams.values(), EmbedConfig(epochs=1, seed=0)
+        small_dataset.methods.values(), EmbedConfig(epochs=1, seed=0)
     )
 
 

@@ -115,7 +115,7 @@ def full_ds():
 @pytest.fixture(scope="module")
 def full_table(full_ds, stopwatch):
     t0 = time.perf_counter()
-    table = train_word2vec(list(full_ds.streams.values()), EmbedConfig(seed=0))
+    table = train_word2vec(list(full_ds.methods.values()), EmbedConfig(seed=0))
     stopwatch["embed"] = time.perf_counter() - t0
     return table
 
@@ -495,8 +495,9 @@ def test_06_t1_t2_behaviour(small_table, enc_params, capsys):
                         f"first: {bad_t1[0]}")
 
     def non_identifier_profile(source_id):
-        return Counter((t.category, t.lexeme) for t in ds.streams[source_id]
-                       if t.category is not TokenCategory.IDENTIFIER)
+        return {(category, lexeme): n
+                for category, lexemes in ds.methods[source_id].counts.items()
+                if category is not TokenCategory.IDENTIFIER for lexeme, n in lexemes.items()}
 
     bad_t2 = [
         (pair.id1, pair.id2) for pair in t2_pairs

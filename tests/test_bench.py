@@ -27,8 +27,10 @@ from clonecat.bench import (
     time_detection,
 )
 from clonecat.detect import OverlapDetector, overlap_similarity
+from clonecat.embed import EmbedConfig
 from clonecat.errors import BadRow, MissingFunction, TooFewPairs
 from clonecat.lexcat import TokenCategory, categorize_source, tokenize
+from clonecat.train import PretrainConfig
 
 
 @pytest.fixture()
@@ -94,7 +96,6 @@ class TestLoadDataset:
         ]
         assert ds.pairs[0].clone_type is CloneType.T1
         assert ds.pairs[1].clone_type is CloneType.NONCLONE
-        assert set(ds.streams) == set(ds.methods)
 
     def test_missing_type_defaults_to_t1_for_identical_counts(self, corpus_dir, tmp_path):
         ds = load_dataset(
@@ -166,10 +167,6 @@ class TestMakeFolds:
         return PairDataset(
             methods={"m1": m1, "m2": m2},
             pairs=pairs,
-            streams={
-                "m1": tokenize("int a;", "m1"),
-                "m2": tokenize("int b;", "m2"),
-            },
         )
 
     def test_even_split(self):
@@ -275,7 +272,6 @@ class TestSynthClones:
         ds = synth_clones(bases, SynthSpec(seed=0))
         for p in ds.pairs:
             assert p.id1 in ds.methods and p.id2 in ds.methods
-        assert set(ds.streams) == set(ds.methods)
 
     def test_deterministic(self, bases):
         d1 = synth_clones(bases, SynthSpec(seed=7))
@@ -284,14 +280,12 @@ class TestSynthClones:
         assert [(p.id1, p.id2, p.label) for p in d1.pairs] == [
             (p.id1, p.id2, p.label) for p in d2.pairs
         ]
-        for sid in d1.streams:
-            assert [t.lexeme for t in d1.streams[sid].tokens] == [
-                t.lexeme for t in d2.streams[sid].tokens
-            ]
+        for sid in d1.methods:
+            assert d1.methods[sid].lexemes() == d2.methods[sid].lexemes()
 
     def test_variants_lex_cleanly(self, bases):
         ds = synth_clones(bases, SynthSpec(seed=0))
-        assert all(s.tokens for s in ds.streams.values())
+        assert all(m.lexemes() for m in ds.methods.values())
 
     def test_dataset_validates(self, bases):
         synth_clones(bases, SynthSpec(seed=0)).validate()
@@ -393,6 +387,16 @@ class TestEvaluate:
         assert set(data) >= {"overall", "per_type", "folds", "seed"}
         assert data["overall"]["f1"] == pytest.approx(report.f1)
         assert len(data["folds"]) == len(eval_plan.folds)
+
+    def test_cosine_runs_on_a_hand_built_dataset(self, small_dataset):
+        """Methods and pairs are the whole dataset: SGNS reads the methods' own lexemes."""
+        by_hand = PairDataset(dict(small_dataset.methods), list(small_dataset.pairs))
+        plan = make_folds(by_hand, seed=0, n_folds=2)
+        config = PipelineConfig(detector="cosine", embed=EmbedConfig(epochs=1),
+                                pretrain=PretrainConfig(epochs=1))
+        report = evaluate(by_hand, plan, config)
+        assert report.to_json() == evaluate(small_dataset, plan, config).to_json()
+        assert len(report.folds) == 2
 
     def test_weighted_detector_requires_weights(self, eval_ds, eval_plan):
         config = PipelineConfig(detector="weighted", train_encoder=False)

@@ -1,9 +1,12 @@
 import ast
 import io
 import json
+import os
 import pickle
 import re
 import struct
+import subprocess
+import sys
 import warnings
 import zipfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clonecat import train
+from clonecat import cli, train
 from clonecat.cli import run
 from clonecat.embed import EmbedConfig, load_table, train_word2vec
 from clonecat.errors import NumericFailure
@@ -493,6 +496,25 @@ def _evaluate_folds(folds):
     return build
 
 
+def _lex_error_in_functions(workspace, trained, tmp_path):
+    (tmp_path / "ok.java").write_text(ADD1)
+    (tmp_path / "zz_bad.java").write_text("int h() { int x = 1; # }")
+    return ["tokenize", "--functions", str(tmp_path)]
+
+
+def _config_value(command, line):
+    """``command`` with a --config file whose second line is ``line``."""
+    def build(workspace, trained, tmp_path):
+        (tmp_path / "v.cfg").write_text(f"# one value\n{line}\n")
+        argv = {"embed-train": ["embed-train", "--functions", str(workspace / "funcs"),
+                                "--out", str(tmp_path / "e.bin")],
+                "evaluate": ["evaluate", "--functions", str(workspace / "funcs"),
+                             "--pairs", str(workspace / "pairs.csv"), "--folds", "2"],
+                "finetune": _finetune_argv(workspace, trained, tmp_path, "--epochs", "1")}[command]
+        return argv + ["--config", str(tmp_path / "v.cfg")]
+    return build
+
+
 def _finetune_argv(workspace, trained, tmp_path, *extra):
     return ["finetune", "--functions", str(workspace / "funcs"),
             "--pairs", str(workspace / "pairs.csv"), "--embeddings", str(trained["emb"]),
@@ -601,6 +623,13 @@ _SNAN = struct.pack("<I", 0x7F800001)
                           "--pairs", str(w / "pairs.csv"), "--detector", "weighted",
                           "--weights", _a_dir(p)], 2, "a_dir"),
         (lambda w, t, p: ["tokenize", "--in", _a_dir(p)], 2, "a_dir"),
+        (_lex_error_in_functions, 2, "zz_bad.java:1:22: illegal character '#'"),
+        (_config_value("embed-train", "epochs = 1.5"), 1, "v.cfg:2: epochs: invalid literal"),
+        (_config_value("embed-train", "window = 0x10"), 1, "v.cfg:2: window: invalid literal"),
+        (_config_value("evaluate", "seed = abc"), 1, "v.cfg:2: seed: invalid literal"),
+        (_config_value("finetune", "symmetrize = maybe"), 1,
+         "v.cfg:2: symmetrize: expected one of 1/0/true/false/yes/no, got 'maybe'"),
+        (_config_value("embed-train", "epochs = 0"), 1, "v.cfg: epochs must be >= 1"),
     ],
     ids=["missing-functions-dir", "non-utf8-in", "non-utf8-functions",
          "sgns-diverges", "table-non-finite", "table-duplicate-token",
@@ -619,13 +648,90 @@ _SNAN = struct.pack("<I", 0x7F800001)
          "pretrain-epochs-negative", "finetune-epochs-negative",
          "evaluate-folds-zero", "evaluate-folds-negative",
          "embeddings-is-dir", "params-is-dir", "head-is-dir", "pairs-is-dir",
-         "weights-is-dir", "in-is-dir"],
+         "weights-is-dir", "in-is-dir", "lex-error-names-file",
+         "config-float-for-int", "config-hex-for-int", "config-seed-not-a-number",
+         "config-bool-not-a-bool", "config-value-out-of-range"],
 )
 def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):
     assert run(build(workspace, trained, tmp_path)) == code
     err = capsys.readouterr().err
     assert message in err
     assert len(err.splitlines()) == 1  # one clean line, no traceback
+
+
+def _fail_when_called(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the options were checked")
+    return fail
+
+
+def _missing_dir(tmp_path):
+    return str(tmp_path / "absent" / "out.bin")
+
+
+@pytest.mark.parametrize(
+    "build, code, bad",
+    [
+        (lambda w, t, p: ["embed-train", "--functions", str(w / "funcs"), "--out", _a_dir(p)],
+         2, "a_dir"),
+        (lambda w, t, p: ["embed-train", "--functions", str(w / "funcs"),
+                          "--out", _missing_dir(p)], 2, "absent"),
+        (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs")[:-2] + ["--out", _a_dir(p)],
+         2, "a_dir"),
+        (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs", "--loss-log", _a_dir(p)),
+         2, "a_dir"),
+        (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs", "--loss-log", _missing_dir(p)),
+         2, "absent"),
+        (lambda w, t, p: _finetune_argv(w, t, p, "--out-params", _a_dir(p)), 2, "a_dir"),
+        (lambda w, t, p: _finetune_argv(w, t, p, "--out-head", _missing_dir(p)), 2, "absent"),
+        (lambda w, t, p: ["evaluate", "--functions", str(w / "funcs"),
+                          "--pairs", str(w / "pairs.csv"), "--out", _a_dir(p)], 2, "a_dir"),
+        (lambda w, t, p: ["bench-time", "--functions", str(w / "funcs"),
+                          "--pairs", str(w / "pairs.csv"), "--runs", "0"],
+         1, "runs must be >= 1"),
+    ],
+    ids=["embed-train-out-dir", "embed-train-out-no-parent", "pretrain-out-dir",
+         "pretrain-loss-log-dir", "pretrain-loss-log-no-parent", "finetune-out-params-dir",
+         "finetune-out-head-no-parent", "evaluate-out-dir", "bench-time-runs-zero"],
+)
+def test_options_checked_before_any_work(workspace, trained, tmp_path, monkeypatch, capsys,
+                                         build, code, bad):
+    """A bad output path or run count fails before loading or training, and writes nothing."""
+    for name in ("load_methods", "load_dataset", "train_word2vec", "pretrain", "finetune",
+                 "evaluate", "build_detector"):
+        monkeypatch.setattr(cli, name, _fail_when_called(name))
+    argv = build(workspace, trained, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert bad in err
+    assert len(err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_text_files_are_utf8_under_any_locale(workspace, trained, tmp_path):
+    """Text inputs and outputs name their encoding; Python warns where one is left to the locale."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    funcs, pairs = ["--functions", str(workspace / "funcs")], ["--pairs", str(workspace / "pairs.csv")]
+    commands = [
+        ["baseline", *funcs, *pairs, "--detector", "weighted",
+         "--weights", str(workspace / "weights.txt")],
+        ["evaluate", *funcs, *pairs, "--folds", "2", "--detector", "overlap",
+         "--out", str(tmp_path / "report.json")],
+        _pretrain_argv(workspace, trained, tmp_path, workspace / "funcs", "--epochs", "1",
+                       "--loss-log", str(tmp_path / "loss.csv")),
+    ]
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "clonecat.cli", *argv],
+            env=env, capture_output=True, encoding="utf-8", timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.json").read_text(encoding="utf-8").startswith("{")
+    assert (tmp_path / "loss.csv").read_text(encoding="utf-8").startswith("epoch,batch,loss")
 
 
 # --- corrupted input files ------------------------------------------------
@@ -666,7 +772,7 @@ def _reject_constant(name):
 
 @given(
     target=st.sampled_from(["emb", "enc", "head", "head/k", "head/l0.w", "head/l0.b",
-                            "pairs", "weights"]),
+                            "pairs", "weights", "java", "config"]),
     mutation=_MUTATION,
 )
 @example(target="enc", mutation=("overwrite", -4, _SNAN))
@@ -675,12 +781,16 @@ def _reject_constant(name):
 def test_corrupted_file_exits_cleanly(workspace, trained, target, mutation):
     """A mutated input file either runs cleanly or exits 2 with one stderr line.
 
-    Exit 0 must print only JSON lines without NaN or infinity; any Python
-    warning, which would reach a user's stderr, fails the test.
+    A mutated method source is tokenized and its error names it; a mutated
+    config file drives embed-train, whose error is one line that names the
+    file (exit 1) or a numeric failure (exit 3). Exit 0 must print only JSON
+    lines without NaN or infinity; any Python warning, which would reach a
+    user's stderr, fails the test.
     """
     funcs, pairs = ["--functions", str(workspace / "funcs")], ["--pairs", str(workspace / "pairs.csv")]
     models = {"emb": trained["emb"], "enc": trained["enc2"], "head": trained["head"],
-              "pairs": workspace / "pairs.csv", "weights": workspace / "weights.txt"}
+              "pairs": workspace / "pairs.csv", "weights": workspace / "weights.txt",
+              "java": workspace / "funcs" / "add1.java", "config": workspace / "fast.cfg"}
     name, _, member = target.partition("/")
     data = models[name].read_bytes()
     bad = workspace / "corrupt" / models[name].name
@@ -688,7 +798,11 @@ def test_corrupted_file_exits_cleanly(workspace, trained, target, mutation):
     bad.write_bytes(_mutate_npz_member(data, member + ".npy", mutation) if member
                     else _mutate(data, mutation))
     models[name] = bad
-    if name == "pairs":
+    if name == "java":
+        argv = ["tokenize", "--in", str(bad)]
+    elif name == "config":
+        argv = ["embed-train", *funcs, "--out", str(bad.with_suffix(".bin")), "--config", str(bad)]
+    elif name == "pairs":
         argv = ["baseline", *funcs, "--pairs", str(bad)]
     elif name == "weights":
         argv = ["baseline", *funcs, *pairs, "--detector", "weighted", "--weights", str(bad)]
@@ -706,8 +820,13 @@ def test_corrupted_file_exits_cleanly(workspace, trained, target, mutation):
         for line in out.getvalue().splitlines():
             json.loads(line, parse_constant=_reject_constant)
     else:
-        assert code == 2, err.getvalue()
-        assert len(err.getvalue().splitlines()) == 1
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        if name == "config":
+            assert code == 3 or (code == 1 and str(bad) in err.getvalue()), err.getvalue()
+        else:
+            assert code == 2, err.getvalue()
+        if name == "java":
+            assert str(bad) in err.getvalue()
 
 
 # --- README --------------------------------------------------------------

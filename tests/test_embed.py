@@ -19,7 +19,7 @@ from clonecat.embed import (
     train_word2vec,
 )
 from clonecat.errors import EmptyCorpus, FormatError, NumericFailure
-from clonecat.lexcat import tokenize
+from clonecat.lexcat import categorize, tokenize
 
 CORPUS_SOURCES = [
     "int a = 1; int b = a + a;",
@@ -106,6 +106,15 @@ class TestTraining:
         t1 = train_word2vec(make_corpus(), EmbedConfig(epochs=1, seed=0))
         t2 = train_word2vec(make_corpus(), EmbedConfig(epochs=1, seed=1))
         assert not np.array_equal(t1.matrix, t2.matrix)
+
+    def test_methods_train_the_tables_of_their_streams(self):
+        streams = make_corpus()
+        config = EmbedConfig(epochs=2, seed=3)
+        from_streams = train_word2vec(streams, config)
+        from_methods = train_word2vec([categorize(ts) for ts in streams], config)
+        assert from_methods.vocab.tokens == from_streams.vocab.tokens
+        assert from_methods.vocab.freqs == from_streams.vocab.freqs
+        assert from_methods.matrix.tobytes() == from_streams.matrix.tobytes()
 
     def test_training_moves_vectors(self):
         table = train_word2vec(make_corpus(), EmbedConfig(epochs=5, seed=0))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from clonecat.errors import LexError
 from clonecat.lexcat import (
     NUM_CATEGORIES,
+    CategorizedMethod,
     TokenCategory,
     categorize,
     categorize_source,
@@ -306,3 +307,9 @@ class TestCategorize:
 
     def test_categorize_matches_categorize_source(self, gcd1_stream, gcd1):
         assert categorize(gcd1_stream).counts == gcd1.counts
+
+    def test_lexemes_kept_in_source_order_outside_equality(self, gcd1_stream, gcd1):
+        assert gcd1.lexemes() == gcd1_stream.lexemes()
+        assert len(gcd1) == len(gcd1_stream) == gcd1.total_tokens
+        assert gcd1 == CategorizedMethod("gcd1", gcd1.counts, gcd1.total_tokens)
+        assert "sequence" not in repr(gcd1)
