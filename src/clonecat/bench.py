@@ -168,23 +168,27 @@ def load_methods(functions_dir=None, files: Sequence = ()) -> dict[str, Categori
 def read_pairs(path) -> list[PairRow]:
     """Rows of ``id1,id2[,label[,clone_type]]``; a first row naming id1,id2 is a header.
 
-    Blank lines and ``#`` comments are skipped. Raises BadRow, with the
-    line number, for a wrong field count, a label other than 0 or 1, an
-    unknown clone type, or a clone type that disagrees with the label.
+    Blank lines, ``#`` comments and a leading UTF-8 byte-order mark are
+    skipped. Raises BadRow, with the line number, for a wrong field count,
+    a label other than 0 or 1, an unknown clone type, or a clone type that
+    disagrees with the label.
     """
     type_by_name = {t.value.upper(): t for t in CloneType}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"pairs file {path} is not valid UTF-8: {exc.reason}") from exc
     rows: list[PairRow] = []
+    first_row = True
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split(",")]
-        if line_no == 1 and fields[:2] == ["id1", "id2"]:
-            continue
+        if first_row:
+            first_row = False
+            if fields[:2] == ["id1", "id2"]:
+                continue
         if not 2 <= len(fields) <= 4:
             raise BadRow(line_no, f"expected 2 to 4 fields, got {len(fields)}")
         label = ctype = None

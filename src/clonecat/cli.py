@@ -136,11 +136,15 @@ def _read_weights_file(path) -> CategoryWeights:
 
 
 def _threshold(args) -> float:
-    """``--threshold``, or DEFAULT_THRESHOLD when absent; the classifier takes none."""
+    """``--threshold``, or DEFAULT_THRESHOLD when absent; the classifier takes none.
+
+    Called before any loading, so a bad threshold fails at once."""
     if args.threshold is None:
         return DEFAULT_THRESHOLD
     if args.detector == "classifier":
         raise ValueError("--threshold is for the cosine detector; the classifier decides at 0.5")
+    if not np.isfinite(args.threshold):
+        raise ValueError(f"threshold must be finite, got {args.threshold}")
     return args.threshold
 
 
@@ -274,8 +278,8 @@ def _make_pipeline_config(args) -> PipelineConfig:
 
 def _cmd_evaluate(args) -> int:
     _check_outputs(args.out)
-    dataset = load_dataset(args.functions, args.pairs)
     config = _make_pipeline_config(args)
+    dataset = load_dataset(args.functions, args.pairs)
     folds = make_folds(dataset, seed=config.seed, n_folds=args.folds)
     report = evaluate(dataset, folds, config)
     output = report.to_json()
@@ -288,8 +292,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_bench_time(args) -> int:
     if args.runs < 1:
         raise ValueError("runs must be >= 1")
-    dataset = load_dataset(args.functions, args.pairs)
     config = _make_pipeline_config(args)
+    dataset = load_dataset(args.functions, args.pairs)
     start = time.perf_counter()
     detector = build_detector(config, dataset.pairs, dataset, config.seed)
     training_s = time.perf_counter() - start

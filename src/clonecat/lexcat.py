@@ -47,6 +47,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import LexError
 
@@ -85,25 +86,8 @@ class TokenCategory(Enum):
         return _CATEGORY_INDEX[self]
 
 
-# Canonical ordering; every place a category index appears uses this.
-_CATEGORY_ORDER: tuple[TokenCategory, ...] = (
-    TokenCategory.ANNOTATION,
-    TokenCategory.BASIC_TYPE,
-    TokenCategory.BINARY_INTEGER,
-    TokenCategory.BOOLEAN,
-    TokenCategory.DECIMAL_FLOATING_POINT,
-    TokenCategory.MODIFIER,
-    TokenCategory.OPERATOR,
-    TokenCategory.DECIMAL_INTEGER,
-    TokenCategory.HEX_FLOATING_POINT,
-    TokenCategory.HEX_INTEGER,
-    TokenCategory.IDENTIFIER,
-    TokenCategory.KEYWORD,
-    TokenCategory.OCTAL_INTEGER,
-    TokenCategory.SEPARATOR,
-    TokenCategory.NULL,
-)
-
+# Canonical ordering (definition order); every place a category index appears uses this.
+_CATEGORY_ORDER: tuple[TokenCategory, ...] = tuple(TokenCategory)
 _CATEGORY_INDEX = {cat: i for i, cat in enumerate(_CATEGORY_ORDER)}
 
 NUM_CATEGORIES = len(_CATEGORY_ORDER)
@@ -142,12 +126,9 @@ OPERATORS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     lexeme: str
     category: TokenCategory
-    line: int
-    column: int
 
 
 @dataclass(frozen=True)
@@ -175,10 +156,13 @@ class CategorizedMethod:
 
     source_id: str
     counts: dict[TokenCategory, dict[str, int]] = field(default_factory=dict)
-    total_tokens: int = 0
     sequence: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def __len__(self) -> int:
+        return len(self.sequence)
+
+    @property
+    def total_tokens(self) -> int:
         return len(self.sequence)
 
     def lexemes(self) -> list[str]:
@@ -235,28 +219,34 @@ _FIXED_CATEGORY = {
 }
 
 
-def _number(lexeme: str, kind: str, line: int, col: int) -> TokenCategory:
+def _error(source: str, offset: int, reason: str) -> LexError:
+    """The LexError at ``offset`` of ``source``, placed by 1-based line and column."""
+    line = source.count("\n", 0, offset) + 1
+    return LexError(line, offset - source.rfind("\n", 0, offset), reason)
+
+
+def _number(m: re.Match) -> TokenCategory:
     """Categorize one numeric match, or raise at its first bad character."""
+    lexeme, kind, source, start = m.group(), m.lastgroup, m.string, m.start()
     if kind == "bin":
         if len(lexeme) == 2:
-            raise LexError(line, col + 2, "malformed binary literal")
+            raise _error(source, start + 2, "malformed binary literal")
         return TokenCategory.BINARY_INTEGER
     if kind == "hex":
         if len(lexeme) == 2 or lexeme[2] in "pPlL":
-            raise LexError(line, col + 2, "malformed hex literal")
+            raise _error(source, start + 2, "malformed hex literal")
         if lexeme[-1] in "pP+-":
-            raise LexError(line, col + len(lexeme), "malformed hex float exponent")
+            raise _error(source, m.end(), "malformed hex float exponent")
         if "p" in lexeme or "P" in lexeme:
             return TokenCategory.HEX_FLOATING_POINT
         mantissa = lexeme.rstrip("lL")
         if "." in mantissa:
-            raise LexError(line, col + len(mantissa), "hex float requires a binary exponent")
+            raise _error(source, start + len(mantissa), "hex float requires a binary exponent")
         return TokenCategory.HEX_INTEGER
     is_float = lexeme[-1] in "fFdD" or any(ch in lexeme for ch in ".eE")
     if lexeme[-1] in "lL":
         if is_float:
-            raise LexError(line, col + len(lexeme) - 1,
-                           "float literal cannot carry an integer suffix")
+            raise _error(source, m.end() - 1, "float literal cannot carry an integer suffix")
         digits = lexeme[:-1]
     elif is_float:
         return TokenCategory.DECIMAL_FLOATING_POINT
@@ -264,7 +254,7 @@ def _number(lexeme: str, kind: str, line: int, col: int) -> TokenCategory:
         digits = lexeme
     if digits.startswith("0") and len(digits.replace("_", "")) > 1:
         if "8" in digits or "9" in digits:
-            raise LexError(line, col + len(lexeme), "invalid digit in octal literal")
+            raise _error(source, m.end(), "invalid digit in octal literal")
         return TokenCategory.OCTAL_INTEGER
     return TokenCategory.DECIMAL_INTEGER
 
@@ -276,31 +266,24 @@ def tokenize(source: str, source_id: str = "<memory>") -> TokenStream:
     unterminated literal/comment, malformed number or illegal character.
     """
     tokens: list[Token] = []
-    line, line_start = 1, 0
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
-        start, end = m.span()
-        col = start - line_start + 1
-        if kind != "skip":
-            lexeme = m.group()
-            if kind == "word":
-                if not (lexeme[0].isalpha() or lexeme[0] in "_$"):
-                    raise LexError(line, col, f"illegal character {lexeme[0]!r}")
-                category = _WORD_CATEGORY.get(lexeme, TokenCategory.IDENTIFIER)
-            elif kind in _FIXED_CATEGORY:
-                category = _FIXED_CATEGORY[kind]
-            elif kind == "open":
-                raise LexError(line, col, f"unterminated {_UNTERMINATED[lexeme]}")
-            elif kind == "bad":
-                raise LexError(line, col, f"illegal character {lexeme!r}")
-            else:
-                category = _number(lexeme, kind, line, col)
-            tokens.append(Token(lexeme, category, line, col))
-        if kind == "skip" or kind == "text":
-            newlines = source.count("\n", start, end)
-            if newlines:
-                line += newlines
-                line_start = source.rindex("\n", start, end) + 1
+        if kind == "skip":
+            continue
+        lexeme = m.group()
+        if kind == "word":
+            if not (lexeme[0].isalpha() or lexeme[0] in "_$"):
+                raise _error(source, m.start(), f"illegal character {lexeme[0]!r}")
+            category = _WORD_CATEGORY.get(lexeme, TokenCategory.IDENTIFIER)
+        elif kind in _FIXED_CATEGORY:
+            category = _FIXED_CATEGORY[kind]
+        elif kind == "open":
+            raise _error(source, m.start(), f"unterminated {_UNTERMINATED[lexeme]}")
+        elif kind == "bad":
+            raise _error(source, m.start(), f"illegal character {lexeme!r}")
+        else:
+            category = _number(m)
+        tokens.append(Token(lexeme, category))
     return TokenStream(tuple(tokens), source_id)
 
 
@@ -310,7 +293,7 @@ def categorize(ts: TokenStream) -> CategorizedMethod:
     for tok in ts.tokens:
         per_cat = counts.setdefault(tok.category, {})
         per_cat[tok.lexeme] = per_cat.get(tok.lexeme, 0) + 1
-    return CategorizedMethod(ts.source_id, counts, len(ts.tokens), tuple(ts.lexemes()))
+    return CategorizedMethod(ts.source_id, counts, tuple(ts.lexemes()))
 
 
 def categorize_source(source: str, source_id: str = "<memory>") -> CategorizedMethod:

@@ -45,7 +45,7 @@ def corpus_dir(tmp_path):
 
 def write_pairs(tmp_path, text):
     path = tmp_path / "pairs.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -155,6 +155,19 @@ class TestLoadDataset:
     def test_header_optional(self, corpus_dir, tmp_path):
         ds = load_dataset(corpus_dir, write_pairs(tmp_path, "f1,f2,1,T1\n"))
         assert len(ds.pairs) == 1
+
+    @pytest.mark.parametrize("before", ["# pairs\n", "\n  \n", "\ufeff"],
+                             ids=["after-comment", "after-blank-lines", "after-bom"])
+    def test_header_found_after_comments_blank_lines_and_bom(self, corpus_dir, tmp_path, before):
+        ds = load_dataset(corpus_dir, write_pairs(tmp_path, before + "id1,id2,label\nf1,f2,1\n"))
+        assert len(ds.pairs) == 1
+        with pytest.raises(BadRow) as exc:  # a bad row still reports its physical line
+            load_dataset(corpus_dir, write_pairs(tmp_path, before + "id1,id2,label\nf1,f2,7\n"))
+        assert exc.value.line_number == before.count("\n") + 2
+
+    def test_only_the_first_row_can_be_a_header(self, corpus_dir, tmp_path):
+        with pytest.raises(BadRow, match="label must be 0 or 1, got 'label'"):
+            load_dataset(corpus_dir, write_pairs(tmp_path, "f1,f2,1\nid1,id2,label\n"))
 
 
 class TestMakeFolds:

@@ -689,16 +689,21 @@ def _missing_dir(tmp_path):
         (lambda w, t, p: ["bench-time", "--functions", str(w / "funcs"),
                           "--pairs", str(w / "pairs.csv"), "--runs", "0"],
          1, "runs must be >= 1"),
+        (_with_threshold_nan("detect"), 1, "threshold must be finite"),
+        (_with_threshold_nan("evaluate"), 1, "threshold must be finite"),
+        (_with_threshold_nan("bench-time"), 1, "threshold must be finite"),
     ],
     ids=["embed-train-out-dir", "embed-train-out-no-parent", "pretrain-out-dir",
          "pretrain-loss-log-dir", "pretrain-loss-log-no-parent", "finetune-out-params-dir",
-         "finetune-out-head-no-parent", "evaluate-out-dir", "bench-time-runs-zero"],
+         "finetune-out-head-no-parent", "evaluate-out-dir", "bench-time-runs-zero",
+         "detect-threshold-nan", "evaluate-threshold-nan", "bench-time-threshold-nan"],
 )
 def test_options_checked_before_any_work(workspace, trained, tmp_path, monkeypatch, capsys,
                                          build, code, bad):
-    """A bad output path or run count fails before loading or training, and writes nothing."""
-    for name in ("load_methods", "load_dataset", "train_word2vec", "pretrain", "finetune",
-                 "evaluate", "build_detector"):
+    """A bad output path, run count or threshold fails before loading or training, and
+    writes nothing."""
+    for name in ("load_methods", "load_dataset", "load_table", "load_params", "train_word2vec",
+                 "pretrain", "finetune", "evaluate", "build_detector"):
         monkeypatch.setattr(cli, name, _fail_when_called(name))
     argv = build(workspace, trained, tmp_path)
     before = sorted(tmp_path.rglob("*"))

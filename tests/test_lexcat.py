@@ -227,17 +227,30 @@ _CONTRACT_LEXEMES = [
 _JOINERS = [" ", "\t", "\n", "\r\n", "\r ", " // note\n", " /* one\n two\n */ ", " /**/ "]
 
 
-@given(st.lists(st.tuples(st.sampled_from(_CONTRACT_LEXEMES), st.sampled_from(_JOINERS)),
-                max_size=30))
+_PIECES = st.lists(st.tuples(st.sampled_from(_CONTRACT_LEXEMES), st.sampled_from(_JOINERS)),
+                   max_size=30)
+
+
+@given(_PIECES)
 @settings(max_examples=200, deadline=None)
 def test_token_positions_locate_lexemes(pieces):
     source = "".join(lexeme + joiner for lexeme, joiner in pieces)
+    assert tokenize(source, "t").lexemes() == [lexeme for lexeme, _ in pieces]
+
+
+@given(_PIECES, st.integers(min_value=0))
+@settings(max_examples=200, deadline=None)
+def test_lex_error_position_locates_an_illegal_character(pieces, at):
+    """A '#' spliced between any two lexemes or joiners is reported at its own line and column."""
+    fragments = [text for piece in pieces for text in piece]
+    at %= len(fragments) + 1
+    prefix = "".join(fragments[:at])
+    source = prefix + "#" + "".join(fragments[at:])
     line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
-    tokens = tokenize(source, "t").tokens
-    assert [t.lexeme for t in tokens] == [lexeme for lexeme, _ in pieces]
-    for tok in tokens:
-        offset = line_starts[tok.line - 1] + tok.column - 1
-        assert source[offset : offset + len(tok.lexeme)] == tok.lexeme
+    with pytest.raises(LexError) as exc:
+        tokenize(source, "t")
+    assert exc.value.reason == "illegal character '#'"
+    assert line_starts[exc.value.line - 1] + exc.value.column - 1 == len(prefix)
 
 
 class TestCommentAndWhitespaceInvariance:
@@ -311,5 +324,5 @@ class TestCategorize:
     def test_lexemes_kept_in_source_order_outside_equality(self, gcd1_stream, gcd1):
         assert gcd1.lexemes() == gcd1_stream.lexemes()
         assert len(gcd1) == len(gcd1_stream) == gcd1.total_tokens
-        assert gcd1 == CategorizedMethod("gcd1", gcd1.counts, gcd1.total_tokens)
+        assert gcd1 == CategorizedMethod("gcd1", gcd1.counts)
         assert "sequence" not in repr(gcd1)
