@@ -37,7 +37,7 @@ from .detect import (
     detect_corpus,
 )
 from .embed import EmbedConfig, load_table, save_table, train_word2vec
-from .encoder import encode_method, load_params, save_params
+from .encoder import encode_methods, load_params, save_params
 from .errors import CloneCatError, DataError, NumericFailure
 from .explain import category_weights, format_weights_table
 from .train import (
@@ -75,7 +75,7 @@ def _read_config_file(path: str | None) -> dict[str, object]:
         return {}
     values: dict[str, object] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8: {exc.reason}") from exc
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -127,7 +127,7 @@ def _check_outputs(*paths) -> None:
 
 def _read_weights_file(path) -> CategoryWeights:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
         return CategoryWeights(np.array([float(tok) for tok in text.split()]))
     except UnicodeDecodeError as exc:
         raise DataError(f"weights file {path} is not valid UTF-8: {exc.reason}") from exc
@@ -211,13 +211,10 @@ def _cmd_encode(args) -> int:
     methods = load_methods(args.functions, args.inputs)
     table = load_table(args.embeddings)
     params = load_params(args.params)
-    for source_id in sorted(methods):
-        mv, _trace = encode_method(methods[source_id], table, params)
-        print(
-            json.dumps(
-                {"source_id": source_id, "vector": [float(x) for x in mv.vector]}
-            )
-        )
+    ids = sorted(methods)
+    vectors, _traces, _ = encode_methods([methods[i] for i in ids], table, params)
+    for source_id, vector in zip(ids, vectors):
+        print(json.dumps({"source_id": source_id, "vector": [float(x) for x in vector]}))
     return 0
 
 
@@ -253,8 +250,9 @@ def _cmd_explain(args) -> int:
     methods = load_methods(args.functions, args.inputs)
     table = load_table(args.embeddings)
     params = load_params(args.params)
-    for source_id in sorted(methods):
-        _mv, trace = encode_method(methods[source_id], table, params)
+    ids = sorted(methods)
+    _vectors, traces, _ = encode_methods([methods[i] for i in ids], table, params)
+    for source_id, trace in zip(ids, traces):
         report = category_weights(trace, source_id=source_id)
         print(json.dumps(report.to_json_dict(), sort_keys=True))
         print(format_weights_table(report), file=sys.stderr)

@@ -1,11 +1,11 @@
 """Clone decisions: cosine-threshold and classifier detectors over encoded
 method vectors, plus the token-overlap baselines they are measured against.
 
-Every detector has ``prepare(method)``, which turns a method into what its
-score reads (a vector, or the method itself for the overlap baselines), and
-``verdict(pair, a, b)`` over two prepared methods. Scoring ops are pure;
-``detect_corpus`` prepares each distinct method once, in first-seen order,
-then scores the pairs in order.
+Every detector has ``prepare_all(methods)``, which turns each method into
+what its score reads (a vector and its norm, or the method itself for the
+overlap baselines), and ``verdict(pair, a, b)`` over two prepared items.
+Scoring ops are pure; ``detect_corpus`` prepares the distinct methods in one
+call, in first-seen order, then scores the pairs in order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .embed import EmbeddingTable
-from .encoder import EncoderParams, encode_method
+from .encoder import EncoderParams, encode_methods
 from .errors import UnknownId
 from .lexcat import NUM_CATEGORIES, CategorizedMethod, TokenCategory, category_order
 from .train import FineTuneHead, head_forward
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 0.7
+# methods per encode_methods call: bounds peak memory; vectors are the same bytes at any size
+_PREPARE_CHUNK = 256
 
 
 def _finite_threshold(threshold: float) -> float:
@@ -89,16 +91,17 @@ class CategoryWeights:
         return float(self.values[cat.index])
 
 
-def cosine_similarity(v1, v2) -> float:
-    a = np.asarray(v1, dtype=np.float64)
-    b = np.asarray(v2, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+def _cosine(a: np.ndarray, norm_a, b: np.ndarray, norm_b) -> float:
+    if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     if np.array_equal(a, b):
         return 1.0  # identical vectors must not lose exactness to rounding
-    return float(np.dot(a, b) / (na * nb))
+    return float(np.dot(a, b) / (norm_a * norm_b))
+
+
+def cosine_similarity(v1, v2) -> float:
+    a, b = np.asarray(v1, dtype=np.float64), np.asarray(v2, dtype=np.float64)
+    return _cosine(a, np.linalg.norm(a), b, np.linalg.norm(b))
 
 
 def overlap_similarity(cm1: CategorizedMethod, cm2: CategorizedMethod) -> float:
@@ -183,15 +186,15 @@ class VectorDetector:
         self.threshold = _finite_threshold(threshold) if head is None else 0.5
         self.name = "cosine" if head is None else "classifier"
 
-    def prepare(self, method: CategorizedMethod) -> np.ndarray:
-        mv, _ = encode_method(method, self.table, self.params)
-        return mv.vector
+    def prepare_all(self, methods: Sequence[CategorizedMethod]) -> list:
+        """One ``(vector, norm)`` per method, encoded _PREPARE_CHUNK methods at a time."""
+        return [(v, np.linalg.norm(v)) for start in range(0, len(methods), _PREPARE_CHUNK)
+                for v in encode_methods(methods[start:start + _PREPARE_CHUNK],
+                                        self.table, self.params)[0]]
 
-    def verdict(self, pair, v1, v2) -> CloneVerdict:
-        if self.head is None:
-            score = cosine_similarity(v1, v2)
-        else:
-            score = classifier_score(v1, v2, self.head, self.symmetrize)
+    def verdict(self, pair, a, b) -> CloneVerdict:
+        score = (_cosine(*a, *b) if self.head is None
+                 else classifier_score(a[0], b[0], self.head, self.symmetrize))
         return CloneVerdict(pair, score, score > self.threshold, self.name)
 
 
@@ -201,8 +204,8 @@ class OverlapDetector:
     def __init__(self, threshold: float = DEFAULT_THRESHOLD):
         self.threshold = _finite_threshold(threshold)
 
-    def prepare(self, method: CategorizedMethod) -> CategorizedMethod:
-        return method
+    def prepare_all(self, methods: Sequence[CategorizedMethod]) -> Sequence[CategorizedMethod]:
+        return methods
 
     def verdict(self, pair, cm1, cm2) -> CloneVerdict:
         score = overlap_similarity(cm1, cm2)
@@ -221,16 +224,14 @@ class WeightedOverlapDetector(OverlapDetector):
         return CloneVerdict(pair, score, score > self.threshold, self.name)
 
 
-def detect_corpus(
-    methods: Mapping[str, CategorizedMethod],
-    pairs: Sequence[tuple[str, str]] | Iterable[tuple[str, str]],
-    detector,
-) -> list[CloneVerdict]:
-    """Score pairs in order; each method is prepared (encoded) at most once."""
+def detect_corpus(methods: Mapping[str, CategorizedMethod], pairs: Iterable[tuple[str, str]],
+                  detector) -> list[CloneVerdict]:
+    """Score pairs in order; each method is prepared (encoded) once, in one call."""
     pair_list = [(str(a), str(b)) for a, b in pairs]
     distinct = dict.fromkeys(mid for pair in pair_list for mid in pair)  # first-seen order
     for mid in distinct:
         if mid not in methods:
             raise UnknownId(f"unknown method id {mid!r}")
-    prepared = {mid: detector.prepare(methods[mid]) for mid in distinct}
+    prepared = dict(zip(distinct, detector.prepare_all([methods[mid] for mid in distinct]),
+                        strict=True))
     return [detector.verdict((a, b), prepared[a], prepared[b]) for a, b in pair_list]

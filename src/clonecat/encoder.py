@@ -59,9 +59,8 @@ class EncoderParams:
             raise ShapeMismatch(
                 f"expected {NUM_CATEGORIES} category blocks, got {len(self.category_blocks)}"
             )
-        for block in self.category_blocks:
+        for block in [*self.category_blocks, self.type_block]:
             block.validate()
-        self.type_block.validate()
 
 
 @dataclass

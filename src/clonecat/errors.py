@@ -25,8 +25,12 @@ class LexError(DataError):
         self.line = line
         self.column = column
         self.reason = reason
+        self.path = path
         where = f"{path}:" if path is not None else ""
         super().__init__(f"{where}{line}:{column}: {reason}")
+
+    def __reduce__(self):  # pickle rebuilds through __init__, not from the message
+        return type(self), (self.line, self.column, self.reason, self.path), self.__dict__
 
 
 class EmptyCorpus(DataError):
@@ -46,7 +50,11 @@ class BadRow(DataError):
 
     def __init__(self, line_number: int, reason: str):
         self.line_number = line_number
+        self.reason = reason
         super().__init__(f"row {line_number}: {reason}")
+
+    def __reduce__(self):
+        return type(self), (self.line_number, self.reason), self.__dict__
 
 
 class UnknownId(DataError):

@@ -18,9 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clonecat import cli, train
+from clonecat.bench import load_methods
 from clonecat.cli import run
 from clonecat.embed import EmbedConfig, load_table, train_word2vec
+from clonecat.encoder import encode_method, load_params
 from clonecat.errors import NumericFailure
+from clonecat.explain import category_weights, format_weights_table
 from clonecat.lexcat import tokenize
 
 ADD1 = "int add(int a, int b) { int s = a + b; return s; }"
@@ -294,6 +297,28 @@ class TestInferenceCommands:
         assert sum(record["weights"].values()) == pytest.approx(1.0, abs=1e-6)
         assert "Identifier" in captured.err
 
+    def test_encode_and_explain_print_one_method_encodes(self, workspace, trained, capsys):
+        """Both commands encode all methods in one batch and print what one-method
+        encodes give, in id order."""
+        methods = load_methods(workspace / "funcs")
+        table, params = load_table(trained["emb"]), load_params(trained["enc"])
+        vector_lines, report_lines, tables = [], [], []
+        for source_id in sorted(methods):
+            mv, trace = encode_method(methods[source_id], table, params)
+            vector_lines.append(json.dumps(
+                {"source_id": source_id, "vector": [float(x) for x in mv.vector]}))
+            report = category_weights(trace, source_id=source_id)
+            report_lines.append(json.dumps(report.to_json_dict(), sort_keys=True))
+            tables.append(format_weights_table(report))
+        model = ["--functions", str(workspace / "funcs"),
+                 "--embeddings", str(trained["emb"]), "--params", str(trained["enc"])]
+        assert run(["encode", *model]) == 0
+        assert capsys.readouterr().out == "\n".join(vector_lines) + "\n"
+        assert run(["explain", *model]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "\n".join(report_lines) + "\n"
+        assert captured.err == "\n".join(tables) + "\n"
+
     def test_evaluate_writes_report(self, workspace, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert run([
@@ -502,10 +527,10 @@ def _lex_error_in_functions(workspace, trained, tmp_path):
     return ["tokenize", "--functions", str(tmp_path)]
 
 
-def _config_value(command, line):
-    """``command`` with a --config file whose second line is ``line``."""
+def _with_config(command, data: bytes):
+    """``command`` with a --config file holding ``data``."""
     def build(workspace, trained, tmp_path):
-        (tmp_path / "v.cfg").write_text(f"# one value\n{line}\n")
+        (tmp_path / "v.cfg").write_bytes(data)
         argv = {"embed-train": ["embed-train", "--functions", str(workspace / "funcs"),
                                 "--out", str(tmp_path / "e.bin")],
                 "evaluate": ["evaluate", "--functions", str(workspace / "funcs"),
@@ -513,6 +538,11 @@ def _config_value(command, line):
                 "finetune": _finetune_argv(workspace, trained, tmp_path, "--epochs", "1")}[command]
         return argv + ["--config", str(tmp_path / "v.cfg")]
     return build
+
+
+def _config_value(command, line):
+    """``command`` with a --config file whose second line is ``line``."""
+    return _with_config(command, f"# one value\n{line}\n".encode())
 
 
 def _finetune_argv(workspace, trained, tmp_path, *extra):
@@ -542,6 +572,7 @@ def _npy(path):
 
 
 _W, _B = {"l0.w": np.zeros((200, 2))}, {"l0.b": np.zeros(2)}
+_BOM = b"\xef\xbb\xbf"
 # float32 bits of a signalling NaN: casting it to float64 raises numpy's "invalid" flag
 _SNAN = struct.pack("<I", 0x7F800001)
 
@@ -630,6 +661,12 @@ _SNAN = struct.pack("<I", 0x7F800001)
         (_config_value("finetune", "symmetrize = maybe"), 1,
          "v.cfg:2: symmetrize: expected one of 1/0/true/false/yes/no, got 'maybe'"),
         (_config_value("embed-train", "epochs = 0"), 1, "v.cfg: epochs must be >= 1"),
+        (_bad_weights(_BOM + b"1 " * 14), 2, "w.txt: need 15 weights"),
+        (_bad_weights(_BOM + b"-1" + b" 0" * 14, "evaluate"), 2,
+         "w.txt: weights must be finite and non-negative"),
+        (_with_config("embed-train", _BOM + b"epochs = 0\n"), 1, "v.cfg: epochs must be >= 1"),
+        (_with_config("evaluate", _BOM + b"epochs = 1\nbatch_size = 6\n"), 1,
+         "v.cfg: batch_size 6 must be a multiple of samples_per_class"),
     ],
     ids=["missing-functions-dir", "non-utf8-in", "non-utf8-functions",
          "sgns-diverges", "table-non-finite", "table-duplicate-token",
@@ -650,7 +687,9 @@ _SNAN = struct.pack("<I", 0x7F800001)
          "embeddings-is-dir", "params-is-dir", "head-is-dir", "pairs-is-dir",
          "weights-is-dir", "in-is-dir", "lex-error-names-file",
          "config-float-for-int", "config-hex-for-int", "config-seed-not-a-number",
-         "config-bool-not-a-bool", "config-value-out-of-range"],
+         "config-bool-not-a-bool", "config-value-out-of-range",
+         "weights-bom-wrong-count", "weights-bom-negative", "config-bom-value-out-of-range",
+         "config-bom-evaluate-batch-size"],
 )
 def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):
     assert run(build(workspace, trained, tmp_path)) == code
@@ -712,6 +751,24 @@ def test_options_checked_before_any_work(workspace, trained, tmp_path, monkeypat
     assert bad in err
     assert len(err.splitlines()) == 1
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_byte_order_mark_accepted_in_weights_and_config(workspace, tmp_path, capsys):
+    """A --weights or --config file that starts with a UTF-8 byte-order mark, as some
+    editors write, reads as the same file without one."""
+    (tmp_path / "w.txt").write_bytes(_BOM + (workspace / "weights.txt").read_bytes())
+    scores = []
+    for weights in (workspace / "weights.txt", tmp_path / "w.txt"):
+        assert run(["baseline", "--functions", str(workspace / "funcs"), "--pairs",
+                    str(workspace / "pairs.csv"), "--detector", "weighted",
+                    "--weights", str(weights)]) == 0
+        scores.append(capsys.readouterr().out)
+    assert scores[0] == scores[1]
+    (tmp_path / "bom.cfg").write_bytes(_BOM + b"epochs = 1\nseed = 3\n")
+    embed = ["embed-train", "--functions", str(workspace / "funcs"), "--out"]
+    assert run([*embed, str(tmp_path / "flags.bin"), "--epochs", "1", "--seed", "3"]) == 0
+    assert run([*embed, str(tmp_path / "bom.bin"), "--config", str(tmp_path / "bom.cfg")]) == 0
+    assert (tmp_path / "bom.bin").read_bytes() == (tmp_path / "flags.bin").read_bytes()
 
 
 def test_text_files_are_utf8_under_any_locale(workspace, trained, tmp_path):

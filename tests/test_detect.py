@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clonecat import detect
 from clonecat.detect import (
     CategoryWeights,
     CloneVerdict,
@@ -16,6 +17,7 @@ from clonecat.detect import (
     overlap_similarity,
     weighted_category_similarity,
 )
+from clonecat.encoder import encode_method
 from clonecat.errors import UnknownId
 from clonecat.lexcat import TokenCategory, categorize_source
 from clonecat.train import init_head
@@ -270,6 +272,73 @@ class TestDetectCorpus:
     def test_empty_pairs_ok(self, corpus, small_table, enc_params):
         detector = VectorDetector(enc_params, small_table)
         assert detect_corpus(corpus, [], detector) == []
+
+
+def _fail_if_encoding(*args, **kwargs):
+    raise AssertionError("a method was encoded")
+
+
+class TestBatchedPreparation:
+    """``VectorDetector.prepare_all`` encodes in chunks; the verdicts are those of
+    one-method encodes whatever the chunk size."""
+
+    @pytest.fixture(scope="class")
+    def expected(self, small_dataset, small_table, enc_params):
+        """Per-method vectors, and every pair of the corpus in a fixed order."""
+        vectors = {mid: encode_method(m, small_table, enc_params)[0].vector
+                   for mid, m in small_dataset.methods.items()}
+        ids = sorted(vectors, reverse=True)  # not the methods' own order
+        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+        return vectors, pairs
+
+    def test_corpus_spans_chunks_and_row_counts(self, small_dataset):
+        sizes = {len(counts) for m in small_dataset.methods.values()
+                 for counts in m.counts.values()}
+        assert len(small_dataset.methods) > 5 and len(sizes) > 3
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 15, 16, 17])
+    @pytest.mark.parametrize("head_layers, symmetrize", [(None, False), (1, False), (3, True)],
+                             ids=["cosine", "classifier", "classifier-symmetrized"])
+    def test_verdicts_equal_one_method_encodes(self, small_dataset, small_table, enc_params,
+                                               expected, monkeypatch, chunk, head_layers,
+                                               symmetrize):
+        monkeypatch.setattr(detect, "_PREPARE_CHUNK", chunk)
+        vectors, pairs = expected
+        head = None if head_layers is None else init_head(head_layers, seed=3)
+        detector = VectorDetector(enc_params, small_table, threshold=0.5, head=head,
+                                  symmetrize=symmetrize)
+        got = detect_corpus(small_dataset.methods, pairs, detector)
+        for verdict, (a, b) in zip(got, pairs, strict=True):
+            if head is None:
+                score = cosine_similarity(vectors[a], vectors[b])
+            else:
+                score = classifier_score(vectors[a], vectors[b], head, symmetrize)
+            assert verdict == CloneVerdict((a, b), score, score > detector.threshold,
+                                           detector.name)
+
+    def test_prepare_all_gives_each_vector_and_its_norm(self, small_dataset, small_table,
+                                                        enc_params, expected, monkeypatch):
+        monkeypatch.setattr(detect, "_PREPARE_CHUNK", 3)
+        vectors, _pairs = expected
+        ids = list(small_dataset.methods)
+        prepared = VectorDetector(enc_params, small_table).prepare_all(
+            [small_dataset.methods[mid] for mid in ids])
+        assert len(prepared) == len(ids)
+        for mid, (vector, norm) in zip(ids, prepared):
+            assert vector.tobytes() == vectors[mid].tobytes()
+            assert norm == np.linalg.norm(vectors[mid])
+
+    def test_unknown_id_raises_before_any_encode(self, small_dataset, small_table, enc_params,
+                                                 monkeypatch):
+        monkeypatch.setattr(detect, "encode_methods", _fail_if_encoding)
+        first = next(iter(small_dataset.methods))
+        with pytest.raises(UnknownId, match="zzz"):
+            detect_corpus(small_dataset.methods, [(first, first), (first, "zzz")],
+                          VectorDetector(enc_params, small_table))
+
+    def test_overlap_prepare_all_returns_the_methods(self, small_dataset):
+        methods = list(small_dataset.methods.values())
+        assert OverlapDetector().prepare_all(methods) == methods
 
 
 class TestThresholdMonotonicity:
