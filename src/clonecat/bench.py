@@ -23,6 +23,7 @@ from .detect import (
     OverlapDetector,
     VectorDetector,
     WeightedOverlapDetector,
+    _finite_threshold,
     detect_corpus,
     overlap_similarity,
 )
@@ -317,32 +318,51 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        """The one check of a detector's options; ``build_detector`` relies on it."""
         if self.detector not in ("cosine", "classifier", "overlap", "weighted"):
             raise ValueError(f"unknown detector {self.detector!r}")
+        _finite_threshold(self.threshold)
         if self.detector == "weighted" and self.weights is None:
-            raise ValueError("weighted detector needs CategoryWeights")
+            raise ValueError("weighted detector needs CategoryWeights: --weights FILE of 15 values")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def build_detector(config: PipelineConfig, train_pairs: Sequence[Pair],
-                   dataset: PairDataset, fold_seed: int):
-    """The detector ``config`` names; vector detectors are trained on ``train_pairs``."""
+def build_detector(config: PipelineConfig, train_pairs: Sequence[Pair] = (),
+                   dataset: PairDataset | None = None, fold_seed: int = 0, models=None):
+    """The detector ``config`` names. A vector detector scores with ``models``, a
+    ``(params, table, head or None)`` triple such as one read from files, or else
+    with models trained on ``train_pairs`` of ``dataset`` under ``fold_seed``."""
     if config.detector == "overlap":
         return OverlapDetector(threshold=config.threshold)
     if config.detector == "weighted":
         return WeightedOverlapDetector(config.weights, threshold=config.threshold)
-
-    train_ids = sorted({p.id1 for p in train_pairs} | {p.id2 for p in train_pairs})
-    corpus = [dataset.methods[mid] for mid in train_ids]
-    table = train_word2vec(corpus, replace(config.embed, seed=fold_seed))
-    params = init_params(fold_seed)
-    view = replace(dataset, pairs=train_pairs)
-    if config.train_encoder:
-        pretrain(view, table, replace(config.pretrain, seed=fold_seed), initial=params)
+    params, table, head = models or _train_models(config, train_pairs, dataset, fold_seed)
     if config.detector == "classifier":
-        head = init_head(config.finetune.layers, seed=fold_seed)
-        finetune(params, head, view, table, replace(config.finetune, seed=fold_seed))
+        if head is None:
+            raise ValueError("classifier detector needs a head")
         return VectorDetector(params, table, head=head, symmetrize=config.finetune.symmetrize)
     return VectorDetector(params, table, config.threshold)
+
+
+def _train_models(config: PipelineConfig, train_pairs: Sequence[Pair],
+                  dataset: PairDataset, seed: int) -> tuple:
+    """SGNS embeddings over the methods of ``train_pairs``, the encoder pretrained on
+    them unless ``config`` keeps it frozen, and a fine-tuned head for the classifier."""
+    if not train_pairs:
+        raise TooFewPairs(f"no pairs to train the {config.detector} detector on")
+    train_ids = sorted({p.id1 for p in train_pairs} | {p.id2 for p in train_pairs})
+    table = train_word2vec([dataset.methods[mid] for mid in train_ids],
+                           replace(config.embed, seed=seed))
+    params = init_params(seed)
+    view = replace(dataset, pairs=train_pairs)
+    if config.train_encoder:
+        pretrain(view, table, replace(config.pretrain, seed=seed), initial=params)
+    head = None
+    if config.detector == "classifier":
+        head = init_head(config.finetune.layers, seed=seed)
+        finetune(params, head, view, table, replace(config.finetune, seed=seed))
+    return params, table, head
 
 
 def evaluate(

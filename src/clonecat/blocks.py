@@ -22,9 +22,11 @@ __all__ = [
     "D_HEAD",
     "D_FF",
     "LN_EPS",
+    "BLOCK_TENSOR_SHAPES",
     "AttentionBlock",
     "BlockCache",
     "init_block",
+    "xavier_uniform",
     "block_forward",
     "block_backward",
     "layernorm_forward",
@@ -38,12 +40,14 @@ D_HEAD = D_MODEL // N_HEADS
 D_FF = 200
 LN_EPS = 1e-5
 
-# fixed tensor order, used by serialization and flat param dicts
-BLOCK_TENSOR_NAMES = (
-    "wq", "wk", "wv", "wo",
-    "w1", "b1", "w2", "b2",
-    "g1", "be1", "g2", "be2",
-)
+# every block tensor's shape, in the fixed order of serialization, flat param
+# dicts and initialization draws
+BLOCK_TENSOR_SHAPES = {
+    "wq": (D_MODEL, D_MODEL), "wk": (D_MODEL, D_MODEL),
+    "wv": (D_MODEL, D_MODEL), "wo": (D_MODEL, D_MODEL),
+    "w1": (D_MODEL, D_FF), "b1": (D_FF,), "w2": (D_FF, D_MODEL), "b2": (D_MODEL,),
+    "g1": (D_MODEL,), "be1": (D_MODEL,), "g2": (D_MODEL,), "be2": (D_MODEL,),
+}
 
 
 @dataclass
@@ -62,35 +66,16 @@ class AttentionBlock:
     be2: np.ndarray
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in BLOCK_TENSOR_NAMES}
+        return {name: getattr(self, name) for name in BLOCK_TENSOR_SHAPES}
 
     def validate(self) -> None:
-        shapes = _expected_shapes()
-        for name, arr in self.tensors().items():
-            if arr.shape != shapes[name]:
-                raise ShapeMismatch(
-                    f"{name}: expected {shapes[name]}, got {arr.shape}"
-                )
+        for name, shape in BLOCK_TENSOR_SHAPES.items():
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise ShapeMismatch(f"{name}: expected {shape}, got {arr.shape}")
 
 
-def _expected_shapes() -> dict[str, tuple[int, ...]]:
-    return {
-        "wq": (D_MODEL, D_MODEL),
-        "wk": (D_MODEL, D_MODEL),
-        "wv": (D_MODEL, D_MODEL),
-        "wo": (D_MODEL, D_MODEL),
-        "w1": (D_MODEL, D_FF),
-        "b1": (D_FF,),
-        "w2": (D_FF, D_MODEL),
-        "b2": (D_MODEL,),
-        "g1": (D_MODEL,),
-        "be1": (D_MODEL,),
-        "g2": (D_MODEL,),
-        "be2": (D_MODEL,),
-    }
-
-
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     draw = rng.uniform(-limit, limit, size=(fan_in, fan_out))
     # float32 round-trip: fresh params serialize losslessly
@@ -98,20 +83,12 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def init_block(rng: np.random.Generator) -> AttentionBlock:
-    return AttentionBlock(
-        wq=_xavier(rng, D_MODEL, D_MODEL),
-        wk=_xavier(rng, D_MODEL, D_MODEL),
-        wv=_xavier(rng, D_MODEL, D_MODEL),
-        wo=_xavier(rng, D_MODEL, D_MODEL),
-        w1=_xavier(rng, D_MODEL, D_FF),
-        b1=np.zeros(D_FF),
-        w2=_xavier(rng, D_FF, D_MODEL),
-        b2=np.zeros(D_MODEL),
-        g1=np.ones(D_MODEL),
-        be1=np.zeros(D_MODEL),
-        g2=np.ones(D_MODEL),
-        be2=np.zeros(D_MODEL),
-    )
+    """Xavier-uniform matrices, drawn in table order; zero biases and shifts, unit gains."""
+    return AttentionBlock(**{
+        name: xavier_uniform(rng, *shape) if len(shape) == 2
+        else (np.ones if name.startswith("g") else np.zeros)(shape)
+        for name, shape in BLOCK_TENSOR_SHAPES.items()
+    })
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -28,14 +28,7 @@ from .bench import (
     read_pairs,
     time_detection,
 )
-from .detect import (
-    DEFAULT_THRESHOLD,
-    CategoryWeights,
-    OverlapDetector,
-    VectorDetector,
-    WeightedOverlapDetector,
-    detect_corpus,
-)
+from .detect import DEFAULT_THRESHOLD, CategoryWeights, detect_corpus
 from .embed import EmbedConfig, load_table, save_table, train_word2vec
 from .encoder import encode_methods, load_params, save_params
 from .errors import CloneCatError, DataError, NumericFailure
@@ -96,7 +89,7 @@ def _read_config_file(path: str | None) -> dict[str, object]:
 
 
 def _apply_overrides(config, file_values: dict[str, object], args: argparse.Namespace):
-    """Explicit CLI flags, else file values, onto a dataclass config.
+    """Explicit CLI flags, else file values, onto a dataclass config, which is then validated.
 
     A config that holds a file value and fails validation names the file.
     """
@@ -108,11 +101,12 @@ def _apply_overrides(config, file_values: dict[str, object], args: argparse.Name
         elif f.name in file_values:
             setattr(config, f.name, file_values[f.name])
             from_file = True
-    if from_file:
-        try:
-            config.validate()
-        except ValueError as exc:
+    try:
+        config.validate()
+    except ValueError as exc:
+        if from_file:
             raise ValueError(f"{args.config}: {exc}") from None
+        raise
     return config
 
 
@@ -136,16 +130,29 @@ def _read_weights_file(path) -> CategoryWeights:
 
 
 def _threshold(args) -> float:
-    """``--threshold``, or DEFAULT_THRESHOLD when absent; the classifier takes none.
-
-    Called before any loading, so a bad threshold fails at once."""
+    """``--threshold``, or DEFAULT_THRESHOLD when absent; the classifier takes none."""
     if args.threshold is None:
         return DEFAULT_THRESHOLD
     if args.detector == "classifier":
         raise ValueError("--threshold is for the cosine detector; the classifier decides at 0.5")
-    if not np.isfinite(args.threshold):
-        raise ValueError(f"threshold must be finite, got {args.threshold}")
     return args.threshold
+
+
+def _pipeline_config(args) -> PipelineConfig:
+    """The validated detector options of a scoring command; reads the --config and
+    --weights files only, so a bad option fails before any corpus or model is loaded."""
+    file_values = _read_config_file(getattr(args, "config", None))
+    config = PipelineConfig(detector=args.detector, threshold=_threshold(args),
+                            train_encoder=not getattr(args, "no_train_encoder", False))
+    for sub in (config.embed, config.pretrain, config.finetune):
+        _apply_overrides(sub, file_values, args)
+    config.seed = config.embed.seed  # --seed, else the file's seed line, else 0
+    if getattr(args, "weights", None):
+        config.weights = _read_weights_file(args.weights)
+    if config.detector == "classifier" and "head" in args and not args.head:
+        raise ValueError("classifier detector needs --head")
+    config.validate()
+    return config
 
 
 # --- subcommand handlers --------------------------------------------------
@@ -160,8 +167,8 @@ def _cmd_tokenize(args) -> int:
 
 def _cmd_embed_train(args) -> int:
     _check_outputs(args.out)
-    methods = load_methods(args.functions, args.inputs)
     config = _apply_overrides(EmbedConfig(), _read_config_file(args.config), args)
+    methods = load_methods(args.functions, args.inputs)
     table = train_word2vec([methods[k] for k in sorted(methods)], config)
     save_table(table, args.out)
     print(json.dumps({"out": args.out, "vocab": len(table.vocab), "dim": table.dim}))
@@ -170,9 +177,9 @@ def _cmd_embed_train(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     _check_outputs(args.out, args.loss_log)
+    config = _apply_overrides(PretrainConfig(), _read_config_file(args.config), args)
     dataset = load_dataset(args.functions, args.pairs)
     table = load_table(args.embeddings)
-    config = _apply_overrides(PretrainConfig(), _read_config_file(args.config), args)
     result = pretrain(dataset, table, config)
     save_params(result.params, args.out)
     if args.loss_log:
@@ -187,10 +194,10 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_finetune(args) -> int:
     _check_outputs(args.out_params, args.out_head)
+    config = _apply_overrides(FineTuneConfig(), _read_config_file(args.config), args)
     dataset = load_dataset(args.functions, args.pairs)
     table = load_table(args.embeddings)
     params = load_params(args.params)
-    config = _apply_overrides(FineTuneConfig(), _read_config_file(args.config), args)
     head = init_head(config.layers, seed=config.seed)
     result = finetune(params, head, dataset, table, config)
     save_params(result.params, args.out_params)
@@ -220,28 +227,15 @@ def _cmd_encode(args) -> int:
 
 def _cmd_detect(args) -> int:
     """``detect`` and ``baseline``: score every listed pair with the named detector."""
-    threshold = _threshold(args)
+    config = _pipeline_config(args)
     methods = load_methods(args.functions, args.inputs)
     pair_ids = [(row.id1, row.id2) for row in read_pairs(args.pairs)]
-    if args.detector == "overlap":
-        detector = OverlapDetector(threshold)
-    elif args.detector == "weighted":
-        if not args.weights:
-            raise ValueError("weighted baseline needs --weights FILE (15 values)")
-        detector = WeightedOverlapDetector(
-            _read_weights_file(args.weights), threshold
-        )
-    else:
+    models = None
+    if config.detector in ("cosine", "classifier"):
         table = load_table(args.embeddings)
         params = load_params(args.params)
-        if args.detector == "classifier":
-            if not args.head:
-                raise ValueError("classifier detector needs --head")
-            detector = VectorDetector(params, table, head=load_head(args.head),
-                                      symmetrize=args.symmetrize)
-        else:
-            detector = VectorDetector(params, table, threshold)
-    for verdict in detect_corpus(methods, pair_ids, detector):
+        models = (params, table, load_head(args.head) if config.detector == "classifier" else None)
+    for verdict in detect_corpus(methods, pair_ids, build_detector(config, models=models)):
         print(json.dumps(verdict.to_json_dict(), sort_keys=True))
     return 0
 
@@ -259,24 +253,9 @@ def _cmd_explain(args) -> int:
     return 0
 
 
-def _make_pipeline_config(args) -> PipelineConfig:
-    file_values = _read_config_file(args.config)
-    config = PipelineConfig()
-    config.detector = args.detector
-    config.threshold = _threshold(args)
-    config.seed = args.seed if args.seed is not None else file_values.get("seed", 0)
-    config.train_encoder = not args.no_train_encoder
-    _apply_overrides(config.embed, file_values, args)
-    _apply_overrides(config.pretrain, file_values, args)
-    _apply_overrides(config.finetune, file_values, args)
-    if args.weights:
-        config.weights = _read_weights_file(args.weights)
-    return config
-
-
 def _cmd_evaluate(args) -> int:
     _check_outputs(args.out)
-    config = _make_pipeline_config(args)
+    config = _pipeline_config(args)
     dataset = load_dataset(args.functions, args.pairs)
     folds = make_folds(dataset, seed=config.seed, n_folds=args.folds)
     report = evaluate(dataset, folds, config)
@@ -290,7 +269,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_bench_time(args) -> int:
     if args.runs < 1:
         raise ValueError("runs must be >= 1")
-    config = _make_pipeline_config(args)
+    config = _pipeline_config(args)
     dataset = load_dataset(args.functions, args.pairs)
     start = time.perf_counter()
     detector = build_detector(config, dataset.pairs, dataset, config.seed)

@@ -75,6 +75,8 @@ class EmbedConfig:
             raise ValueError("lr must be > 0")
         if self.min_count < 1:
             raise ValueError("min_count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class Vocabulary:

@@ -16,10 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import blocks
 from .blocks import (
     AttentionBlock,
-    BLOCK_TENSOR_NAMES,
+    BLOCK_TENSOR_SHAPES,
     BlockCache,
     D_MODEL,
     block_forward,
@@ -177,15 +176,14 @@ def save_params(params: EncoderParams, path) -> None:
 
 def load_params(path) -> EncoderParams:
     reader = ModelReader(path, ENCODER_MAGIC, "parameter")
-    shapes = blocks._expected_shapes()
     loaded: list[AttentionBlock] = []
     for prefix in _BLOCK_PREFIXES:
         tensors = {}
-        for name in BLOCK_TENSOR_NAMES:
+        for name, expected in BLOCK_TENSOR_SHAPES.items():
             (ndim,) = reader.unpack("<B")
             shape = reader.unpack(f"<{ndim}I")
-            if shape != shapes[name]:
-                raise FormatError(f"tensor shape {shape} != expected {shapes[name]} in {path}")
+            if shape != expected:
+                raise FormatError(f"tensor shape {shape} != expected {expected} in {path}")
             tensors[name] = reader.floats(shape, f"tensor {prefix}.{name}").astype(np.float64)
         loaded.append(AttentionBlock(**tensors))
     reader.done()

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 
-from .blocks import D_MODEL, block_backward
+from .blocks import D_MODEL, block_backward, xavier_uniform
 from .embed import EmbeddingTable
 from .encoder import (
     EncodeCache,
@@ -108,6 +108,8 @@ class _TrainConfig:
             raise ValueError("lr must be > 0")
         if self.batch_size < self._min_batch_size:
             raise ValueError(f"batch_size must be >= {self._min_batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -520,13 +522,8 @@ def init_head(k: int = 3, seed: int = 0) -> FineTuneHead:
         raise ValueError(f"k must be one of {sorted(HEAD_WIDTHS)}")
     widths = HEAD_WIDTHS[k]
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        weights.append(w.astype(np.float32).astype(np.float64))
-        biases.append(np.zeros(fan_out))
-    return FineTuneHead(weights=weights, biases=biases)
+    return FineTuneHead(weights=[xavier_uniform(rng, *fans) for fans in zip(widths, widths[1:])],
+                        biases=[np.zeros(fan_out) for fan_out in widths[1:]])
 
 
 def head_forward(head: FineTuneHead, x: np.ndarray, want_cache: bool = False):

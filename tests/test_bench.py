@@ -19,6 +19,7 @@ from clonecat.bench import (
     PipelineConfig,
     SynthSpec,
     band_for_similarity,
+    build_detector,
     builtin_base_methods,
     evaluate,
     load_dataset,
@@ -28,6 +29,7 @@ from clonecat.bench import (
 )
 from clonecat.detect import OverlapDetector, overlap_similarity
 from clonecat.embed import EmbedConfig
+from clonecat.encoder import init_params
 from clonecat.errors import BadRow, MissingFunction, TooFewPairs
 from clonecat.lexcat import TokenCategory, categorize_source, tokenize
 from clonecat.train import PretrainConfig
@@ -419,6 +421,21 @@ class TestEvaluate:
     def test_unknown_detector_rejected(self):
         with pytest.raises(ValueError):
             PipelineConfig(detector="psychic").validate()
+
+    def test_build_detector_scores_with_given_models(self, small_table):
+        """Given models, nothing is trained; a classifier without a head is refused."""
+        params = init_params(0)
+        detector = build_detector(PipelineConfig(threshold=0.5),
+                                  models=(params, small_table, None))
+        assert (detector.name, detector.threshold, detector.params) == ("cosine", 0.5, params)
+        with pytest.raises(ValueError, match="needs a head"):
+            build_detector(PipelineConfig(detector="classifier"),
+                           models=(params, small_table, None))
+
+    @pytest.mark.parametrize("detector", ["cosine", "classifier"])
+    def test_training_on_no_pairs_rejected(self, small_dataset, detector):
+        with pytest.raises(TooFewPairs, match=f"no pairs to train the {detector} detector"):
+            build_detector(PipelineConfig(detector=detector), [], small_dataset, 0)
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import json
 import os
 import pickle
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -521,6 +522,28 @@ def _evaluate_folds(folds):
     return build
 
 
+def _evaluate_seed(seed):
+    def build(workspace, trained, tmp_path):
+        return ["evaluate", "--functions", str(workspace / "funcs"),
+                "--pairs", str(workspace / "pairs.csv"), "--seed", seed]
+    return build
+
+
+def _header_only_pairs(command):
+    def build(workspace, trained, tmp_path):
+        (tmp_path / "header.csv").write_text("id1,id2,label\n", encoding="utf-8")
+        return [command, "--functions", str(workspace / "funcs"),
+                "--pairs", str(tmp_path / "header.csv")]
+    return build
+
+
+def _weighted_without_weights(command):
+    def build(workspace, trained, tmp_path):
+        return [command, "--functions", str(workspace / "funcs"),
+                "--pairs", str(workspace / "pairs.csv"), "--detector", "weighted"]
+    return build
+
+
 def _lex_error_in_functions(workspace, trained, tmp_path):
     (tmp_path / "ok.java").write_text(ADD1)
     (tmp_path / "zz_bad.java").write_text("int h() { int x = 1; # }")
@@ -667,6 +690,16 @@ _SNAN = struct.pack("<I", 0x7F800001)
         (_with_config("embed-train", _BOM + b"epochs = 0\n"), 1, "v.cfg: epochs must be >= 1"),
         (_with_config("evaluate", _BOM + b"epochs = 1\nbatch_size = 6\n"), 1,
          "v.cfg: batch_size 6 must be a multiple of samples_per_class"),
+        (lambda w, t, p: ["embed-train", "--functions", str(w / "funcs"),
+                          "--out", str(p / "e.bin"), "--seed", "-1"],
+         1, "seed must be >= 0, got -1"),
+        (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs", "--seed", "-3"),
+         1, "seed must be >= 0, got -3"),
+        (_evaluate_seed("-2"), 1, "seed must be >= 0, got -2"),
+        (_config_value("embed-train", "seed = -1"), 1, "v.cfg: seed must be >= 0, got -1"),
+        (_config_value("evaluate", "seed = -1"), 1, "v.cfg: seed must be >= 0, got -1"),
+        (_evaluate_folds("1"), 2, "no pairs to train the cosine detector on"),
+        (_header_only_pairs("bench-time"), 2, "no pairs to train the cosine detector on"),
     ],
     ids=["missing-functions-dir", "non-utf8-in", "non-utf8-functions",
          "sgns-diverges", "table-non-finite", "table-duplicate-token",
@@ -689,7 +722,10 @@ _SNAN = struct.pack("<I", 0x7F800001)
          "config-float-for-int", "config-hex-for-int", "config-seed-not-a-number",
          "config-bool-not-a-bool", "config-value-out-of-range",
          "weights-bom-wrong-count", "weights-bom-negative", "config-bom-value-out-of-range",
-         "config-bom-evaluate-batch-size"],
+         "config-bom-evaluate-batch-size", "embed-train-seed-negative", "pretrain-seed-negative",
+         "evaluate-seed-negative", "config-seed-negative-embed-train",
+         "config-seed-negative-evaluate", "evaluate-one-fold-trains-on-nothing",
+         "bench-time-header-only-pairs"],
 )
 def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):
     assert run(build(workspace, trained, tmp_path)) == code
@@ -731,18 +767,31 @@ def _missing_dir(tmp_path):
         (_with_threshold_nan("detect"), 1, "threshold must be finite"),
         (_with_threshold_nan("evaluate"), 1, "threshold must be finite"),
         (_with_threshold_nan("bench-time"), 1, "threshold must be finite"),
+        (_evaluate_seed("-1"), 1, "seed must be >= 0, got -1"),
+        (lambda w, t, p: ["embed-train", "--functions", str(w / "funcs"),
+                          "--out", str(p / "e.bin"), "--seed", "-1"], 1, "seed must be >= 0"),
+        (lambda w, t, p: ["detect", "--functions", str(w / "funcs"),
+                          "--pairs", str(w / "pairs.csv"), "--embeddings", str(t["emb"]),
+                          "--params", str(t["enc2"]), "--detector", "classifier"],
+         1, "classifier detector needs --head"),
+        (_weighted_without_weights("baseline"), 1, "weighted detector needs CategoryWeights"),
+        (_weighted_without_weights("evaluate"), 1, "weighted detector needs CategoryWeights"),
+        (_weighted_without_weights("bench-time"), 1, "weighted detector needs CategoryWeights"),
     ],
     ids=["embed-train-out-dir", "embed-train-out-no-parent", "pretrain-out-dir",
          "pretrain-loss-log-dir", "pretrain-loss-log-no-parent", "finetune-out-params-dir",
          "finetune-out-head-no-parent", "evaluate-out-dir", "bench-time-runs-zero",
-         "detect-threshold-nan", "evaluate-threshold-nan", "bench-time-threshold-nan"],
+         "detect-threshold-nan", "evaluate-threshold-nan", "bench-time-threshold-nan",
+         "evaluate-seed-negative", "embed-train-seed-negative", "detect-classifier-without-head",
+         "baseline-weighted-without-weights", "evaluate-weighted-without-weights",
+         "bench-time-weighted-without-weights"],
 )
 def test_options_checked_before_any_work(workspace, trained, tmp_path, monkeypatch, capsys,
                                          build, code, bad):
-    """A bad output path, run count or threshold fails before loading or training, and
-    writes nothing."""
-    for name in ("load_methods", "load_dataset", "load_table", "load_params", "train_word2vec",
-                 "pretrain", "finetune", "evaluate", "build_detector"):
+    """A bad output path, run count, threshold or seed, or a missing --head or --weights,
+    fails before loading or training, and writes nothing."""
+    for name in ("load_methods", "load_dataset", "load_table", "load_params", "load_head",
+                 "train_word2vec", "pretrain", "finetune", "evaluate", "build_detector"):
         monkeypatch.setattr(cli, name, _fail_when_called(name))
     argv = build(workspace, trained, tmp_path)
     before = sorted(tmp_path.rglob("*"))
@@ -905,3 +954,18 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     verdict, weights = map(ast.literal_eval, capsys.readouterr().out.splitlines())
     assert (verdict["id1"], verdict["id2"]) == ("a", "b")
     assert abs(sum(weights["weights"].values()) - 1.0) < 1e-9
+
+
+def test_readme_cli_lines_parse():
+    """Every ``clonecat`` line of the README's CLI block parses with the flags the parser has."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("clonecat ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
