@@ -17,10 +17,8 @@ from .embed import (  # noqa: F401
     EmbedConfig,
     EmbeddingTable,
     Vocabulary,
-    build_vocab,
     load_table,
     save_table,
-    token_cosine,
     train_word2vec,
 )
 from .encoder import (  # noqa: F401
@@ -37,7 +35,6 @@ from .train import (  # noqa: F401
     FineTuneHead,
     PretrainConfig,
     finetune,
-    grad_check,
     init_head,
     pretrain,
     rmsprop_step,

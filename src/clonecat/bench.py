@@ -30,7 +30,7 @@ from .detect import (
 from .embed import EmbedConfig, train_word2vec
 from .encoder import init_params
 from .errors import BadRow, DataError, LexError, MissingFunction, TooFewPairs
-from .lexcat import CategorizedMethod, TokenCategory, categorize, tokenize
+from .lexcat import CategorizedMethod, TokenCategory, categorize_source, tokenize
 from .train import (
     FineTuneConfig,
     PretrainConfig,
@@ -158,7 +158,7 @@ def load_methods(functions_dir=None, files: Sequence = ()) -> dict[str, Categori
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not valid UTF-8: {exc.reason}") from exc
         try:
-            methods[path.stem] = categorize(tokenize(text, source_id=path.stem))
+            methods[path.stem] = categorize_source(text, path.stem)
         except LexError as exc:
             raise LexError(exc.line, exc.column, exc.reason, path) from None
     if not methods:
@@ -314,7 +314,8 @@ class PipelineConfig:
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     finetune: FineTuneConfig = field(default_factory=FineTuneConfig)
     train_encoder: bool = True  # False = random-frozen attention baseline
-    weights: CategoryWeights | None = None
+    weights: CategoryWeights | None = None  # read by the weighted detector only
+    symmetrize: bool = False  # the classifier averages both pair orders
     seed: int = 0
 
     def validate(self) -> None:
@@ -324,6 +325,10 @@ class PipelineConfig:
         _finite_threshold(self.threshold)
         if self.detector == "weighted" and self.weights is None:
             raise ValueError("weighted detector needs CategoryWeights: --weights FILE of 15 values")
+        if self.detector != "weighted" and self.weights is not None:
+            raise ValueError(f"weights are for the weighted detector, not {self.detector}")
+        if self.detector != "classifier" and self.symmetrize:
+            raise ValueError(f"symmetrize is for the classifier detector, not {self.detector}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -341,7 +346,7 @@ def build_detector(config: PipelineConfig, train_pairs: Sequence[Pair] = (),
     if config.detector == "classifier":
         if head is None:
             raise ValueError("classifier detector needs a head")
-        return VectorDetector(params, table, head=head, symmetrize=config.finetune.symmetrize)
+        return VectorDetector(params, table, head=head, symmetrize=config.symmetrize)
     return VectorDetector(params, table, config.threshold)
 
 
@@ -527,7 +532,7 @@ def synth_clones(base_methods: Mapping[str, str], spec: SynthSpec | None = None)
             kinds[mid] = "t3"
         class_ids = []
         for mid, text in members:
-            methods[mid] = categorize(tokenize(text, source_id=mid))
+            methods[mid] = categorize_source(text, mid)
             class_ids.append(mid)
         classes.append(class_ids)
 

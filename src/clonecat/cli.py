@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .bench import (
 )
 from .detect import DEFAULT_THRESHOLD, CategoryWeights, detect_corpus
 from .embed import EmbedConfig, load_table, save_table, train_word2vec
-from .encoder import encode_methods, load_params, save_params
+from .encoder import encode_chunked, load_params, save_params
 from .errors import CloneCatError, DataError, NumericFailure
 from .explain import category_weights, format_weights_table
 from .train import (
@@ -52,15 +52,6 @@ _CONFIG_TYPES = {
     f.name: type(f.default) for config in (EmbedConfig, PretrainConfig, FineTuneConfig)
     for f in dataclass_fields(config)
 }
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _parse_value(kind: type, raw: str):
-    if kind is bool:
-        if raw.lower() not in _BOOLEANS:
-            raise ValueError(f"expected one of 1/0/true/false/yes/no, got {raw!r}")
-        return _BOOLEANS[raw.lower()]
-    return kind(raw)
 
 
 def _read_config_file(path: str | None) -> dict[str, object]:
@@ -82,7 +73,7 @@ def _read_config_file(path: str | None) -> dict[str, object]:
         if key not in _CONFIG_TYPES:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
         try:
-            values[key] = _parse_value(_CONFIG_TYPES[key], value.strip())
+            values[key] = _CONFIG_TYPES[key](value.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     return values
@@ -91,22 +82,23 @@ def _read_config_file(path: str | None) -> dict[str, object]:
 def _apply_overrides(config, file_values: dict[str, object], args: argparse.Namespace):
     """Explicit CLI flags, else file values, onto a dataclass config, which is then validated.
 
-    A config that holds a file value and fails validation names the file.
+    A config that fails validation names the file, unless the flags alone fail
+    on the defaults too: then a flag is at fault, and its error is raised.
     """
-    from_file = False
-    for f in dataclass_fields(config):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            setattr(config, f.name, flag_value)
-        elif f.name in file_values:
-            setattr(config, f.name, file_values[f.name])
-            from_file = True
+    names = [f.name for f in dataclass_fields(config)]
+    flags = {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+    from_file = {name: file_values[name] for name in names
+                 if name in file_values and name not in flags}
+    flags_alone = replace(config, **flags)
+    for name, value in {**from_file, **flags}.items():
+        setattr(config, name, value)
     try:
         config.validate()
     except ValueError as exc:
-        if from_file:
-            raise ValueError(f"{args.config}: {exc}") from None
-        raise
+        if not from_file:
+            raise
+        flags_alone.validate()
+        raise ValueError(f"{args.config}: {exc}") from None
     return config
 
 
@@ -143,14 +135,20 @@ def _pipeline_config(args) -> PipelineConfig:
     --weights files only, so a bad option fails before any corpus or model is loaded."""
     file_values = _read_config_file(getattr(args, "config", None))
     config = PipelineConfig(detector=args.detector, threshold=_threshold(args),
-                            train_encoder=not getattr(args, "no_train_encoder", False))
+                            train_encoder=not getattr(args, "no_train_encoder", False),
+                            symmetrize=getattr(args, "symmetrize", False))
     for sub in (config.embed, config.pretrain, config.finetune):
         _apply_overrides(sub, file_values, args)
     config.seed = config.embed.seed  # --seed, else the file's seed line, else 0
+    if "head" in args:  # detect reads its models from files
+        if config.detector == "classifier" and not args.head:
+            raise ValueError("classifier detector needs --head")
+        if config.detector != "classifier" and args.head:
+            raise ValueError(f"--head is for the classifier detector, not {config.detector}")
     if getattr(args, "weights", None):
+        if config.detector != "weighted":
+            raise ValueError(f"--weights is for the weighted detector, not {config.detector}")
         config.weights = _read_weights_file(args.weights)
-    if config.detector == "classifier" and "head" in args and not args.head:
-        raise ValueError("classifier detector needs --head")
     config.validate()
     return config
 
@@ -214,13 +212,18 @@ def _cmd_finetune(args) -> int:
     return 0
 
 
-def _cmd_encode(args) -> int:
+def _encoded(args):
+    """``(source_id, (vector, trace))`` of every input method in id order, encoded
+    in chunks; the corpus and both model files are read before this returns."""
     methods = load_methods(args.functions, args.inputs)
     table = load_table(args.embeddings)
     params = load_params(args.params)
     ids = sorted(methods)
-    vectors, _traces, _ = encode_methods([methods[i] for i in ids], table, params)
-    for source_id, vector in zip(ids, vectors):
+    return zip(ids, encode_chunked([methods[i] for i in ids], table, params))
+
+
+def _cmd_encode(args) -> int:
+    for source_id, (vector, _trace) in _encoded(args):
         print(json.dumps({"source_id": source_id, "vector": [float(x) for x in vector]}))
     return 0
 
@@ -241,12 +244,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    methods = load_methods(args.functions, args.inputs)
-    table = load_table(args.embeddings)
-    params = load_params(args.params)
-    ids = sorted(methods)
-    _vectors, traces, _ = encode_methods([methods[i] for i in ids], table, params)
-    for source_id, trace in zip(ids, traces):
+    for source_id, (_vector, trace) in _encoded(args):
         report = category_weights(trace, source_id=source_id)
         print(json.dumps(report.to_json_dict(), sort_keys=True))
         print(format_weights_table(report), file=sys.stderr)

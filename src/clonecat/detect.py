@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .embed import EmbeddingTable
-from .encoder import EncoderParams, encode_methods
+from .encoder import EncoderParams, encode_chunked
 from .errors import UnknownId
 from .lexcat import NUM_CATEGORIES, CategorizedMethod, TokenCategory, category_order
 from .train import FineTuneHead, head_forward
@@ -36,8 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 0.7
-# methods per encode_methods call: bounds peak memory; vectors are the same bytes at any size
-_PREPARE_CHUNK = 256
 
 
 def _finite_threshold(threshold: float) -> float:
@@ -75,17 +73,6 @@ class CategoryWeights:
             raise ValueError(f"need {NUM_CATEGORIES} weights, got shape {self.values.shape}")
         if not (np.all(np.isfinite(self.values)) and np.all(self.values >= 0)):
             raise ValueError("weights must be finite and non-negative")
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, float]) -> "CategoryWeights":
-        order = category_order()
-        index = {cat.value: i for i, cat in enumerate(order)}
-        values = np.zeros(NUM_CATEGORIES)
-        for name, weight in mapping.items():
-            if name not in index:
-                raise ValueError(f"unknown category name {name!r}")
-            values[index[name]] = weight
-        return cls(values)
 
     def weight_for(self, cat: TokenCategory) -> float:
         return float(self.values[cat.index])
@@ -187,10 +174,9 @@ class VectorDetector:
         self.name = "cosine" if head is None else "classifier"
 
     def prepare_all(self, methods: Sequence[CategorizedMethod]) -> list:
-        """One ``(vector, norm)`` per method, encoded _PREPARE_CHUNK methods at a time."""
-        return [(v, np.linalg.norm(v)) for start in range(0, len(methods), _PREPARE_CHUNK)
-                for v in encode_methods(methods[start:start + _PREPARE_CHUNK],
-                                        self.table, self.params)[0]]
+        """One ``(vector, norm)`` per method, encoded in chunks."""
+        return [(v, np.linalg.norm(v))
+                for v, _trace in encode_chunked(methods, self.table, self.params)]
 
     def verdict(self, pair, a, b) -> CloneVerdict:
         score = (_cosine(*a, *b) if self.head is None

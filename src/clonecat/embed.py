@@ -32,9 +32,7 @@ __all__ = [
     "EmbedConfig",
     "Vocabulary",
     "EmbeddingTable",
-    "build_vocab",
     "train_word2vec",
-    "token_cosine",
     "save_table",
     "load_table",
 ]
@@ -92,24 +90,8 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def unk_id(self) -> int:
-        return 0
-
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, 0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self.tokens == other.tokens
-
-
-def _corpus_sentences(corpus: Iterable[TokenStream | CategorizedMethod]) -> list[list[str]]:
-    return [ts.lexemes() for ts in corpus]
-
-
-def build_vocab(corpus: Iterable[TokenStream | CategorizedMethod], min_count: int = 1) -> Vocabulary:
-    """Count lexemes; tokens under min_count fold into UNK."""
-    return _vocab_from_sentences(_corpus_sentences(corpus), min_count)
 
 
 def _vocab_from_sentences(sentences: list[list[str]], min_count: int) -> Vocabulary:
@@ -149,16 +131,6 @@ class EmbeddingTable:
         return self.matrix[self.vocab.id_for(lexeme)]
 
 
-def token_cosine(table: EmbeddingTable, t1: str, t2: str) -> float:
-    v1 = table.lookup(t1).astype(np.float64)
-    v2 = table.lookup(t2).astype(np.float64)
-    n1 = np.linalg.norm(v1)
-    n2 = np.linalg.norm(v2)
-    if n1 == 0.0 or n2 == 0.0:
-        return 0.0
-    return float(np.dot(v1, v2) / (n1 * n2))
-
-
 def _noise_cumdist(vocab: Vocabulary) -> np.ndarray:
     weights = np.array(vocab.freqs, dtype=np.float64) ** _NOISE_POWER
     weights[weights == 0.0] = 0.0
@@ -187,7 +159,7 @@ def train_word2vec(corpus: Iterable[TokenStream | CategorizedMethod],
     """
     config = config or EmbedConfig()
     config.validate()
-    sentences = _corpus_sentences(corpus)
+    sentences = [ts.lexemes() for ts in corpus]
     vocab = _vocab_from_sentences(sentences, config.min_count)
     ids_per_sentence = [
         np.array([vocab.id_for(t) for t in sent], dtype=np.int64)

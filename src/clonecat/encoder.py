@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "EncodeCache",
     "init_params",
     "encode_methods",
+    "encode_chunked",
     "encode_method",
     "params_tensors",
     "save_params",
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 ENCODER_MAGIC = b"CCENC1"
+# methods per encode_methods call in encode_chunked: bounds peak memory on a large
+# corpus; vectors and traces are the same bytes at any size
+_ENCODE_CHUNK = 256
 # tensor name prefix of each block, in file order: cat00..cat14, then type
 _BLOCK_PREFIXES = [f"cat{i:02d}" for i in range(NUM_CATEGORIES)] + ["type"]
 
@@ -150,6 +154,14 @@ def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
         cache.type.append((members, cats, block_cache))
     traces = [AttentionTrace(matrix=m, present_mask=p) for m, p in zip(matrices, present)]
     return vectors, traces, cache if want_cache else None
+
+
+def encode_chunked(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
+                   params: EncoderParams) -> Iterator[tuple[np.ndarray, AttentionTrace]]:
+    """``(vector, trace)`` of each method in order, encoded _ENCODE_CHUNK methods at a time."""
+    for start in range(0, len(methods), _ENCODE_CHUNK):
+        vectors, traces, _ = encode_methods(methods[start:start + _ENCODE_CHUNK], table, params)
+        yield from zip(vectors, traces)
 
 
 def encode_method(method: CategorizedMethod, table: EmbeddingTable, params: EncoderParams,

@@ -45,7 +45,6 @@ __all__ = [
     "PretrainResult",
     "FineTuneHead",
     "FineTuneResult",
-    "GradCheckReport",
     "supcon_loss",
     "rmsprop_step",
     "clone_classes",
@@ -59,7 +58,6 @@ __all__ = [
     "head_backward",
     "cross_entropy",
     "finetune",
-    "grad_check",
     "write_loss_csv",
 ]
 
@@ -135,7 +133,6 @@ class PretrainConfig(_TrainConfig):
 @dataclass
 class FineTuneConfig(_TrainConfig):
     layers: int = 3
-    symmetrize: bool = False
 
     def validate(self) -> None:
         if self.layers not in HEAD_WIDTHS:
@@ -639,56 +636,3 @@ def write_loss_csv(log: Sequence[tuple[int, int, float]], path) -> None:
         writer.writerow(["epoch", "batch", "loss"])
         for epoch, batch, loss in log:
             writer.writerow([epoch, batch, f"{loss:.10g}"])
-
-
-@dataclass
-class GradCheckReport:
-    checked: int
-    max_rel_err: float
-    tol: float
-    failures: list[tuple[str, tuple[int, ...], float, float, float]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def grad_check(
-    loss_fn: Callable[[Mapping[str, np.ndarray]], tuple[float, Mapping[str, np.ndarray]]],
-    params: Mapping[str, np.ndarray],
-    tol: float = 1e-4,
-    samples_per_tensor: int = 4,
-    step: float = 1e-5,
-    seed: int = 0,
-) -> GradCheckReport:
-    """Central-difference verification of analytic gradients.
-
-    ``loss_fn(params)`` must return (loss, grads) computed from the live
-    arrays in ``params``; coordinates are perturbed in place and restored.
-    """
-    _, grads = loss_fn(params)
-    rng = np.random.default_rng(seed)
-    checked = 0
-    max_rel = 0.0
-    failures = []
-    for name in sorted(params):
-        arr = params[name]
-        size = arr.size
-        n_samples = min(samples_per_tensor, size)
-        picks = rng.choice(size, size=n_samples, replace=False)
-        for flat_idx in picks:
-            orig = arr.flat[flat_idx]
-            arr.flat[flat_idx] = orig + step
-            loss_plus, _ = loss_fn(params)
-            arr.flat[flat_idx] = orig - step
-            loss_minus, _ = loss_fn(params)
-            arr.flat[flat_idx] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * step)
-            analytic = float(grads[name].flat[flat_idx])
-            rel = abs(analytic - numeric) / max(1.0, abs(analytic))
-            checked += 1
-            max_rel = max(max_rel, rel)
-            if rel >= tol:
-                idx = np.unravel_index(flat_idx, arr.shape)
-                failures.append((name, tuple(int(i) for i in idx), analytic, numeric, rel))
-    return GradCheckReport(checked=checked, max_rel_err=max_rel, tol=tol, failures=failures)

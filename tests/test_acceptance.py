@@ -59,13 +59,13 @@ from clonecat.train import (
     PretrainConfig,
     cross_entropy,
     encode_backward,
-    grad_check,
     head_backward,
     head_forward,
     init_head,
     pretrain,
     supcon_loss,
 )
+from gradcheck import grad_check
 from labeled_corpus import LABELED_SNIPPETS
 
 

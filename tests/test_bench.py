@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from clonecat import bench
 from clonecat.bench import (
     CloneType,
     FoldPlan,
@@ -27,12 +28,18 @@ from clonecat.bench import (
     synth_clones,
     time_detection,
 )
-from clonecat.detect import OverlapDetector, overlap_similarity
+from clonecat.detect import (
+    CategoryWeights,
+    CloneVerdict,
+    OverlapDetector,
+    classifier_score,
+    overlap_similarity,
+)
 from clonecat.embed import EmbedConfig
-from clonecat.encoder import init_params
+from clonecat.encoder import encode_method, init_params
 from clonecat.errors import BadRow, MissingFunction, TooFewPairs
 from clonecat.lexcat import TokenCategory, categorize_source, tokenize
-from clonecat.train import PretrainConfig
+from clonecat.train import FineTuneConfig, PretrainConfig
 
 
 @pytest.fixture()
@@ -421,6 +428,60 @@ class TestEvaluate:
     def test_unknown_detector_rejected(self):
         with pytest.raises(ValueError):
             PipelineConfig(detector="psychic").validate()
+
+    @pytest.mark.parametrize("detector", ["cosine", "classifier", "overlap"])
+    def test_weights_only_with_the_weighted_detector(self, detector):
+        config = PipelineConfig(detector=detector, weights=CategoryWeights(np.ones(15)))
+        message = f"weights are for the weighted detector, not {detector}"
+        with pytest.raises(ValueError, match=message):
+            config.validate()
+
+    @pytest.mark.parametrize("detector", ["cosine", "overlap", "weighted"])
+    def test_symmetrize_only_with_the_classifier(self, detector):
+        weights = CategoryWeights(np.ones(15)) if detector == "weighted" else None
+        config = PipelineConfig(detector=detector, weights=weights, symmetrize=True)
+        message = f"symmetrize is for the classifier detector, not {detector}"
+        with pytest.raises(ValueError, match=message):
+            config.validate()
+
+    def test_symmetrized_classifier_scores_each_fold_with_its_models(self, small_dataset,
+                                                                     monkeypatch):
+        """Each fold's verdicts are the symmetrized head probabilities of that fold's
+        trained models, and the fold's confusion counts come from those verdicts."""
+        trained, scored = [], []
+        train_models, detect_corpus = bench._train_models, bench.detect_corpus
+
+        def recording_train(*args):
+            trained.append(train_models(*args))
+            return trained[-1]
+
+        def recording_detect(*args):
+            scored.append(detect_corpus(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(bench, "_train_models", recording_train)
+        monkeypatch.setattr(bench, "detect_corpus", recording_detect)
+        plan = make_folds(small_dataset, seed=0, n_folds=3)
+        config = PipelineConfig(detector="classifier", symmetrize=True,
+                                embed=EmbedConfig(epochs=1), pretrain=PretrainConfig(epochs=1),
+                                finetune=FineTuneConfig(epochs=1, layers=1))
+        report = evaluate(small_dataset, plan, config)
+        order_matters = False
+        for fold, (params, table, head), verdicts, metrics in zip(
+                plan.folds, trained, scored, report.folds, strict=True):
+            counts = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+            for pair, verdict in zip((small_dataset.pairs[i] for i in fold), verdicts,
+                                     strict=True):
+                v1, v2 = (encode_method(small_dataset.methods[mid], table, params)[0].vector
+                          for mid in (pair.id1, pair.id2))
+                score = classifier_score(v1, v2, head, symmetrize=True)
+                assert verdict == CloneVerdict((pair.id1, pair.id2), score, score > 0.5,
+                                               "classifier")
+                order_matters |= score != classifier_score(v1, v2, head)
+                counts[("t" if verdict.is_clone == (pair.label == 1) else "f")
+                       + ("p" if verdict.is_clone else "n")] += 1
+            assert counts == {k: getattr(metrics, k) for k in counts}
+        assert order_matters
 
     def test_build_detector_scores_with_given_models(self, small_table):
         """Given models, nothing is trained; a classifier without a head is refused."""

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clonecat import cli, train
-from clonecat.bench import load_methods
+from clonecat import cli, encoder, train
+from clonecat.bench import load_methods, read_pairs
+from clonecat.detect import classifier_score
 from clonecat.cli import run
 from clonecat.embed import EmbedConfig, load_table, train_word2vec
 from clonecat.encoder import encode_method, load_params
@@ -320,6 +321,54 @@ class TestInferenceCommands:
         assert captured.out == "\n".join(report_lines) + "\n"
         assert captured.err == "\n".join(tables) + "\n"
 
+    def test_encode_and_explain_encode_in_chunks(self, workspace, trained, monkeypatch,
+                                                 capsys):
+        """Both commands encode through the encoder's chunk loop, so no single
+        encode_methods call holds the whole corpus; the output does not change."""
+        model = ["--functions", str(workspace / "funcs"),
+                 "--embeddings", str(trained["emb"]), "--params", str(trained["enc"])]
+        whole = {}
+        for command in ("encode", "explain"):
+            assert run([command, *model]) == 0
+            whole[command] = capsys.readouterr()
+        batches = []
+        encode_methods = encoder.encode_methods
+
+        def recording(methods, *args, **kwargs):
+            batches.append(len(methods))
+            return encode_methods(methods, *args, **kwargs)
+
+        monkeypatch.setattr(encoder, "_ENCODE_CHUNK", 2)
+        monkeypatch.setattr(encoder, "encode_methods", recording)
+        for command in ("encode", "explain"):
+            batches.clear()
+            assert run([command, *model]) == 0
+            assert batches == [2, 2, 2]  # six methods
+            assert capsys.readouterr() == whole[command]
+
+    def test_detect_symmetrized_classifier(self, workspace, trained, capsys):
+        """``--symmetrize`` prints each pair's mean head probability over both orders."""
+        assert run([
+            "detect", "--functions", str(workspace / "funcs"),
+            "--pairs", str(workspace / "pairs.csv"),
+            "--embeddings", str(trained["emb"]), "--params", str(trained["enc2"]),
+            "--detector", "classifier", "--head", str(trained["head"]), "--symmetrize",
+        ]) == 0
+        methods = load_methods(workspace / "funcs")
+        table, params = load_table(trained["emb"]), load_params(trained["enc2"])
+        head = train.load_head(trained["head"])
+        expected, plain = [], []
+        for row in read_pairs(workspace / "pairs.csv"):
+            v1 = encode_method(methods[row.id1], table, params)[0].vector
+            v2 = encode_method(methods[row.id2], table, params)[0].vector
+            score = classifier_score(v1, v2, head, symmetrize=True)
+            plain.append(classifier_score(v1, v2, head))
+            expected.append(json.dumps({"detector": "classifier", "id1": row.id1,
+                                        "id2": row.id2, "is_clone": score > 0.5,
+                                        "score": score}, sort_keys=True))
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+        assert [json.loads(line)["score"] for line in expected] != plain
+
     def test_evaluate_writes_report(self, workspace, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert run([
@@ -544,14 +593,23 @@ def _weighted_without_weights(command):
     return build
 
 
+def _weights_with(command, detector):
+    """``command`` with ``detector`` and a --weights file that does not exist."""
+    def build(workspace, trained, tmp_path):
+        return [command, "--functions", str(workspace / "funcs"), "--pairs",
+                str(workspace / "pairs.csv"), "--detector", detector,
+                "--weights", str(tmp_path / "absent.txt")]
+    return build
+
+
 def _lex_error_in_functions(workspace, trained, tmp_path):
     (tmp_path / "ok.java").write_text(ADD1)
     (tmp_path / "zz_bad.java").write_text("int h() { int x = 1; # }")
     return ["tokenize", "--functions", str(tmp_path)]
 
 
-def _with_config(command, data: bytes):
-    """``command`` with a --config file holding ``data``."""
+def _with_config(command, data: bytes, *flags):
+    """``command`` with ``flags`` and a --config file holding ``data``."""
     def build(workspace, trained, tmp_path):
         (tmp_path / "v.cfg").write_bytes(data)
         argv = {"embed-train": ["embed-train", "--functions", str(workspace / "funcs"),
@@ -559,13 +617,13 @@ def _with_config(command, data: bytes):
                 "evaluate": ["evaluate", "--functions", str(workspace / "funcs"),
                              "--pairs", str(workspace / "pairs.csv"), "--folds", "2"],
                 "finetune": _finetune_argv(workspace, trained, tmp_path, "--epochs", "1")}[command]
-        return argv + ["--config", str(tmp_path / "v.cfg")]
+        return argv + [*flags, "--config", str(tmp_path / "v.cfg")]
     return build
 
 
-def _config_value(command, line):
-    """``command`` with a --config file whose second line is ``line``."""
-    return _with_config(command, f"# one value\n{line}\n".encode())
+def _config_value(command, line, *flags):
+    """``command`` with ``flags`` and a --config file whose second line is ``line``."""
+    return _with_config(command, f"# one value\n{line}\n".encode(), *flags)
 
 
 def _finetune_argv(workspace, trained, tmp_path, *extra):
@@ -681,8 +739,7 @@ _SNAN = struct.pack("<I", 0x7F800001)
         (_config_value("embed-train", "epochs = 1.5"), 1, "v.cfg:2: epochs: invalid literal"),
         (_config_value("embed-train", "window = 0x10"), 1, "v.cfg:2: window: invalid literal"),
         (_config_value("evaluate", "seed = abc"), 1, "v.cfg:2: seed: invalid literal"),
-        (_config_value("finetune", "symmetrize = maybe"), 1,
-         "v.cfg:2: symmetrize: expected one of 1/0/true/false/yes/no, got 'maybe'"),
+        (_config_value("finetune", "symmetrize = maybe"), 1, "v.cfg:2: unknown key 'symmetrize'"),
         (_config_value("embed-train", "epochs = 0"), 1, "v.cfg: epochs must be >= 1"),
         (_bad_weights(_BOM + b"1 " * 14), 2, "w.txt: need 15 weights"),
         (_bad_weights(_BOM + b"-1" + b" 0" * 14, "evaluate"), 2,
@@ -700,6 +757,14 @@ _SNAN = struct.pack("<I", 0x7F800001)
         (_config_value("evaluate", "seed = -1"), 1, "v.cfg: seed must be >= 0, got -1"),
         (_evaluate_folds("1"), 2, "no pairs to train the cosine detector on"),
         (_header_only_pairs("bench-time"), 2, "no pairs to train the cosine detector on"),
+        (_config_value("embed-train", "epochs = 2", "--lr", "-1"), 1,
+         "invalid configuration: lr must be > 0"),
+        (_config_value("embed-train", "epochs = 2", "--window", "0"), 1,
+         "invalid configuration: window must be >= 1"),
+        (_config_value("evaluate", "epochs = 1", "--seed", "-1"), 1,
+         "invalid configuration: seed must be >= 0, got -1"),
+        (_config_value("embed-train", "epochs = 0", "--lr", "0.01"), 1,
+         "v.cfg: epochs must be >= 1"),
     ],
     ids=["missing-functions-dir", "non-utf8-in", "non-utf8-functions",
          "sgns-diverges", "table-non-finite", "table-duplicate-token",
@@ -725,7 +790,9 @@ _SNAN = struct.pack("<I", 0x7F800001)
          "config-bom-evaluate-batch-size", "embed-train-seed-negative", "pretrain-seed-negative",
          "evaluate-seed-negative", "config-seed-negative-embed-train",
          "config-seed-negative-evaluate", "evaluate-one-fold-trains-on-nothing",
-         "bench-time-header-only-pairs"],
+         "bench-time-header-only-pairs", "embed-train-bad-lr-flag-with-config",
+         "embed-train-bad-window-flag-with-config", "evaluate-bad-seed-flag-with-config",
+         "config-value-out-of-range-with-good-flag"],
 )
 def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):
     assert run(build(workspace, trained, tmp_path)) == code
@@ -777,6 +844,20 @@ def _missing_dir(tmp_path):
         (_weighted_without_weights("baseline"), 1, "weighted detector needs CategoryWeights"),
         (_weighted_without_weights("evaluate"), 1, "weighted detector needs CategoryWeights"),
         (_weighted_without_weights("bench-time"), 1, "weighted detector needs CategoryWeights"),
+        (lambda w, t, p: ["detect", "--functions", str(w / "funcs"),
+                          "--pairs", str(w / "pairs.csv"), "--embeddings", str(t["emb"]),
+                          "--params", str(t["enc"]), "--head", str(p / "absent.npz")],
+         1, "--head is for the classifier detector, not cosine"),
+        (lambda w, t, p: ["detect", "--functions", str(w / "funcs"),
+                          "--pairs", str(w / "pairs.csv"), "--embeddings", str(t["emb"]),
+                          "--params", str(t["enc"]), "--symmetrize"],
+         1, "symmetrize is for the classifier detector, not cosine"),
+        (_weights_with("baseline", "overlap"), 1, "--weights is for the weighted detector"),
+        *[(_weights_with(command, detector), 1,
+           f"--weights is for the weighted detector, not {detector}")
+          for command in ("evaluate", "bench-time")
+          for detector in ("cosine", "classifier", "overlap")],
+        (_config_value("evaluate", "symmetrize = 1"), 1, "v.cfg:2: unknown key 'symmetrize'"),
     ],
     ids=["embed-train-out-dir", "embed-train-out-no-parent", "pretrain-out-dir",
          "pretrain-loss-log-dir", "pretrain-loss-log-no-parent", "finetune-out-params-dir",
@@ -784,12 +865,17 @@ def _missing_dir(tmp_path):
          "detect-threshold-nan", "evaluate-threshold-nan", "bench-time-threshold-nan",
          "evaluate-seed-negative", "embed-train-seed-negative", "detect-classifier-without-head",
          "baseline-weighted-without-weights", "evaluate-weighted-without-weights",
-         "bench-time-weighted-without-weights"],
+         "bench-time-weighted-without-weights", "detect-head-with-cosine",
+         "detect-symmetrize-with-cosine", "baseline-weights-with-overlap",
+         *[f"{command}-weights-with-{detector}" for command in ("evaluate", "bench-time")
+           for detector in ("cosine", "classifier", "overlap")],
+         "config-sets-symmetrize"],
 )
 def test_options_checked_before_any_work(workspace, trained, tmp_path, monkeypatch, capsys,
                                          build, code, bad):
-    """A bad output path, run count, threshold or seed, or a missing --head or --weights,
-    fails before loading or training, and writes nothing."""
+    """A bad output path, run count, threshold or seed, a missing --head or --weights,
+    or an option the detector does not read, fails before loading or training, and
+    writes nothing."""
     for name in ("load_methods", "load_dataset", "load_table", "load_params", "load_head",
                  "train_word2vec", "pretrain", "finetune", "evaluate", "build_detector"):
         monkeypatch.setattr(cli, name, _fail_when_called(name))

@@ -12,12 +12,11 @@ from clonecat.embed import (
     UNK_TOKEN,
     EmbedConfig,
     Vocabulary,
-    build_vocab,
     load_table,
     save_table,
-    token_cosine,
     train_word2vec,
 )
+from clonecat.detect import cosine_similarity
 from clonecat.errors import EmptyCorpus, FormatError, NumericFailure
 from clonecat.lexcat import categorize, tokenize
 
@@ -32,10 +31,14 @@ def make_corpus():
     return [tokenize(s, source_id=f"m{i}") for i, s in enumerate(CORPUS_SOURCES)]
 
 
+def corpus_vocab(corpus, min_count=1):
+    """The vocabulary ``train_word2vec`` builds over ``corpus``."""
+    return train_word2vec(corpus, EmbedConfig(epochs=1, min_count=min_count)).vocab
+
+
 class TestVocabulary:
     def test_unk_reserved_at_zero(self):
-        vocab = build_vocab(make_corpus())
-        assert vocab.unk_id == 0
+        vocab = corpus_vocab(make_corpus())
         assert vocab.tokens[0] == UNK_TOKEN
         assert vocab.id_for("never-seen-token") == 0
 
@@ -44,18 +47,18 @@ class TestVocabulary:
             Vocabulary(["a", "b"], [1, 1])
 
     def test_frequency_descending_with_lexeme_tiebreak(self):
-        vocab = build_vocab(make_corpus())
+        vocab = corpus_vocab(make_corpus())
         body = list(zip(vocab.tokens[1:], vocab.freqs[1:]))
         keys = [(-f, t) for t, f in body]
         assert keys == sorted(keys)
 
     def test_deterministic(self):
-        v1 = build_vocab(make_corpus())
-        v2 = build_vocab(make_corpus())
-        assert v1 == v2 and v1.freqs == v2.freqs
+        v1 = corpus_vocab(make_corpus())
+        v2 = corpus_vocab(make_corpus())
+        assert v1.tokens == v2.tokens and v1.freqs == v2.freqs
 
     def test_min_count_folds_rare_tokens_into_unk(self):
-        vocab = build_vocab(make_corpus(), min_count=3)
+        vocab = corpus_vocab(make_corpus(), min_count=3)
         assert all(f >= 3 for f in vocab.freqs[1:])
         rare_total = sum(
             1
@@ -67,9 +70,9 @@ class TestVocabulary:
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpus):
-            build_vocab([])
+            corpus_vocab([])
         with pytest.raises(EmptyCorpus):
-            build_vocab([tokenize("", "e")])
+            corpus_vocab([tokenize("", "e")])
 
 
 class TestEmbedConfig:
@@ -99,7 +102,7 @@ class TestTraining:
     def test_same_seed_bit_exact(self):
         t1 = train_word2vec(make_corpus(), EmbedConfig(epochs=2, seed=7))
         t2 = train_word2vec(make_corpus(), EmbedConfig(epochs=2, seed=7))
-        assert t1.vocab == t2.vocab
+        assert t1.vocab.tokens == t2.vocab.tokens
         assert np.array_equal(t1.matrix, t2.matrix)
 
     def test_different_seed_differs(self):
@@ -197,14 +200,15 @@ class TestSgnsOracle:
             "int t = 0; for (int i = 0; i < n; i++) { t += a[i] * a[i]; t -= i; } return t;",
             source_id="long"), tokenize("return", source_id="one-token")]
         config = EmbedConfig(epochs=2, window=3, negatives=4, lr=0.05, seed=5)
-        vocab = build_vocab(corpus)
+        table = train_word2vec(corpus, config)
+        vocab = table.vocab
         ids = [np.array([vocab.id_for(t) for t in ts.lexemes()]) for ts in corpus]
         assert max(len(s) for s in ids) > 2 * _STEP_CENTERS
         syn0 = embed._train_syn0(ids, embed._noise_cumdist(vocab), config)
         expected = sgns_oracle([s.tolist() for s in ids], embed._noise_cumdist(vocab), config,
                                chunk_tokens)
         np.testing.assert_allclose(syn0, expected, rtol=0, atol=1e-12)
-        assert np.array_equal(train_word2vec(corpus, config).matrix, syn0.astype(np.float32))
+        assert np.array_equal(table.matrix, syn0.astype(np.float32))
 
     def test_long_methods_stay_finite(self):
         body = "int s{i} = a[{i}] * b + c; if (s{i} > m) {{ m = s{i}; }} "
@@ -240,6 +244,11 @@ class TestLookup:
             )
 
 
+def token_cosine(table, t1, t2):
+    """Cosine similarity of two tokens' embedding rows."""
+    return cosine_similarity(table.lookup(t1), table.lookup(t2))
+
+
 class TestTokenCosine:
     def test_self_similarity_is_one(self, small_table):
         assert token_cosine(small_table, "int", "int") == pytest.approx(1.0)
@@ -264,7 +273,7 @@ class TestSerialization:
         path = tmp_path / "emb.bin"
         save_table(small_table, path)
         loaded = load_table(path)
-        assert loaded.vocab == small_table.vocab
+        assert loaded.vocab.tokens == small_table.vocab.tokens
         assert np.array_equal(loaded.matrix, small_table.matrix)
         assert loaded.matrix.dtype == np.float32
 

@@ -14,7 +14,6 @@ from clonecat.train import (
     cross_entropy,
     encode_backward,
     finetune,
-    grad_check,
     head_backward,
     head_forward,
     init_head,
@@ -24,6 +23,7 @@ from clonecat.train import (
     supcon_loss,
     write_loss_csv,
 )
+from gradcheck import grad_check
 
 TAU = 0.07
 
