@@ -19,6 +19,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .detect import (
+    DEFAULT_THRESHOLD,
     CategoryWeights,
     OverlapDetector,
     VectorDetector,
@@ -31,15 +32,11 @@ from .embed import EmbedConfig, train_word2vec
 from .encoder import init_params
 from .errors import BadRow, DataError, LexError, MissingFunction, TooFewPairs
 from .lexcat import CategorizedMethod, TokenCategory, categorize_source, tokenize
-from .train import (
-    FineTuneConfig,
-    PretrainConfig,
-    finetune,
-    init_head,
-    pretrain,
-)
+from .train import FineTuneConfig, PretrainConfig, finetune, pretrain
 
 __all__ = [
+    "VECTOR_DETECTORS",
+    "OVERLAP_DETECTORS",
     "CloneType",
     "Pair",
     "PairDataset",
@@ -306,10 +303,15 @@ class MetricsReport:
 # --- pipeline ------------------------------------------------------------
 
 
+# detectors that score encoder vectors, and the token-overlap baselines, which train nothing
+VECTOR_DETECTORS = ("cosine", "classifier")
+OVERLAP_DETECTORS = ("overlap", "weighted")
+
+
 @dataclass
 class PipelineConfig:
-    detector: str = "cosine"  # cosine | classifier | overlap | weighted
-    threshold: float = 0.7
+    detector: str = "cosine"  # one of VECTOR_DETECTORS or OVERLAP_DETECTORS
+    threshold: float = DEFAULT_THRESHOLD
     embed: EmbedConfig = field(default_factory=EmbedConfig)
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     finetune: FineTuneConfig = field(default_factory=FineTuneConfig)
@@ -319,8 +321,9 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        """The one check of a detector's options; ``build_detector`` relies on it."""
-        if self.detector not in ("cosine", "classifier", "overlap", "weighted"):
+        """The one check of a pipeline's options, the nested training configs'
+        included; ``build_detector`` relies on it."""
+        if self.detector not in VECTOR_DETECTORS + OVERLAP_DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
         _finite_threshold(self.threshold)
         if self.detector == "weighted" and self.weights is None:
@@ -331,6 +334,8 @@ class PipelineConfig:
             raise ValueError(f"symmetrize is for the classifier detector, not {self.detector}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for sub in (self.embed, self.pretrain, self.finetune):
+            sub.validate()
 
 
 def build_detector(config: PipelineConfig, train_pairs: Sequence[Pair] = (),
@@ -359,14 +364,12 @@ def _train_models(config: PipelineConfig, train_pairs: Sequence[Pair],
     train_ids = sorted({p.id1 for p in train_pairs} | {p.id2 for p in train_pairs})
     table = train_word2vec([dataset.methods[mid] for mid in train_ids],
                            replace(config.embed, seed=seed))
-    params = init_params(seed)
     view = replace(dataset, pairs=train_pairs)
-    if config.train_encoder:
-        pretrain(view, table, replace(config.pretrain, seed=seed), initial=params)
+    params = (pretrain(view, table, replace(config.pretrain, seed=seed)).params
+              if config.train_encoder else init_params(seed))
     head = None
     if config.detector == "classifier":
-        head = init_head(config.finetune.layers, seed=seed)
-        finetune(params, head, view, table, replace(config.finetune, seed=seed))
+        head, _ = finetune(params, view, table, replace(config.finetune, seed=seed))
     return params, table, head
 
 

@@ -19,6 +19,8 @@ import numpy as np
 
 from . import __version__
 from .bench import (
+    OVERLAP_DETECTORS,
+    VECTOR_DETECTORS,
     PipelineConfig,
     build_detector,
     evaluate,
@@ -29,15 +31,15 @@ from .bench import (
     time_detection,
 )
 from .detect import DEFAULT_THRESHOLD, CategoryWeights, detect_corpus
-from .embed import EmbedConfig, load_table, save_table, train_word2vec
+from .embed import EMBED_DIM, EmbedConfig, load_table, save_table, train_word2vec
 from .encoder import encode_chunked, load_params, save_params
 from .errors import CloneCatError, DataError, NumericFailure
 from .explain import category_weights, format_weights_table
 from .train import (
+    HEAD_WIDTHS,
     FineTuneConfig,
     PretrainConfig,
     finetune,
-    init_head,
     load_head,
     pretrain,
     save_head,
@@ -103,12 +105,17 @@ def _apply_overrides(config, file_values: dict[str, object], args: argparse.Name
 
 
 def _check_outputs(*paths) -> None:
-    """Before any work, reject an output path that is a directory or lies in no directory."""
+    """Before any work, reject an output path that is a directory, lies in no
+    directory, or names the same file as another output of the command."""
+    seen: dict[Path, Path] = {}
     for path in (Path(p) for p in paths if p is not None):
         if path.is_dir():
             raise DataError(f"output {path} is a directory")
         if not path.parent.is_dir():
             raise DataError(f"output {path}: no such directory {path.parent}")
+        other = seen.setdefault(path.resolve(), path)
+        if other is not path:
+            raise DataError(f"outputs {other} and {path} name the same file")
 
 
 def _read_weights_file(path) -> CategoryWeights:
@@ -169,7 +176,7 @@ def _cmd_embed_train(args) -> int:
     methods = load_methods(args.functions, args.inputs)
     table = train_word2vec([methods[k] for k in sorted(methods)], config)
     save_table(table, args.out)
-    print(json.dumps({"out": args.out, "vocab": len(table.vocab), "dim": table.dim}))
+    print(json.dumps({"out": args.out, "vocab": len(table.vocab), "dim": EMBED_DIM}))
     return 0
 
 
@@ -196,28 +203,27 @@ def _cmd_finetune(args) -> int:
     dataset = load_dataset(args.functions, args.pairs)
     table = load_table(args.embeddings)
     params = load_params(args.params)
-    head = init_head(config.layers, seed=config.seed)
-    result = finetune(params, head, dataset, table, config)
-    save_params(result.params, args.out_params)
-    save_head(result.head, args.out_head)
-    print(
-        json.dumps(
-            {
-                "out_params": args.out_params,
-                "out_head": args.out_head,
-                "epoch_losses": result.epoch_losses,
-            }
-        )
-    )
+    head, epoch_losses = finetune(params, dataset, table, config)
+    save_params(params, args.out_params)
+    save_head(head, args.out_head)
+    print(json.dumps({"out_params": args.out_params, "out_head": args.out_head,
+                      "epoch_losses": epoch_losses}))
     return 0
+
+
+def _models(args):
+    """``(params, table, head or None)`` from the model files a command names:
+    ``--embeddings``, ``--params`` and, for the classifier, ``--head``."""
+    table = load_table(args.embeddings)
+    params = load_params(args.params)
+    return params, table, load_head(args.head) if getattr(args, "head", None) else None
 
 
 def _encoded(args):
     """``(source_id, (vector, trace))`` of every input method in id order, encoded
     in chunks; the corpus and both model files are read before this returns."""
     methods = load_methods(args.functions, args.inputs)
-    table = load_table(args.embeddings)
-    params = load_params(args.params)
+    params, table, _ = _models(args)
     ids = sorted(methods)
     return zip(ids, encode_chunked([methods[i] for i in ids], table, params))
 
@@ -233,11 +239,7 @@ def _cmd_detect(args) -> int:
     config = _pipeline_config(args)
     methods = load_methods(args.functions, args.inputs)
     pair_ids = [(row.id1, row.id2) for row in read_pairs(args.pairs)]
-    models = None
-    if config.detector in ("cosine", "classifier"):
-        table = load_table(args.embeddings)
-        params = load_params(args.params)
-        models = (params, table, load_head(args.head) if config.detector == "classifier" else None)
+    models = _models(args) if "embeddings" in args else None  # baseline reads no model
     for verdict in detect_corpus(methods, pair_ids, build_detector(config, models=models)):
         print(json.dumps(verdict.to_json_dict(), sort_keys=True))
     return 0
@@ -272,7 +274,7 @@ def _cmd_bench_time(args) -> int:
     start = time.perf_counter()
     detector = build_detector(config, dataset.pairs, dataset, config.seed)
     training_s = time.perf_counter() - start
-    if config.detector in ("overlap", "weighted"):
+    if config.detector in OVERLAP_DETECTORS:
         training_s = None  # nothing was trained
     report = time_detection(dataset, detector, runs=args.runs, training_s=training_s)
     print(report.to_json())
@@ -286,6 +288,14 @@ def _add_common_model_flags(sub, params=True):
     sub.add_argument("--embeddings", required=True, help="CCEMB1 embedding file")
     if params:
         sub.add_argument("--params", required=True, help="CCENC1 encoder parameter file")
+
+
+def _add_config_flags(sub, *names, **kwargs):
+    """One flag per config field, of the type ``_CONFIG_TYPES`` gives: ``--min-count`` sets
+    ``min_count``."""
+    for name in names:
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, type=_CONFIG_TYPES[name],
+                         **kwargs)
 
 
 def _add_input_flags(sub):
@@ -312,12 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--window", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--seed", type=int)
+    _add_config_flags(p, "window", "negatives", "epochs", "lr", "min_count", "seed")
     p.set_defaults(handler=_cmd_embed_train)
 
     p = subs.add_parser("pretrain", help="contrastive pretraining of the encoder")
@@ -327,11 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-log", dest="loss_log")
     p.add_argument("--config")
     _add_common_model_flags(p, params=False)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--seed", type=int)
+    _add_config_flags(p, "epochs", "batch_size", "lr", "temperature", "seed")
     p.set_defaults(handler=_cmd_pretrain)
 
     p = subs.add_parser("finetune", help="train a classifier head (and the encoder)")
@@ -341,11 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-head", dest="out_head", required=True)
     p.add_argument("--config")
     _add_common_model_flags(p)
-    p.add_argument("--layers", type=int, choices=(1, 3, 5))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
+    _add_config_flags(p, "layers", choices=tuple(HEAD_WIDTHS))
+    _add_config_flags(p, "epochs", "batch_size", "lr", "seed")
     p.set_defaults(handler=_cmd_finetune)
 
     p = subs.add_parser("encode", help="emit method vectors as JSON lines")
@@ -358,17 +356,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     _add_common_model_flags(p)
     p.add_argument("--head", help="classifier head file (npz)")
-    p.add_argument("--detector", choices=("cosine", "classifier"), default="cosine")
-    p.add_argument("--threshold", type=float, help="cosine threshold (default 0.7)")
+    p.add_argument("--detector", choices=VECTOR_DETECTORS, default="cosine")
+    p.add_argument("--threshold", type=float,
+                   help=f"cosine threshold (default {DEFAULT_THRESHOLD})")
     p.add_argument("--symmetrize", action="store_true")
     p.set_defaults(handler=_cmd_detect)
 
     p = subs.add_parser("baseline", help="token-overlap baselines")
     _add_input_flags(p)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--detector", choices=("overlap", "weighted"), default="overlap")
+    p.add_argument("--detector", choices=OVERLAP_DETECTORS, default="overlap")
     p.add_argument("--weights", help="text file with 15 weights, canonical order")
-    p.add_argument("--threshold", type=float, help="overlap threshold (default 0.7)")
+    p.add_argument("--threshold", type=float,
+                   help=f"overlap threshold (default {DEFAULT_THRESHOLD})")
     p.set_defaults(handler=_cmd_detect)
 
     p = subs.add_parser("explain", help="per-category attention weights")
@@ -380,13 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = subs.add_parser(name, help=f"{name} over a pair dataset")
         p.add_argument("--functions", required=True)
         p.add_argument("--pairs", required=True)
-        p.add_argument("--detector",
-                       choices=("cosine", "classifier", "overlap", "weighted"),
+        p.add_argument("--detector", choices=VECTOR_DETECTORS + OVERLAP_DETECTORS,
                        default="cosine")
-        p.add_argument("--threshold", type=float, help="cosine or overlap threshold (0.7)")
+        p.add_argument("--threshold", type=float,
+                       help=f"cosine or overlap threshold ({DEFAULT_THRESHOLD})")
         p.add_argument("--weights")
         p.add_argument("--config")
-        p.add_argument("--seed", type=int)
+        _add_config_flags(p, "seed")
         p.add_argument("--no-train-encoder", dest="no_train_encoder", action="store_true")
         if name == "evaluate":
             p.add_argument("--folds", type=int, default=10)

@@ -91,6 +91,16 @@ def cosine_similarity(v1, v2) -> float:
     return _cosine(a, np.linalg.norm(a), b, np.linalg.norm(b))
 
 
+def _shared_count(counts1: Mapping[str, int], counts2: Mapping[str, int]) -> int:
+    """Size of the multiset intersection of two lexeme -> count maps."""
+    shared = 0
+    for lexeme, n1 in counts1.items():
+        n2 = counts2.get(lexeme, 0)
+        if n2:
+            shared += min(n1, n2)
+    return shared
+
+
 def overlap_similarity(cm1: CategorizedMethod, cm2: CategorizedMethod) -> float:
     """Multiset token overlap over the larger method's token count.
 
@@ -101,15 +111,8 @@ def overlap_similarity(cm1: CategorizedMethod, cm2: CategorizedMethod) -> float:
         return 1.0
     if cm1.total_tokens == 0 or cm2.total_tokens == 0:
         return 0.0
-    shared = 0
-    for cat, counts1 in cm1.counts.items():
-        counts2 = cm2.counts.get(cat)
-        if not counts2:
-            continue
-        for lexeme, n1 in counts1.items():
-            n2 = counts2.get(lexeme, 0)
-            if n2:
-                shared += min(n1, n2)
+    shared = sum(_shared_count(counts1, cm2.counts.get(cat, {}))
+                 for cat, counts1 in cm1.counts.items())
     return shared / max(cm1.total_tokens, cm2.total_tokens)
 
 
@@ -123,8 +126,7 @@ def category_overlap_similarity(
     total2 = sum(counts2.values())
     if total1 == 0 or total2 == 0:
         return 0.0
-    shared = sum(min(n1, counts2.get(lexeme, 0)) for lexeme, n1 in counts1.items())
-    return shared / max(total1, total2)
+    return _shared_count(counts1, counts2) / max(total1, total2)
 
 
 def weighted_category_similarity(
@@ -145,7 +147,7 @@ def classifier_score(
     ``symmetrize`` its mean with that for concat(v2, v1)."""
     scores = []
     for a, b in ((v1, v2), (v2, v1)) if symmetrize else ((v1, v2),):
-        logits = head_forward(head, np.concatenate([a, b]))
+        logits = head_forward(head, np.concatenate([a, b])[None])[0]
         # inline, not blocks.softmax: that costs about 7 us more a pair
         shifted = logits - logits.max()
         scores.append(float((np.exp(shifted) / np.exp(shifted).sum())[1]))

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .blocks import D_MODEL
 from .errors import EmptyCorpus, FormatError, NumericFailure
 from .lexcat import CategorizedMethod, TokenStream
 
@@ -37,7 +38,7 @@ __all__ = [
     "load_table",
 ]
 
-EMBED_DIM = 100
+EMBED_DIM = D_MODEL  # the encoder reads table rows as its model width
 UNK_TOKEN = "<unk>"
 EMBED_MAGIC = b"CCEMB1"
 
@@ -123,23 +124,14 @@ class EmbeddingTable:
         self.vocab = vocab
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
 
-    @property
-    def dim(self) -> int:
-        return EMBED_DIM
-
     def lookup(self, lexeme: str) -> np.ndarray:
         return self.matrix[self.vocab.id_for(lexeme)]
 
 
 def _noise_cumdist(vocab: Vocabulary) -> np.ndarray:
+    # a trained vocabulary counts at least one token (_vocab_from_sentences)
     weights = np.array(vocab.freqs, dtype=np.float64) ** _NOISE_POWER
-    weights[weights == 0.0] = 0.0
-    total = weights.sum()
-    if total == 0.0:
-        # degenerate corpus where only UNK exists with zero count
-        weights[:] = 1.0
-        total = weights.sum()
-    cumdist = np.cumsum(weights / total)
+    cumdist = np.cumsum(weights / weights.sum())
     # a draw u < 1 must never fall past the last bucket through rounding
     cumdist[-1] = 1.0
     return cumdist

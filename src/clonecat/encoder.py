@@ -5,7 +5,8 @@ distinct lexemes (embedding rows scaled by occurrence count) and mean-pools
 to one 100-d vector per category. Stage two stacks the 15 category vectors,
 masks out categories the method does not contain, runs one more block, and
 mean-pools over the present rows only. The type-level attention matrix is
-kept as a 15x15 trace for interpretability.
+kept as a 15x15 trace for interpretability. ``encode_backward`` runs the
+composition in reverse from the cache an encode call keeps.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .blocks import (
     BLOCK_TENSOR_SHAPES,
     BlockCache,
     D_MODEL,
+    block_backward,
     block_forward,
     init_block,
 )
@@ -35,6 +37,7 @@ __all__ = [
     "EncodeCache",
     "init_params",
     "encode_methods",
+    "encode_backward",
     "encode_chunked",
     "encode_method",
     "params_tensors",
@@ -154,6 +157,33 @@ def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
         cache.type.append((members, cats, block_cache))
     traces = [AttentionTrace(matrix=m, present_mask=p) for m, p in zip(matrices, present)]
     return vectors, traces, cache if want_cache else None
+
+
+def encode_backward(params: EncoderParams, cache: EncodeCache,
+                    dvec: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of loss wrt all touched encoder tensors, named as in
+    ``params_tensors``, given dL/dvector: one row per method the cache encoded
+    ((100,) for one method). Each stacked block call is backpropagated once."""
+    dvec = np.reshape(dvec, (-1, D_MODEL))
+    grads: dict[str, np.ndarray] = {}
+
+    def add(prefix: str, block_grads) -> None:
+        for name, g in block_grads.items():
+            key = f"{prefix}.{name}"
+            grads[key] = grads[key] + g if key in grads else g
+
+    d_stacked = np.zeros((len(dvec), NUM_CATEGORIES, D_MODEL))
+    for members, cats, block_cache in cache.type:
+        dy = np.broadcast_to((dvec[members] / cats.shape[1])[:, None], block_cache.x.shape)
+        d_in, block_grads = block_backward(params.type_block, block_cache, dy)
+        add(_BLOCK_PREFIXES[-1], block_grads)
+        d_stacked[members[:, None], cats] = d_in
+    for cat, members, block_cache in cache.category:
+        n_rows = block_cache.x.shape[1]
+        dy = np.broadcast_to((d_stacked[members, cat] / n_rows)[:, None], block_cache.x.shape)
+        _, block_grads = block_backward(params.category_blocks[cat], block_cache, dy)
+        add(_BLOCK_PREFIXES[cat], block_grads)
+    return grads
 
 
 def encode_chunked(methods: Sequence[CategorizedMethod], table: EmbeddingTable,

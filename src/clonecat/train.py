@@ -24,17 +24,11 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 
-from .blocks import D_MODEL, block_backward, xavier_uniform
+from .blocks import D_MODEL, xavier_uniform
 from .embed import EmbeddingTable
-from .encoder import (
-    EncodeCache,
-    EncoderParams,
-    encode_methods,
-    init_params,
-    params_tensors,
-)
+from .encoder import EncoderParams, encode_backward, encode_methods, init_params, params_tensors
 from .errors import DegenerateBatch, FormatError, NumericFailure, ShapeMismatch
-from .lexcat import NUM_CATEGORIES, CategorizedMethod
+from .lexcat import CategorizedMethod
 
 __all__ = [
     "RMSPROP_ALPHA",
@@ -44,7 +38,6 @@ __all__ = [
     "OptimizerState",
     "PretrainResult",
     "FineTuneHead",
-    "FineTuneResult",
     "supcon_loss",
     "rmsprop_step",
     "clone_classes",
@@ -314,34 +307,7 @@ def sample_batches(
     return batches
 
 
-# --- backward through the encoder composition ---------------------------
-
-
-def encode_backward(
-    params: EncoderParams, cache: EncodeCache, dvec: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Gradients of loss wrt all touched encoder tensors, given dL/dvector:
-    one row per method the cache encoded ((100,) for one method). Each
-    stacked block call is backpropagated once."""
-    dvec = np.reshape(dvec, (-1, D_MODEL))
-    grads: dict[str, np.ndarray] = {}
-
-    def add(prefix: str, block_grads: Mapping[str, np.ndarray]) -> None:
-        for name, g in block_grads.items():
-            key = prefix + name
-            grads[key] = grads[key] + g if key in grads else g
-    d_stacked = np.zeros((len(dvec), NUM_CATEGORIES, D_MODEL))
-    for members, cats, block_cache in cache.type:
-        dy = np.broadcast_to((dvec[members] / cats.shape[1])[:, None], block_cache.x.shape)
-        d_in, block_grads = block_backward(params.type_block, block_cache, dy)
-        add("type.", block_grads)
-        d_stacked[members[:, None], cats] = d_in
-    for cat, members, block_cache in cache.category:
-        n_rows = block_cache.x.shape[1]
-        dy = np.broadcast_to((d_stacked[members, cat] / n_rows)[:, None], block_cache.x.shape)
-        _, block_grads = block_backward(params.category_blocks[cat], block_cache, dy)
-        add(f"cat{cat:02d}.", block_grads)
-    return grads
+# --- the training loop --------------------------------------------------
 
 
 def _batch_grads(
@@ -418,16 +384,12 @@ def pretrain(
     dataset: SupportsPairs,
     table: EmbeddingTable,
     config: PretrainConfig | None = None,
-    initial: EncoderParams | None = None,
 ) -> PretrainResult:
-    """SupCon pretraining over clone classes; embeddings stay frozen.
-
-    Mutates and returns ``initial`` when given, otherwise starts from a
-    seeded initialization. Deterministic given (dataset, table, config).
-    """
+    """SupCon pretraining over clone classes from ``init_params(config.seed)``;
+    embeddings stay frozen. Deterministic given (dataset, table, config)."""
     config = config or PretrainConfig()
     config.validate()
-    params = initial if initial is not None else init_params(config.seed)
+    params = init_params(config.seed)
     classes = clone_classes(dataset.pairs)
     rng = np.random.default_rng(config.seed)
 
@@ -470,7 +432,8 @@ class FineTuneHead:
 
 def save_head(head: FineTuneHead, path) -> None:
     """Write a head as an npz archive: ``k`` and one ``l{i}.w`` / ``l{i}.b`` per layer."""
-    np.savez(path, **head.tensors(), k=np.array(head.k))
+    with open(path, "wb") as fh:  # given a path, np.savez would add ".npz" to it
+        np.savez(fh, **head.tensors(), k=np.array(head.k))
 
 
 def load_head(path) -> FineTuneHead:
@@ -524,15 +487,10 @@ def init_head(k: int = 3, seed: int = 0) -> FineTuneHead:
 
 
 def head_forward(head: FineTuneHead, x: np.ndarray, want_cache: bool = False):
-    """Logits for inputs (B, 200); ReLU between layers, none after the last."""
+    """Logits (B, 2) for inputs (B, 200); ReLU between layers, none after the last."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.shape[1] != head.weights[0].shape[0]:
-        raise ShapeMismatch(
-            f"head input width {x.shape[1]} != {head.weights[0].shape[0]}"
-        )
+    if x.ndim != 2 or x.shape[1] != head.weights[0].shape[0]:
+        raise ShapeMismatch(f"head input shape {x.shape} != (B, {head.weights[0].shape[0]})")
     activations = [x]
     pre_relus = []
     h = x
@@ -543,18 +501,13 @@ def head_forward(head: FineTuneHead, x: np.ndarray, want_cache: bool = False):
             pre_relus.append(h)
             h = np.maximum(h, 0.0)
             activations.append(h)
-    logits = h[0] if squeeze else h
-    if want_cache:
-        return logits, (activations, pre_relus)
-    return logits
+    return (h, (activations, pre_relus)) if want_cache else h
 
 
 def head_backward(head: FineTuneHead, cache, dlogits: np.ndarray):
     activations, pre_relus = cache
     grads: dict[str, np.ndarray] = {}
     dh = np.asarray(dlogits, dtype=np.float64)
-    if dh.ndim == 1:
-        dh = dh[None, :]
     last = len(head.weights) - 1
     for i in range(last, -1, -1):
         grads[f"l{i}.w"] = activations[i].T @ dh
@@ -580,29 +533,22 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray):
     return float(loss), dlogits
 
 
-@dataclass
-class FineTuneResult:
-    params: EncoderParams
-    head: FineTuneHead
-    epoch_losses: list[float]
-
-
 def finetune(
     params: EncoderParams,
-    head: FineTuneHead,
     dataset: SupportsPairs,
     table: EmbeddingTable,
     config: FineTuneConfig | None = None,
-) -> FineTuneResult:
-    """Supervised pair training: both the encoder and the head are updated."""
+) -> tuple[FineTuneHead, list[float]]:
+    """Supervised pair training of ``params``, in place, and of a new head
+    ``init_head(config.layers, seed=config.seed)``; returns the head and each
+    epoch's mean loss."""
     config = config or FineTuneConfig()
     config.validate()
-    if head.k != config.layers:
-        raise ValueError(f"head has {head.k} layers but config.layers = {config.layers}")
     pairs = list(dataset.pairs)
     if not pairs:
         raise DegenerateBatch("no pairs to fine-tune on")
 
+    head = init_head(config.layers, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     tensors = params_tensors(params)
     for name, arr in head.tensors().items():
@@ -627,7 +573,7 @@ def finetune(
                             dataset, table, params, batch_loss)
 
     epoch_losses, _ = _fit(tensors, config, epoch_batches, batch_grads)
-    return FineTuneResult(params=params, head=head, epoch_losses=epoch_losses)
+    return head, epoch_losses
 
 
 def write_loss_csv(log: Sequence[tuple[int, int, float]], path) -> None:

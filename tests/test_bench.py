@@ -444,6 +444,25 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=message):
             config.validate()
 
+    @pytest.mark.parametrize("train_encoder", [True, False])
+    @pytest.mark.parametrize("nested, message", [
+        ({"embed": EmbedConfig(window=0)}, "window must be >= 1"),
+        ({"pretrain": PretrainConfig(batch_size=6)},
+         "batch_size 6 must be a multiple of samples_per_class 4"),
+        ({"finetune": FineTuneConfig(layers=2)}, "layers must be one of"),
+    ], ids=["embed", "pretrain", "finetune"])
+    def test_nested_configs_checked_before_any_training(self, eval_ds, eval_plan, monkeypatch,
+                                                        nested, message, train_encoder):
+        """validate checks the embed, pretrain and finetune configs too, whether or
+        not the detector would read them, so evaluate fails before fold 0 trains."""
+        def fail(*args, **kwargs):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr(bench, "train_word2vec", fail)
+        config = PipelineConfig(detector="classifier", train_encoder=train_encoder, **nested)
+        with pytest.raises(ValueError, match=message):
+            evaluate(eval_ds, eval_plan, config)
+
     def test_symmetrized_classifier_scores_each_fold_with_its_models(self, small_dataset,
                                                                      monkeypatch):
         """Each fold's verdicts are the symmetrized head probabilities of that fold's

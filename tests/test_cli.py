@@ -1,3 +1,4 @@
+import argparse
 import ast
 import io
 import json
@@ -143,10 +144,15 @@ class TestBasics:
 
 
 class TestTrainingCommands:
-    def test_embeddings_file_written(self, trained):
+    def test_embeddings_file_written(self, workspace, trained, tmp_path, capsys):
         assert trained["emb"].read_bytes()[:6] == b"CCEMB1"
-        table = load_table(trained["emb"])
-        assert table.dim == 100
+        out = tmp_path / "emb.bin"
+        assert run(["embed-train", "--functions", str(workspace / "funcs"),
+                    "--out", str(out), "--epochs", "1"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        table = load_table(out)
+        assert printed == {"out": str(out), "vocab": len(table.vocab), "dim": 100}
+        assert table.matrix.shape == (len(table.vocab), 100)
 
     def test_flag_overrides_config_file(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "slow.cfg"
@@ -212,6 +218,34 @@ class TestTrainingCommands:
         with np.load(trained["head"]) as head_data:
             assert int(head_data["k"]) == 1
             assert head_data["l0.w"].shape == (200, 2)
+
+    def test_out_head_writes_exactly_the_path_given(self, workspace, trained, tmp_path, capsys):
+        """A head path without .npz is written as named, and detect reads it back."""
+        argv = _finetune_argv(workspace, trained, tmp_path, "--epochs", "1",
+                              "--out-head", str(tmp_path / "head.bin"))
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["out_head"] == str(tmp_path / "head.bin")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["enc2.bin", "head.bin"]
+        assert (tmp_path / "head.bin").read_bytes() == trained["head"].read_bytes()
+        verdicts = []
+        for params, head in ((tmp_path / "enc2.bin", tmp_path / "head.bin"),
+                             (trained["enc2"], trained["head"])):
+            assert run(["detect", "--functions", str(workspace / "funcs"), "--pairs",
+                        str(workspace / "pairs.csv"), "--embeddings", str(trained["emb"]),
+                        "--params", str(params), "--detector", "classifier",
+                        "--head", str(head)]) == 0
+            verdicts.append(capsys.readouterr().out)
+        assert verdicts[0] == verdicts[1]
+
+    def test_finetune_may_overwrite_its_input_params(self, workspace, trained, tmp_path, capsys):
+        """An output may name an input: the encoder file is updated in place."""
+        enc = tmp_path / "enc.bin"
+        enc.write_bytes(trained["enc"].read_bytes())
+        argv = _finetune_argv(workspace, trained, tmp_path, "--epochs", "1",
+                              "--params", str(enc), "--out-params", str(enc))
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert enc.read_bytes() == trained["enc2"].read_bytes()
 
 
 class TestInferenceCommands:
@@ -858,6 +892,13 @@ def _missing_dir(tmp_path):
           for command in ("evaluate", "bench-time")
           for detector in ("cosine", "classifier", "overlap")],
         (_config_value("evaluate", "symmetrize = 1"), 1, "v.cfg:2: unknown key 'symmetrize'"),
+        (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs", "--loss-log", str(p / "enc.bin")),
+         2, "name the same file"),
+        (lambda w, t, p: _finetune_argv(w, t, p, "--out-head", str(p / "enc2.bin")),
+         2, "name the same file"),
+        (lambda w, t, p: _finetune_argv(w, t, p, "--out-head", str(p / "." / ".." / p.name
+                                                                    / "enc2.bin")),
+         2, "name the same file"),
     ],
     ids=["embed-train-out-dir", "embed-train-out-no-parent", "pretrain-out-dir",
          "pretrain-loss-log-dir", "pretrain-loss-log-no-parent", "finetune-out-params-dir",
@@ -869,7 +910,8 @@ def _missing_dir(tmp_path):
          "detect-symmetrize-with-cosine", "baseline-weights-with-overlap",
          *[f"{command}-weights-with-{detector}" for command in ("evaluate", "bench-time")
            for detector in ("cosine", "classifier", "overlap")],
-         "config-sets-symmetrize"],
+         "config-sets-symmetrize", "pretrain-loss-log-is-out", "finetune-out-head-is-out-params",
+         "finetune-out-head-aliases-out-params"],
 )
 def test_options_checked_before_any_work(workspace, trained, tmp_path, monkeypatch, capsys,
                                          build, code, bad):
@@ -886,6 +928,61 @@ def test_options_checked_before_any_work(workspace, trained, tmp_path, monkeypat
     assert bad in err
     assert len(err.splitlines()) == 1
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# each subcommand's flags and the attribute each sets; the training flags are generated
+# from the config dataclasses, so a renamed field shows here
+_PARSER_OPTIONS = {
+    "tokenize": {"--functions": "functions", "--in": "inputs"},
+    "embed-train": {"--functions": "functions", "--in": "inputs", "--out": "out",
+                    "--config": "config", "--window": "window", "--negatives": "negatives",
+                    "--epochs": "epochs", "--lr": "lr", "--min-count": "min_count",
+                    "--seed": "seed"},
+    "pretrain": {"--functions": "functions", "--pairs": "pairs", "--out": "out",
+                 "--loss-log": "loss_log", "--config": "config", "--embeddings": "embeddings",
+                 "--epochs": "epochs", "--batch-size": "batch_size", "--lr": "lr",
+                 "--temperature": "temperature", "--seed": "seed"},
+    "finetune": {"--functions": "functions", "--pairs": "pairs", "--out-params": "out_params",
+                 "--out-head": "out_head", "--config": "config", "--embeddings": "embeddings",
+                 "--params": "params", "--layers": "layers", "--epochs": "epochs",
+                 "--batch-size": "batch_size", "--lr": "lr", "--seed": "seed"},
+    "encode": {"--functions": "functions", "--in": "inputs", "--embeddings": "embeddings",
+               "--params": "params"},
+    "detect": {"--functions": "functions", "--in": "inputs", "--pairs": "pairs",
+               "--embeddings": "embeddings", "--params": "params", "--head": "head",
+               "--detector": "detector", "--threshold": "threshold",
+               "--symmetrize": "symmetrize"},
+    "baseline": {"--functions": "functions", "--in": "inputs", "--pairs": "pairs",
+                 "--detector": "detector", "--weights": "weights", "--threshold": "threshold"},
+    "explain": {"--functions": "functions", "--in": "inputs", "--embeddings": "embeddings",
+                "--params": "params"},
+    "evaluate": {"--functions": "functions", "--pairs": "pairs", "--detector": "detector",
+                 "--threshold": "threshold", "--weights": "weights", "--config": "config",
+                 "--seed": "seed", "--no-train-encoder": "no_train_encoder", "--folds": "folds",
+                 "--out": "out"},
+    "bench-time": {"--functions": "functions", "--pairs": "pairs", "--detector": "detector",
+                   "--threshold": "threshold", "--weights": "weights", "--config": "config",
+                   "--seed": "seed", "--no-train-encoder": "no_train_encoder",
+                   "--runs": "runs"},
+}
+
+
+def test_parser_declares_each_subcommands_options():
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {name: {flag: action.dest for action in sub._actions
+                       for flag in action.option_strings if flag not in ("-h", "--help")}
+                for name, sub in subs.choices.items()}
+    assert declared == _PARSER_OPTIONS
+    args = parser.parse_args(["finetune", "--functions", "f", "--pairs", "p", "--embeddings", "e",
+                              "--params", "c", "--out-params", "o", "--out-head", "h",
+                              "--layers", "5", "--epochs", "2", "--batch-size", "8",
+                              "--lr", "1", "--seed", "3"])
+    assert [(type(v), v) for v in (args.layers, args.epochs, args.batch_size, args.lr,
+                                   args.seed)] == [(int, 5), (int, 2), (int, 8), (float, 1.0),
+                                                   (int, 3)]
+    assert run(["finetune", "--functions", "f", "--pairs", "p", "--embeddings", "e",
+                "--params", "c", "--out-params", "o", "--out-head", "h", "--layers", "2"]) == 1
 
 
 def test_byte_order_mark_accepted_in_weights_and_config(workspace, tmp_path, capsys):

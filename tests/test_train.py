@@ -298,12 +298,9 @@ class TestSampleBatches:
 
 class TestPretrain:
     def test_epochs_zero_returns_initial_params(self, small_dataset, small_table):
-        initial = init_params(seed=4)
-        before = {k: v.copy() for k, v in params_tensors(initial).items()}
-        result = pretrain(
-            small_dataset, small_table,
-            PretrainConfig(epochs=0, seed=4), initial=initial,
-        )
+        """pretrain starts from init_params(config.seed)."""
+        before = params_tensors(init_params(seed=4))
+        result = pretrain(small_dataset, small_table, PretrainConfig(epochs=0, seed=4))
         assert result.epoch_losses == []
         after = params_tensors(result.params)
         for name in before:
@@ -341,12 +338,8 @@ class TestPretrain:
             assert epoch_sum == pytest.approx(result.epoch_losses[epoch])
 
     def test_updates_move_parameters(self, small_dataset, small_table):
-        initial = init_params(seed=0)
-        before = {k: v.copy() for k, v in params_tensors(initial).items()}
-        result = pretrain(
-            small_dataset, small_table, PretrainConfig(epochs=1, seed=0),
-            initial=initial,
-        )
+        before = params_tensors(init_params(seed=0))
+        result = pretrain(small_dataset, small_table, PretrainConfig(epochs=1, seed=0))
         after = params_tensors(result.params)
         assert any(not np.array_equal(after[k], before[k]) for k in before)
 
@@ -452,10 +445,11 @@ class TestHeads:
         with pytest.raises(ValueError):
             init_head(k, seed=0)
 
-    def test_single_vector_forward(self):
+    def test_single_vector_input_rejected(self):
+        """The head takes (B, 200) rows only; one pair is passed as a batch of one."""
         head = init_head(1, seed=0)
-        logits = head_forward(head, np.ones(200))
-        assert logits.shape == (2,)
+        with pytest.raises(ShapeMismatch):
+            head_forward(head, np.ones(200))
 
     def test_batch_forward(self):
         head = init_head(3, seed=0)
@@ -538,15 +532,12 @@ class TestToySeparableTraining:
 class TestFineTune:
     def test_smoke_and_shapes(self, small_dataset, small_table):
         params = init_params(seed=0)
-        head = init_head(3, seed=0)
-        result = finetune(
-            params, head, small_dataset, small_table,
-            FineTuneConfig(epochs=1, seed=0),
-        )
-        assert len(result.epoch_losses) == 1
-        assert np.isfinite(result.epoch_losses[0])
-        result.params.validate()
-        assert [w.shape for w in result.head.weights] == [
+        head, epoch_losses = finetune(params, small_dataset, small_table,
+                                      FineTuneConfig(epochs=1, seed=0))
+        assert len(epoch_losses) == 1
+        assert np.isfinite(epoch_losses[0])
+        params.validate()
+        assert [w.shape for w in head.weights] == [
             (200, 100), (100, 32), (32, 2),
         ]
 
@@ -554,27 +545,37 @@ class TestFineTune:
         outs = []
         for _ in range(2):
             params = init_params(seed=0)
-            head = init_head(3, seed=0)
-            result = finetune(
-                params, head, small_dataset, small_table,
-                FineTuneConfig(epochs=1, seed=0),
-            )
-            outs.append(result.epoch_losses[0])
-        assert outs[0] == outs[1]
+            head, epoch_losses = finetune(params, small_dataset, small_table,
+                                          FineTuneConfig(epochs=1, seed=0))
+            outs.append((epoch_losses, head.tensors(), params_tensors(params)))
+        assert outs[0][0] == outs[1][0]
+        for first, second in zip(outs[0][1:], outs[1][1:]):
+            for name in first:
+                np.testing.assert_array_equal(first[name], second[name])
 
     def test_updates_encoder_and_head(self, small_dataset, small_table):
         params = init_params(seed=0)
-        head = init_head(3, seed=0)
         enc_before = {k: v.copy() for k, v in params_tensors(params).items()}
-        head_before = {k: v.copy() for k, v in head.tensors().items()}
-        result = finetune(
-            params, head, small_dataset, small_table,
-            FineTuneConfig(epochs=1, seed=0),
-        )
-        enc_after = params_tensors(result.params)
-        head_after = result.head.tensors()
+        head_before = init_head(3, seed=0).tensors()
+        head, _ = finetune(params, small_dataset, small_table, FineTuneConfig(epochs=1, seed=0))
+        enc_after = params_tensors(params)
+        head_after = head.tensors()
         assert any(not np.array_equal(enc_after[k], enc_before[k]) for k in enc_before)
         assert any(not np.array_equal(head_after[k], head_before[k]) for k in head_before)
+
+    @pytest.mark.parametrize("layers, seed", [(1, 0), (3, 7), (5, 2)])
+    def test_epochs_zero_returns_the_seeded_initial_head(self, small_dataset, small_table,
+                                                         layers, seed):
+        """finetune makes its own head: init_head(config.layers, seed=config.seed)."""
+        params = init_params(seed=0)
+        head, epoch_losses = finetune(params, small_dataset, small_table,
+                                      FineTuneConfig(epochs=0, layers=layers, seed=seed))
+        assert epoch_losses == []
+        expected = init_head(layers, seed=seed).tensors()
+        got = head.tensors()
+        assert got.keys() == expected.keys()
+        for name in expected:
+            np.testing.assert_array_equal(got[name], expected[name])
 
 
 class TestLossCsv:
