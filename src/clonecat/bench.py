@@ -37,6 +37,7 @@ from .train import FineTuneConfig, PretrainConfig, finetune, pretrain
 __all__ = [
     "VECTOR_DETECTORS",
     "OVERLAP_DETECTORS",
+    "DETECTOR_OPTIONS",
     "CloneType",
     "Pair",
     "PairDataset",
@@ -306,36 +307,48 @@ class MetricsReport:
 # detectors that score encoder vectors, and the token-overlap baselines, which train nothing
 VECTOR_DETECTORS = ("cosine", "classifier")
 OVERLAP_DETECTORS = ("overlap", "weighted")
+# the options each detector reads: the classifier decides at 0.5; the baselines train nothing
+DETECTOR_OPTIONS = dict(zip(VECTOR_DETECTORS + OVERLAP_DETECTORS, (
+    ("threshold", "train_encoder"), ("head", "symmetrize", "train_encoder"),
+    ("threshold",), ("threshold", "weights"))))
 
 
 @dataclass
 class PipelineConfig:
-    detector: str = "cosine"  # one of VECTOR_DETECTORS or OVERLAP_DETECTORS
-    threshold: float = DEFAULT_THRESHOLD
+    detector: str = "cosine"  # a key of DETECTOR_OPTIONS
+    threshold: float | None = None  # None: the detector's default, DEFAULT_THRESHOLD
     embed: EmbedConfig = field(default_factory=EmbedConfig)
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     finetune: FineTuneConfig = field(default_factory=FineTuneConfig)
-    train_encoder: bool = True  # False = random-frozen attention baseline
-    weights: CategoryWeights | None = None  # read by the weighted detector only
+    train_encoder: bool = True  # False skips pretraining; the classifier still fine-tunes
+    weights: CategoryWeights | None = None
     symmetrize: bool = False  # the classifier averages both pair orders
     seed: int = 0
 
     def validate(self) -> None:
-        """The one check of a pipeline's options, the nested training configs'
-        included; ``build_detector`` relies on it."""
-        if self.detector not in VECTOR_DETECTORS + OVERLAP_DETECTORS:
-            raise ValueError(f"unknown detector {self.detector!r}")
-        _finite_threshold(self.threshold)
+        """The one check of a pipeline's options, the nested training configs' included;
+        ``build_detector`` relies on it. A detector refuses an option it does not read."""
+        self.refuse_unread()
+        if self.threshold is not None:
+            _finite_threshold(self.threshold)
         if self.detector == "weighted" and self.weights is None:
             raise ValueError("weighted detector needs CategoryWeights: --weights FILE of 15 values")
-        if self.detector != "weighted" and self.weights is not None:
-            raise ValueError(f"weights are for the weighted detector, not {self.detector}")
-        if self.detector != "classifier" and self.symmetrize:
-            raise ValueError(f"symmetrize is for the classifier detector, not {self.detector}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for sub in (self.embed, self.pretrain, self.finetune):
             sub.validate()
+
+    def refuse_unread(self, *given: str) -> None:
+        """ValueError for an unknown detector, or for the first option it does not read of those
+        set here (threshold not None, weights, symmetrize, train_encoder=False) and ``given``."""
+        if self.detector not in DETECTOR_OPTIONS:
+            raise ValueError(f"unknown detector {self.detector!r}")
+        set_here = {"threshold": self.threshold is not None, "weights": self.weights is not None,
+                    "symmetrize": self.symmetrize, "train_encoder": not self.train_encoder}
+        for option in [option for option, on in set_here.items() if on] + list(given):
+            if option not in DETECTOR_OPTIONS[self.detector]:
+                readers = " or ".join(d for d, read in DETECTOR_OPTIONS.items() if option in read)
+                raise ValueError(f"{option} is for the {readers} detector, not {self.detector}")
 
 
 def build_detector(config: PipelineConfig, train_pairs: Sequence[Pair] = (),
@@ -343,22 +356,23 @@ def build_detector(config: PipelineConfig, train_pairs: Sequence[Pair] = (),
     """The detector ``config`` names. A vector detector scores with ``models``, a
     ``(params, table, head or None)`` triple such as one read from files, or else
     with models trained on ``train_pairs`` of ``dataset`` under ``fold_seed``."""
+    threshold = DEFAULT_THRESHOLD if config.threshold is None else config.threshold
     if config.detector == "overlap":
-        return OverlapDetector(threshold=config.threshold)
+        return OverlapDetector(threshold=threshold)
     if config.detector == "weighted":
-        return WeightedOverlapDetector(config.weights, threshold=config.threshold)
+        return WeightedOverlapDetector(config.weights, threshold=threshold)
     params, table, head = models or _train_models(config, train_pairs, dataset, fold_seed)
     if config.detector == "classifier":
         if head is None:
             raise ValueError("classifier detector needs a head")
         return VectorDetector(params, table, head=head, symmetrize=config.symmetrize)
-    return VectorDetector(params, table, config.threshold)
+    return VectorDetector(params, table, threshold)
 
 
 def _train_models(config: PipelineConfig, train_pairs: Sequence[Pair],
                   dataset: PairDataset, seed: int) -> tuple:
-    """SGNS embeddings over the methods of ``train_pairs``, the encoder pretrained on
-    them unless ``config`` keeps it frozen, and a fine-tuned head for the classifier."""
+    """SGNS embeddings over the methods of ``train_pairs``, the encoder pretrained on them
+    unless ``config.train_encoder`` is False, and the classifier's head, fine-tuned with it."""
     if not train_pairs:
         raise TooFewPairs(f"no pairs to train the {config.detector} detector on")
     train_ids = sorted({p.id1 for p in train_pairs} | {p.id2 for p in train_pairs})
@@ -410,11 +424,10 @@ def evaluate(
                 else:
                     fn += 1
                     type_fn[tname] = type_fn.get(tname, 0) + 1
+            elif verdict.is_clone:
+                fp += 1
             else:
-                if verdict.is_clone:
-                    fp += 1
-                else:
-                    tn += 1
+                tn += 1
         precision, recall, f1 = _prf(tp, fp, fn)
         fold_metrics.append(FoldMetrics(precision, recall, f1, tp, fp, fn, tn))
 

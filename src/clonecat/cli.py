@@ -128,33 +128,20 @@ def _read_weights_file(path) -> CategoryWeights:
         raise DataError(f"weights file {path}: {exc}") from exc
 
 
-def _threshold(args) -> float:
-    """``--threshold``, or DEFAULT_THRESHOLD when absent; the classifier takes none."""
-    if args.threshold is None:
-        return DEFAULT_THRESHOLD
-    if args.detector == "classifier":
-        raise ValueError("--threshold is for the cosine detector; the classifier decides at 0.5")
-    return args.threshold
-
-
 def _pipeline_config(args) -> PipelineConfig:
-    """The validated detector options of a scoring command; reads the --config and
-    --weights files only, so a bad option fails before any corpus or model is loaded."""
-    file_values = _read_config_file(getattr(args, "config", None))
-    config = PipelineConfig(detector=args.detector, threshold=_threshold(args),
+    """The validated detector options of a scoring command: an option the detector does not
+    read fails before any file is read, any other before a corpus or model is loaded."""
+    config = PipelineConfig(detector=args.detector, threshold=args.threshold,
                             train_encoder=not getattr(args, "no_train_encoder", False),
                             symmetrize=getattr(args, "symmetrize", False))
+    config.refuse_unread(*(option for option in ("head", "weights") if getattr(args, option, None)))
+    if "head" in args and config.detector == "classifier" and not args.head:
+        raise ValueError("classifier detector needs --head")  # detect reads its models from files
+    file_values = _read_config_file(getattr(args, "config", None))
     for sub in (config.embed, config.pretrain, config.finetune):
         _apply_overrides(sub, file_values, args)
     config.seed = config.embed.seed  # --seed, else the file's seed line, else 0
-    if "head" in args:  # detect reads its models from files
-        if config.detector == "classifier" and not args.head:
-            raise ValueError("classifier detector needs --head")
-        if config.detector != "classifier" and args.head:
-            raise ValueError(f"--head is for the classifier detector, not {config.detector}")
     if getattr(args, "weights", None):
-        if config.detector != "weighted":
-            raise ValueError(f"--weights is for the weighted detector, not {config.detector}")
         config.weights = _read_weights_file(args.weights)
     config.validate()
     return config
@@ -255,6 +242,8 @@ def _cmd_explain(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     _check_outputs(args.out)
+    if args.folds < 1:  # make_folds checks too, but only once the corpus is read
+        raise ValueError(f"n_folds must be >= 1, got {args.folds}")
     config = _pipeline_config(args)
     dataset = load_dataset(args.functions, args.pairs)
     folds = make_folds(dataset, seed=config.seed, n_folds=args.folds)
@@ -273,9 +262,7 @@ def _cmd_bench_time(args) -> int:
     dataset = load_dataset(args.functions, args.pairs)
     start = time.perf_counter()
     detector = build_detector(config, dataset.pairs, dataset, config.seed)
-    training_s = time.perf_counter() - start
-    if config.detector in OVERLAP_DETECTORS:
-        training_s = None  # nothing was trained
+    training_s = None if config.detector in OVERLAP_DETECTORS else time.perf_counter() - start
     report = time_detection(dataset, detector, runs=args.runs, training_s=training_s)
     print(report.to_json())
     return 0

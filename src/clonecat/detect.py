@@ -201,7 +201,7 @@ class OverlapDetector:
 
 
 class WeightedOverlapDetector(OverlapDetector):
-    name = "category_overlap"
+    name = "weighted"
 
     def __init__(self, weights: CategoryWeights, threshold: float = DEFAULT_THRESHOLD):
         super().__init__(threshold)

@@ -13,6 +13,8 @@ import pytest
 
 from clonecat import bench
 from clonecat.bench import (
+    OVERLAP_DETECTORS,
+    VECTOR_DETECTORS,
     CloneType,
     FoldPlan,
     Pair,
@@ -29,17 +31,19 @@ from clonecat.bench import (
     time_detection,
 )
 from clonecat.detect import (
+    DEFAULT_THRESHOLD,
     CategoryWeights,
     CloneVerdict,
     OverlapDetector,
     classifier_score,
+    detect_corpus,
     overlap_similarity,
 )
 from clonecat.embed import EmbedConfig
-from clonecat.encoder import encode_method, init_params
+from clonecat.encoder import encode_method, init_params, params_tensors
 from clonecat.errors import BadRow, MissingFunction, TooFewPairs
 from clonecat.lexcat import TokenCategory, categorize_source, tokenize
-from clonecat.train import FineTuneConfig, PretrainConfig
+from clonecat.train import FineTuneConfig, PretrainConfig, init_head
 
 
 @pytest.fixture()
@@ -50,6 +54,10 @@ def corpus_dir(tmp_path):
     (funcs / "f2.java").write_text("int  a() { /* same */ return 1; }")
     (funcs / "f3.java").write_text("while (x > 0) { x--; }")
     return funcs
+
+
+def _fail_if_trained(*args, **kwargs):
+    raise AssertionError("trained where nothing should be")
 
 
 def write_pairs(tmp_path, text):
@@ -334,7 +342,7 @@ class TestBuiltinCorpus:
 
 class TestEvaluate:
     def test_overlap_metrics_match_direct_computation(self, eval_ds, eval_plan):
-        config = PipelineConfig(detector="overlap", train_encoder=False)
+        config = PipelineConfig(detector="overlap")
         report = evaluate(eval_ds, eval_plan, config)
 
         precisions, recalls, f1s = [], [], []
@@ -343,7 +351,7 @@ class TestEvaluate:
             for idx in fold:
                 pair = eval_ds.pairs[idx]
                 s = overlap_similarity(eval_ds.methods[pair.id1], eval_ds.methods[pair.id2])
-                pred = s > config.threshold
+                pred = s > DEFAULT_THRESHOLD  # a threshold left out
                 if pred and pair.label == 1:
                     tp += 1
                 elif pred:
@@ -363,13 +371,13 @@ class TestEvaluate:
         assert report.f1 == pytest.approx(np.mean(f1s), abs=1e-12)
 
     def test_fold_confusion_counts_cover_all_pairs(self, eval_ds, eval_plan):
-        config = PipelineConfig(detector="overlap", train_encoder=False)
+        config = PipelineConfig(detector="overlap")
         report = evaluate(eval_ds, eval_plan, config)
         total = sum(f.tp + f.fp + f.fn + f.tn for f in report.folds)
         assert total == len(eval_ds.pairs)
 
     def test_per_type_recall_pooled(self, eval_ds, eval_plan):
-        config = PipelineConfig(detector="overlap", train_encoder=False)
+        config = PipelineConfig(detector="overlap")
         report = evaluate(eval_ds, eval_plan, config)
         for name, counts in report.per_type_counts.items():
             tp, fn = counts["tp"], counts["fn"]
@@ -382,14 +390,13 @@ class TestEvaluate:
         assert pooled_positives == sum(1 for p in eval_ds.pairs if p.label == 1)
 
     def test_impossible_threshold_warns_on_empty_predictions(self, eval_ds, eval_plan, capsys):
-        config = PipelineConfig(detector="overlap", threshold=1.0,
-                                train_encoder=False)
+        config = PipelineConfig(detector="overlap", threshold=1.0)
         report = evaluate(eval_ds, eval_plan, config)
         assert "note: precision denominator is zero; reporting 0" in capsys.readouterr().err
         assert report.precision == 0.0
 
     def test_leakage_hook_sees_disjoint_train_sets(self, eval_ds, eval_plan):
-        config = PipelineConfig(detector="overlap", train_encoder=False)
+        config = PipelineConfig(detector="overlap")
         seen = {}
 
         def hook(fold_no, train_idx):
@@ -403,7 +410,7 @@ class TestEvaluate:
             assert train_idx | test_idx == set(range(len(eval_ds.pairs)))
 
     def test_report_json_round_trip(self, eval_ds, eval_plan):
-        config = PipelineConfig(detector="overlap", train_encoder=False)
+        config = PipelineConfig(detector="overlap")
         report = evaluate(eval_ds, eval_plan, config)
         data = json.loads(report.to_json())
         assert set(data) >= {"overall", "per_type", "folds", "seed"}
@@ -421,18 +428,30 @@ class TestEvaluate:
         assert len(report.folds) == 2
 
     def test_weighted_detector_requires_weights(self, eval_ds, eval_plan):
-        config = PipelineConfig(detector="weighted", train_encoder=False)
+        config = PipelineConfig(detector="weighted")
         with pytest.raises(ValueError, match="CategoryWeights"):
             config.validate()
 
     def test_unknown_detector_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(detector="psychic").validate()
+        for check in (PipelineConfig.validate, PipelineConfig.refuse_unread):
+            with pytest.raises(ValueError, match="unknown detector 'psychic'"):
+                check(PipelineConfig(detector="psychic"))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            PipelineConfig(seed=-1).validate()
+
+    def test_unknown_method_id_rejected_before_training(self, small_dataset, monkeypatch):
+        monkeypatch.setattr(bench, "train_word2vec", _fail_if_trained)
+        by_hand = PairDataset(dict(small_dataset.methods),
+                              [Pair(small_dataset.pairs[0].id1, "nope", 0)])
+        with pytest.raises(MissingFunction, match="unknown method id 'nope'"):
+            evaluate(by_hand, FoldPlan([[0]], seed=0), PipelineConfig())
 
     @pytest.mark.parametrize("detector", ["cosine", "classifier", "overlap"])
     def test_weights_only_with_the_weighted_detector(self, detector):
         config = PipelineConfig(detector=detector, weights=CategoryWeights(np.ones(15)))
-        message = f"weights are for the weighted detector, not {detector}"
+        message = f"weights is for the weighted detector, not {detector}"
         with pytest.raises(ValueError, match=message):
             config.validate()
 
@@ -443,6 +462,33 @@ class TestEvaluate:
         message = f"symmetrize is for the classifier detector, not {detector}"
         with pytest.raises(ValueError, match=message):
             config.validate()
+
+    # what each detector reads, written out here rather than read from bench's table
+    @pytest.mark.parametrize("detector, option, message", [
+        ("cosine", "threshold", None),
+        ("cosine", "train_encoder", None),
+        ("classifier", "threshold",
+         "threshold is for the cosine or overlap or weighted detector, not classifier"),
+        ("classifier", "train_encoder", None),
+        ("overlap", "threshold", None),
+        ("overlap", "train_encoder",
+         "train_encoder is for the cosine or classifier detector, not overlap"),
+        ("weighted", "threshold", None),
+        ("weighted", "train_encoder",
+         "train_encoder is for the cosine or classifier detector, not weighted"),
+    ], ids=[f"{detector}-{option}" for detector in ("cosine", "classifier", "overlap", "weighted")
+            for option in ("threshold", "train_encoder")])
+    def test_threshold_and_train_encoder_only_where_read(self, detector, option, message):
+        """The classifier decides at 0.5, so it refuses a threshold; the baselines train
+        nothing, so they refuse train_encoder=False."""
+        weights = CategoryWeights(np.ones(15)) if detector == "weighted" else None
+        config = PipelineConfig(detector=detector, weights=weights,
+                                **{option: 0.9 if option == "threshold" else False})
+        if message is None:
+            config.validate()
+        else:
+            with pytest.raises(ValueError, match=message):
+                config.validate()
 
     @pytest.mark.parametrize("train_encoder", [True, False])
     @pytest.mark.parametrize("nested, message", [
@@ -503,14 +549,43 @@ class TestEvaluate:
         assert order_matters
 
     def test_build_detector_scores_with_given_models(self, small_table):
-        """Given models, nothing is trained; a classifier without a head is refused."""
+        """Given models, nothing is trained; a threshold left out is DEFAULT_THRESHOLD;
+        a classifier without a head is refused."""
         params = init_params(0)
         detector = build_detector(PipelineConfig(threshold=0.5),
                                   models=(params, small_table, None))
         assert (detector.name, detector.threshold, detector.params) == ("cosine", 0.5, params)
+        for config in (PipelineConfig(), PipelineConfig(detector="overlap")):
+            assert config.threshold is None
+            assert build_detector(config, models=(params, small_table, None)).threshold == 0.7
         with pytest.raises(ValueError, match="needs a head"):
             build_detector(PipelineConfig(detector="classifier"),
                            models=(params, small_table, None))
+
+    @pytest.mark.parametrize("detector", VECTOR_DETECTORS + OVERLAP_DETECTORS)
+    def test_verdicts_carry_the_detector_name(self, small_dataset, small_table, detector):
+        weights = CategoryWeights(np.ones(15)) if detector == "weighted" else None
+        head = init_head(1, seed=0) if detector == "classifier" else None
+        built = build_detector(PipelineConfig(detector=detector, weights=weights),
+                               models=(init_params(0), small_table, head))
+        pairs = [(p.id1, p.id2) for p in small_dataset.pairs[:4]]
+        verdicts = detect_corpus(small_dataset.methods, pairs, built)
+        assert [v.detector for v in verdicts] == [detector] * 4
+
+    @pytest.mark.parametrize("detector", VECTOR_DETECTORS)
+    def test_train_encoder_false_skips_pretraining_only(self, small_dataset, monkeypatch,
+                                                        detector):
+        """Without train_encoder nothing is pretrained: the cosine detector scores with
+        init_params(seed), the frozen baseline, while the classifier still fine-tunes
+        that encoder together with its head."""
+        monkeypatch.setattr(bench, "pretrain", _fail_if_trained)
+        config = PipelineConfig(detector=detector, train_encoder=False,
+                                embed=EmbedConfig(epochs=1),
+                                finetune=FineTuneConfig(epochs=1, layers=1))
+        built = build_detector(config, small_dataset.pairs, small_dataset, 3)
+        start, used = (params_tensors(p) for p in (init_params(3), built.params))
+        unchanged = [name for name in start if np.array_equal(start[name], used[name])]
+        assert (unchanged == list(start)) == (detector == "cosine")
 
     @pytest.mark.parametrize("detector", ["cosine", "classifier"])
     def test_training_on_no_pairs_rejected(self, small_dataset, detector):
@@ -540,6 +615,10 @@ class TestTimeDetection:
         empty = dataclasses.replace(timing_ds, pairs=())
         report = time_detection(empty, OverlapDetector(), runs=2)
         assert report.mean_s >= 0.0
+
+    def test_runs_below_one_rejected(self, timing_ds):
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            time_detection(timing_ds, OverlapDetector(), runs=0)
 
     def test_json_keys(self, timing_ds):
         report = time_detection(timing_ds, OverlapDetector(), runs=1, training_s=1.0)

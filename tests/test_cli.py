@@ -312,7 +312,7 @@ class TestInferenceCommands:
             "--detector", "weighted", "--weights", str(workspace / "weights.txt"),
         ]) == 0
         verdicts = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
-        assert all(v["detector"] == "category_overlap" for v in verdicts)
+        assert all(v["detector"] == "weighted" for v in verdicts)
 
     def test_baseline_weighted_needs_weights(self, workspace, capsys):
         code = run([
@@ -408,7 +408,7 @@ class TestInferenceCommands:
         assert run([
             "evaluate", "--functions", str(workspace / "funcs"),
             "--pairs", str(workspace / "pairs.csv"),
-            "--detector", "overlap", "--no-train-encoder",
+            "--detector", "overlap",
             "--folds", "2", "--out", str(out),
         ]) == 0
         stdout_report = json.loads(capsys.readouterr().out.strip())
@@ -495,6 +495,14 @@ def _raw_table(tokens, bad_value=None):
     return head + body + matrix.tobytes()
 
 
+def _encode_with_params(data):
+    def build(workspace, trained, tmp_path):
+        (tmp_path / "enc.bin").write_bytes(data)
+        return ["encode", "--functions", str(workspace / "funcs"),
+                "--embeddings", str(trained["emb"]), "--params", str(tmp_path / "enc.bin")]
+    return build
+
+
 def _encode_with_table(data):
     def build(workspace, trained, tmp_path):
         (tmp_path / "emb.bin").write_bytes(data)
@@ -579,6 +587,11 @@ def _with_threshold_nan(command):
     return build
 
 
+# the classifier decides at 0.5 and refuses --threshold
+_CLASSIFIER_THRESHOLD = ("threshold is for the cosine or overlap or weighted detector, "
+                         "not classifier")
+
+
 def _classifier_threshold(command):
     def build(workspace, trained, tmp_path):
         return [command, "--functions", str(workspace / "funcs"), "--pairs",
@@ -615,8 +628,9 @@ def _evaluate_seed(seed):
 def _header_only_pairs(command):
     def build(workspace, trained, tmp_path):
         (tmp_path / "header.csv").write_text("id1,id2,label\n", encoding="utf-8")
-        return [command, "--functions", str(workspace / "funcs"),
-                "--pairs", str(tmp_path / "header.csv")]
+        argv = (_finetune_argv(workspace, trained, tmp_path) if command == "finetune"
+                else [command, "--functions", str(workspace / "funcs")])
+        return argv + ["--pairs", str(tmp_path / "header.csv")]  # the last --pairs counts
     return build
 
 
@@ -624,6 +638,17 @@ def _weighted_without_weights(command):
     def build(workspace, trained, tmp_path):
         return [command, "--functions", str(workspace / "funcs"),
                 "--pairs", str(workspace / "pairs.csv"), "--detector", "weighted"]
+    return build
+
+
+def _no_train_encoder(command, detector):
+    """``command`` with --no-train-encoder and ``detector``; the weighted detector's
+    --weights file does not exist, so reading it would fail with exit 2."""
+    def build(workspace, trained, tmp_path):
+        argv = [command, "--functions", str(workspace / "funcs"), "--pairs",
+                str(workspace / "pairs.csv"), "--detector", detector, "--no-train-encoder"]
+        return argv + (["--weights", str(tmp_path / "absent.txt")] if detector == "weighted"
+                       else [])
     return build
 
 
@@ -744,9 +769,9 @@ _SNAN = struct.pack("<I", 0x7F800001)
                           "--pairs", str(w / "pairs.csv"), "--embeddings", str(t["emb"]),
                           "--params", str(t["enc2"]), "--detector", "classifier",
                           "--head", str(t["head"]), "--threshold", "nan"],
-         1, "--threshold is for the cosine detector"),
-        (_classifier_threshold("evaluate"), 1, "--threshold is for the cosine detector"),
-        (_classifier_threshold("bench-time"), 1, "--threshold is for the cosine detector"),
+         1, _CLASSIFIER_THRESHOLD),
+        (_classifier_threshold("evaluate"), 1, _CLASSIFIER_THRESHOLD),
+        (_classifier_threshold("bench-time"), 1, _CLASSIFIER_THRESHOLD),
         (_non_utf8_config, 1, "latin1.cfg"),
         (lambda w, t, p: _finetune_argv(w, t, p, "--epochs", "1", "--lr", "nan"),
          1, "lr must be finite"),
@@ -799,6 +824,18 @@ _SNAN = struct.pack("<I", 0x7F800001)
          "invalid configuration: seed must be >= 0, got -1"),
         (_config_value("embed-train", "epochs = 0", "--lr", "0.01"), 1,
          "v.cfg: epochs must be >= 1"),
+        (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs", "--lr", "0"), 1, "lr must be > 0"),
+        (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs", "--batch-size", "1"),
+         1, "batch_size must be >= 2"),
+        (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs", "--temperature", "0"),
+         1, "temperature must be > 0"),
+        (lambda w, t, p: ["embed-train", "--functions", str(w / "funcs"),
+                          "--out", str(p / "e.bin"), "--lr", "nan"],
+         1, "lr must be finite, got nan"),
+        (_encode_with_table(b"CCEMB1" + struct.pack("<II", 1, 50)), 2, "embedding dim 50 != 100"),
+        (_encode_with_params(b"CCENC1" + struct.pack("<B2I", 2, 100, 99)),
+         2, "tensor shape (100, 99) != expected"),
+        (_header_only_pairs("finetune"), 2, "no pairs to fine-tune on"),
     ],
     ids=["missing-functions-dir", "non-utf8-in", "non-utf8-functions",
          "sgns-diverges", "table-non-finite", "table-duplicate-token",
@@ -826,7 +863,9 @@ _SNAN = struct.pack("<I", 0x7F800001)
          "config-seed-negative-evaluate", "evaluate-one-fold-trains-on-nothing",
          "bench-time-header-only-pairs", "embed-train-bad-lr-flag-with-config",
          "embed-train-bad-window-flag-with-config", "evaluate-bad-seed-flag-with-config",
-         "config-value-out-of-range-with-good-flag"],
+         "config-value-out-of-range-with-good-flag", "pretrain-lr-zero",
+         "pretrain-batch-size-one", "pretrain-temperature-zero", "embed-train-lr-nan",
+         "table-dim-not-100", "params-tensor-shape-wrong", "finetune-header-only-pairs"],
 )
 def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):
     assert run(build(workspace, trained, tmp_path)) == code
@@ -881,14 +920,14 @@ def _missing_dir(tmp_path):
         (lambda w, t, p: ["detect", "--functions", str(w / "funcs"),
                           "--pairs", str(w / "pairs.csv"), "--embeddings", str(t["emb"]),
                           "--params", str(t["enc"]), "--head", str(p / "absent.npz")],
-         1, "--head is for the classifier detector, not cosine"),
+         1, "head is for the classifier detector, not cosine"),
         (lambda w, t, p: ["detect", "--functions", str(w / "funcs"),
                           "--pairs", str(w / "pairs.csv"), "--embeddings", str(t["emb"]),
                           "--params", str(t["enc"]), "--symmetrize"],
          1, "symmetrize is for the classifier detector, not cosine"),
-        (_weights_with("baseline", "overlap"), 1, "--weights is for the weighted detector"),
+        (_weights_with("baseline", "overlap"), 1, "weights is for the weighted detector"),
         *[(_weights_with(command, detector), 1,
-           f"--weights is for the weighted detector, not {detector}")
+           f"weights is for the weighted detector, not {detector}")
           for command in ("evaluate", "bench-time")
           for detector in ("cosine", "classifier", "overlap")],
         (_config_value("evaluate", "symmetrize = 1"), 1, "v.cfg:2: unknown key 'symmetrize'"),
@@ -899,6 +938,10 @@ def _missing_dir(tmp_path):
         (lambda w, t, p: _finetune_argv(w, t, p, "--out-head", str(p / "." / ".." / p.name
                                                                     / "enc2.bin")),
          2, "name the same file"),
+        *[(_no_train_encoder(command, detector), 1,
+           f"train_encoder is for the cosine or classifier detector, not {detector}")
+          for command in ("evaluate", "bench-time") for detector in ("overlap", "weighted")],
+        (_evaluate_folds("0"), 1, "n_folds must be >= 1, got 0"),
     ],
     ids=["embed-train-out-dir", "embed-train-out-no-parent", "pretrain-out-dir",
          "pretrain-loss-log-dir", "pretrain-loss-log-no-parent", "finetune-out-params-dir",
@@ -911,7 +954,10 @@ def _missing_dir(tmp_path):
          *[f"{command}-weights-with-{detector}" for command in ("evaluate", "bench-time")
            for detector in ("cosine", "classifier", "overlap")],
          "config-sets-symmetrize", "pretrain-loss-log-is-out", "finetune-out-head-is-out-params",
-         "finetune-out-head-aliases-out-params"],
+         "finetune-out-head-aliases-out-params",
+         *[f"{command}-no-train-encoder-with-{detector}" for command in ("evaluate", "bench-time")
+           for detector in ("overlap", "weighted")],
+         "evaluate-folds-zero"],
 )
 def test_options_checked_before_any_work(workspace, trained, tmp_path, monkeypatch, capsys,
                                          build, code, bad):

@@ -268,7 +268,7 @@ class TestDetectCorpus:
     def test_weighted_detector_name(self, corpus):
         weights = weights_by_name(EXAMPLE_WEIGHTS)
         verdicts = detect_corpus(corpus, [("a", "b")], WeightedOverlapDetector(weights))
-        assert verdicts[0].detector == "category_overlap"
+        assert verdicts[0].detector == "weighted"
 
     def test_empty_pairs_ok(self, corpus, small_table, enc_params):
         detector = VectorDetector(enc_params, small_table)

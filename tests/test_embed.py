@@ -11,6 +11,7 @@ from clonecat.embed import (
     EMBED_DIM,
     UNK_TOKEN,
     EmbedConfig,
+    EmbeddingTable,
     Vocabulary,
     load_table,
     save_table,
@@ -242,6 +243,15 @@ class TestLookup:
             assert np.array_equal(
                 small_table.lookup(token), small_table.matrix[small_table.vocab.id_for(token)]
             )
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.zeros((2, EMBED_DIM - 1)), r"matrix shape \(2, 99\) != \(2, 100\)"),
+        (np.zeros((3, EMBED_DIM)), r"matrix shape \(3, 100\) != \(2, 100\)"),
+        (np.full((2, EMBED_DIM), np.inf), "non-finite"),
+    ], ids=["narrow", "extra-row", "infinite"])
+    def test_table_rejects_a_bad_matrix(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            EmbeddingTable(Vocabulary([UNK_TOKEN, "int"], [0, 1]), matrix)
 
 
 def token_cosine(table, t1, t2):

@@ -240,6 +240,12 @@ class TestInitParams:
         with pytest.raises(ShapeMismatch):
             params.validate()
 
+    def test_validate_rejects_a_missing_category_block(self):
+        params = init_params(seed=0)
+        params.category_blocks.pop()
+        with pytest.raises(ShapeMismatch, match="expected 15 category blocks, got 14"):
+            params.validate()
+
 
 class TestCategoryInput:
     def test_rows_sorted_by_lexeme_and_scaled_by_count(self, small_table):

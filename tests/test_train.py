@@ -77,6 +77,14 @@ class TestSupConLoss:
         l2, _ = supcon_loss(3.0 * z, labels)
         assert l1 == pytest.approx(l2, rel=1e-12)
 
+    @pytest.mark.parametrize("z, labels, message", [
+        (np.ones(4), np.array([0, 0, 1, 1]), r"z must be 2-d, got shape \(4,\)"),
+        (np.ones((3, 4)), np.array([0, 0]), r"labels shape \(2,\) != \(3,\)"),
+    ], ids=["z-1d", "labels-short"])
+    def test_bad_shapes_rejected(self, z, labels, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            supcon_loss(z, labels)
+
     def test_degenerate_batch_raises(self):
         z = np.random.default_rng(0).standard_normal((3, 4))
         with pytest.raises(DegenerateBatch):
@@ -178,6 +186,13 @@ class TestRMSProp:
         state = OptimizerState.for_params(params)
         with pytest.raises(ShapeMismatch):
             rmsprop_step(params, {"w": np.array([1.0])}, state, PretrainConfig())
+
+    def test_missing_gradient_rejected_before_mutation(self):
+        params = {"w": np.array([1.0]), "b": np.array([2.0])}
+        state = OptimizerState.for_params(params)
+        with pytest.raises(ShapeMismatch, match="missing gradient for b"):
+            rmsprop_step(params, {"w": np.array([1.0])}, state, PretrainConfig())
+        assert (params["w"][0], params["b"][0], state.step) == (1.0, 2.0, 0)
 
     def test_step_counter_increments(self):
         params = {"w": np.array([1.0])}
