@@ -17,8 +17,8 @@ Category mapping:
   numeric literals split by radix/suffix into the six integer/float kinds
   Null       string/char literals and the null literal
 
-Lexing is one compiled pattern, ``_TOKEN``, whose named alternatives are
-tried in this order at each position:
+``tokenize`` lexes with one compiled pattern, ``_TOKEN``, whose named
+alternatives are tried in this order at each position:
   skip  whitespace, // and /* */ comments     dropped
   text  a closed string or char literal       Null
   open  a /*, " or ' that never closes        LexError "unterminated ..."
@@ -40,11 +40,18 @@ decimal float (point, exponent or f/d suffix) with an l suffix; and a
 leading-zero (octal) integer holding an 8 or a 9. A word that starts with
 a character other than a letter, '_' or '$' (a digit such as '²') is an
 illegal character.
+
+``categorize_source`` scans a method once with ``_LEXEME`` for its lexemes
+and lexes each distinct lexeme alone. That gives the same category or error:
+with no anchor or lookaround, an alternative that fails in context fails on
+the lexeme alone too. A lexeme that does not lex alone to exactly itself sends
+the whole method through ``tokenize``, so a LexError keeps its line and column.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -201,6 +208,10 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+# _TOKEN unnamed, one group around all but ``skip``: findall gives each lexeme, "" for a skip.
+_LEXEME = re.compile(re.sub(r"\(\?P<\w+>", "(?:", _TOKEN.pattern.replace("(?P<text>", "((?P<text>"))
+                     + ")", _TOKEN.flags)
+
 _UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "char literal"}
 
 _WORD_CATEGORY = {
@@ -259,13 +270,8 @@ def _number(m: re.Match) -> TokenCategory:
     return TokenCategory.DECIMAL_INTEGER
 
 
-def tokenize(source: str, source_id: str = "<memory>") -> TokenStream:
-    """Lex one Java method into its token stream.
-
-    Comments and whitespace are discarded. Raises LexError at the first
-    unterminated literal/comment, malformed number or illegal character.
-    """
-    tokens: list[Token] = []
+def _lex(source: str):
+    """Yield each Token of ``source`` in order; raise LexError at the first bad one."""
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
         if kind == "skip":
@@ -283,8 +289,16 @@ def tokenize(source: str, source_id: str = "<memory>") -> TokenStream:
             raise _error(source, m.start(), f"illegal character {lexeme!r}")
         else:
             category = _number(m)
-        tokens.append(Token(lexeme, category))
-    return TokenStream(tuple(tokens), source_id)
+        yield Token(lexeme, category)
+
+
+def tokenize(source: str, source_id: str = "<memory>") -> TokenStream:
+    """Lex one Java method into its token stream.
+
+    Comments and whitespace are discarded. Raises LexError at the first
+    unterminated literal/comment, malformed number or illegal character.
+    """
+    return TokenStream(tuple(_lex(source)), source_id)
 
 
 def categorize(ts: TokenStream) -> CategorizedMethod:
@@ -297,4 +311,15 @@ def categorize(ts: TokenStream) -> CategorizedMethod:
 
 
 def categorize_source(source: str, source_id: str = "<memory>") -> CategorizedMethod:
-    return categorize(tokenize(source, source_id))
+    """``categorize(tokenize(source, source_id))``, from one scan and one lookup a lexeme."""
+    lexemes = list(filter(None, _LEXEME.findall(source)))
+    counts: dict[TokenCategory, dict[str, int]] = {}
+    for lexeme, n in Counter(lexemes).items():
+        try:
+            [(alone, category)] = _lex(lexeme)  # ValueError unless exactly one token
+        except (LexError, ValueError):
+            alone = None
+        if alone != lexeme:
+            return categorize(tokenize(source, source_id))
+        counts.setdefault(category, {})[lexeme] = n
+    return CategorizedMethod(source_id, counts, tuple(lexemes))

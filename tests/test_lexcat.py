@@ -1,7 +1,12 @@
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clonecat import lexcat
+from clonecat.bench import builtin_base_methods, synth_clones
 from clonecat.errors import LexError
 from clonecat.lexcat import (
     NUM_CATEGORIES,
@@ -253,6 +258,62 @@ def test_lex_error_position_locates_an_illegal_character(pieces, at):
     assert line_starts[exc.value.line - 1] + exc.value.column - 1 == len(prefix)
 
 
+@pytest.mark.parametrize("source,line,column,reason", LEX_ERROR_CONTRACT)
+def test_categorize_source_keeps_the_lex_error_contract(source, line, column, reason):
+    with pytest.raises(LexError) as exc:
+        categorize_source(source, source_id="bad")
+    assert (exc.value.line, exc.value.column, exc.value.reason) == (line, column, reason)
+
+
+# Fragments that do not lex on their own.  Spliced in among other lexemes,
+# some join a neighbour into a token that does.
+_MALFORMED = ["#", "08", "0x", "0b2", "1.0L", '"open', "'o", "/* open", "²", "٣x", "0x1.8",
+              "0x1p", "\ufeff"]
+
+
+def _outcome(lex):
+    """The counts in insertion order and the sequence ``lex()`` returns, or its LexError."""
+    try:
+        cm = lex()
+    except LexError as exc:
+        return exc.line, exc.column, exc.reason
+    return cm.source_id, [(cat, list(by_lex.items())) for cat, by_lex in cm.counts.items()], cm.sequence
+
+
+@given(st.lists(st.tuples(st.sampled_from(_CONTRACT_LEXEMES), st.sampled_from(_JOINERS + [""])),
+                max_size=30),
+       st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(_MALFORMED)), max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_categorize_source_equals_the_match_loop(pieces, splices):
+    """Lexemes may abut (the empty joiner), and malformed fragments go anywhere."""
+    fragments = [text for piece in pieces for text in piece]
+    for at, bad in splices:
+        fragments.insert(at % (len(fragments) + 1), bad)
+    source = "".join(fragments)
+    assert _outcome(lambda: categorize_source(source, "t")) == \
+        _outcome(lambda: categorize(tokenize(source, "t")))
+
+
+def test_valid_sources_take_the_one_scan_path(monkeypatch):
+    """categorize_source lexes a whole source token by token only when a lexeme is malformed."""
+    fallbacks = []
+
+    def counted(source, source_id="<memory>"):
+        fallbacks.append(source_id)
+        return tokenize(source, source_id)
+
+    monkeypatch.setattr(lexcat, "tokenize", counted)
+    bases = sorted((Path(__file__).parents[1] / "perfbench" / "bases").glob("*.java"))
+    assert len(bases) == 20
+    for path in bases:
+        categorize_source(path.read_text(encoding="utf-8"), path.stem)
+    assert len(synth_clones(builtin_base_methods()).methods) == 200
+    assert fallbacks == []
+    with pytest.raises(LexError):
+        categorize_source("int #x;", "bad")
+    assert fallbacks == ["bad"]
+
+
 class TestCommentAndWhitespaceInvariance:
     BODY = "int gcd(int a, int b) { while (b != 0) { int t = b; b = a % b; a = t; } return a; }"
 
@@ -294,6 +355,19 @@ class TestLabeledCorpus:
     def test_snippet_matches_hand_labels(self, source, expected):
         got = [(t.lexeme, t.category.value) for t in tokenize(source, "s").tokens]
         assert got == expected
+
+    @pytest.mark.parametrize(
+        "source,expected",
+        LABELED_SNIPPETS,
+        ids=[f"snippet{i:02d}" for i in range(len(LABELED_SNIPPETS))],
+    )
+    def test_categorize_source_matches_hand_labels(self, source, expected):
+        cm = categorize_source(source, "s")
+        assert cm.sequence == tuple(lexeme for lexeme, _ in expected)
+        by_category = {}
+        for lexeme, name in expected:
+            by_category.setdefault(TokenCategory(name), Counter())[lexeme] += 1
+        assert cm.counts == by_category
 
 
 class TestCategorize:
