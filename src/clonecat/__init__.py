@@ -13,6 +13,7 @@ from .lexcat import (  # noqa: F401
     category_order,
     tokenize,
 )
+from .data import CloneType, Pair, PairDataset  # noqa: F401
 from .embed import (  # noqa: F401
     EmbedConfig,
     EmbeddingTable,
@@ -51,11 +52,8 @@ from .detect import (  # noqa: F401
 )
 from .explain import ExplainReport, category_weights  # noqa: F401
 from .bench import (  # noqa: F401
-    CloneType,
     FoldPlan,
     MetricsReport,
-    Pair,
-    PairDataset,
     PipelineConfig,
     SynthSpec,
     builtin_base_methods,

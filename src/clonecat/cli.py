@@ -25,14 +25,13 @@ from .bench import (
     build_detector,
     evaluate,
     load_dataset,
-    load_methods,
     make_folds,
-    read_pairs,
     time_detection,
 )
+from .data import load_methods, read_pairs
 from .detect import DEFAULT_THRESHOLD, CategoryWeights, detect_corpus
-from .embed import EMBED_DIM, EmbedConfig, load_table, save_table, train_word2vec
-from .encoder import encode_chunked, load_params, save_params
+from .embed import EMBED_DIM, EMBED_MAGIC, EmbedConfig, load_table, save_table, train_word2vec
+from .encoder import ENCODER_MAGIC, encode_chunked, load_params, save_params
 from .errors import CloneCatError, DataError, NumericFailure
 from .explain import category_weights, format_weights_table
 from .train import (
@@ -46,7 +45,7 @@ from .train import (
     write_loss_csv,
 )
 
-VERSION_LINE = f"clonecat {__version__} (formats CCEMB1, CCENC1)"
+VERSION_LINE = f"clonecat {__version__} (formats {EMBED_MAGIC.decode()}, {ENCODER_MAGIC.decode()})"
 
 # keys a --config file may set, with the type of their value: a field of any
 # training config, so one file can serve every command
@@ -272,9 +271,10 @@ def _cmd_bench_time(args) -> int:
 
 
 def _add_common_model_flags(sub, params=True):
-    sub.add_argument("--embeddings", required=True, help="CCEMB1 embedding file")
+    sub.add_argument("--embeddings", required=True, help=f"{EMBED_MAGIC.decode()} embedding file")
     if params:
-        sub.add_argument("--params", required=True, help="CCENC1 encoder parameter file")
+        sub.add_argument("--params", required=True,
+                         help=f"{ENCODER_MAGIC.decode()} encoder parameter file")
 
 
 def _add_config_flags(sub, *names, **kwargs):

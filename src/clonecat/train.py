@@ -20,15 +20,15 @@ import zipfile
 import zlib
 from tokenize import TokenError
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .blocks import D_MODEL, xavier_uniform
+from .data import Pair, PairDataset
 from .embed import EmbeddingTable
 from .encoder import EncoderParams, encode_backward, encode_methods, init_params, params_tensors
 from .errors import DegenerateBatch, FormatError, NumericFailure, ShapeMismatch
-from .lexcat import CategorizedMethod
 
 __all__ = [
     "RMSPROP_ALPHA",
@@ -56,17 +56,6 @@ __all__ = [
 
 RMSPROP_ALPHA = 0.99
 RMSPROP_EPS = 1e-8
-
-
-class PairRecord(Protocol):
-    id1: str
-    id2: str
-    label: int
-
-
-class SupportsPairs(Protocol):
-    methods: Mapping[str, CategorizedMethod]
-    pairs: Sequence[PairRecord]
 
 
 _Batch = TypeVar("_Batch")
@@ -244,37 +233,20 @@ def rmsprop_step(
 # --- clone classes and batch sampling -----------------------------------
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-
-    def find(self, x: str) -> str:
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def clone_classes(pairs: Iterable[PairRecord]) -> list[list[str]]:
-    """Connected components of the positive-pair graph, deterministically ordered."""
-    uf = _UnionFind()
+def clone_classes(pairs: Iterable[Pair]) -> list[list[str]]:
+    """Connected components of the positive-pair graph, each sorted, in order of first member."""
+    class_of: dict[str, set[str]] = {}  # method id -> the member set of its class so far
     for pair in pairs:
         if pair.label == 1:
-            uf.union(pair.id1, pair.id2)
-    groups: dict[str, list[str]] = {}
-    for node in uf.parent:
-        groups.setdefault(uf.find(node), []).append(node)
-    classes = [sorted(members) for members in groups.values()]
-    classes.sort(key=lambda members: members[0])
-    return classes
+            a = class_of.setdefault(pair.id1, {pair.id1})
+            b = class_of.setdefault(pair.id2, {pair.id2})
+            if a is not b:
+                if len(a) < len(b):  # move the smaller set: each id moves O(log n) times
+                    a, b = b, a
+                a |= b
+                class_of.update(dict.fromkeys(b, a))
+    distinct = {id(members): members for members in class_of.values()}
+    return sorted(sorted(members) for members in distinct.values())
 
 
 def sample_batches(
@@ -311,7 +283,7 @@ def sample_batches(
 
 
 def _batch_grads(
-    ids: Sequence[str], dataset: SupportsPairs, table: EmbeddingTable,
+    ids: Sequence[str], dataset: PairDataset, table: EmbeddingTable,
     params: EncoderParams, batch_loss: _BatchLoss,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and gradients of one batch whose rows are the methods ``ids``.
@@ -381,14 +353,16 @@ class PretrainResult:
 
 
 def pretrain(
-    dataset: SupportsPairs,
+    dataset: PairDataset,
     table: EmbeddingTable,
     config: PretrainConfig | None = None,
 ) -> PretrainResult:
     """SupCon pretraining over clone classes from ``init_params(config.seed)``;
-    embeddings stay frozen. Deterministic given (dataset, table, config)."""
+    embeddings stay frozen. Deterministic given (dataset, table, config).
+    A pair naming a method not in ``dataset.methods`` raises MissingFunction first."""
     config = config or PretrainConfig()
     config.validate()
+    dataset.validate()
     params = init_params(config.seed)
     classes = clone_classes(dataset.pairs)
     rng = np.random.default_rng(config.seed)
@@ -535,15 +509,17 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray):
 
 def finetune(
     params: EncoderParams,
-    dataset: SupportsPairs,
+    dataset: PairDataset,
     table: EmbeddingTable,
     config: FineTuneConfig | None = None,
 ) -> tuple[FineTuneHead, list[float]]:
     """Supervised pair training of ``params``, in place, and of a new head
     ``init_head(config.layers, seed=config.seed)``; returns the head and each
-    epoch's mean loss."""
+    epoch's mean loss. A pair naming a method not in ``dataset.methods`` raises
+    MissingFunction first."""
     config = config or FineTuneConfig()
     config.validate()
+    dataset.validate()
     pairs = list(dataset.pairs)
     if not pairs:
         raise DegenerateBatch("no pairs to fine-tune on")
@@ -559,7 +535,7 @@ def finetune(
         for start in range(0, len(order), config.batch_size):
             yield [pairs[i] for i in order[start : start + config.batch_size]]
 
-    def batch_grads(chunk: list[PairRecord]):
+    def batch_grads(chunk: list[Pair]):
         labels = np.array([p.label for p in chunk], dtype=np.int64)
 
         def batch_loss(vectors):

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from clonecat.bench import (
-    CloneType,
     PipelineConfig,
     SynthSpec,
     builtin_base_methods,
@@ -36,6 +35,7 @@ from clonecat.blocks import (
     layernorm_forward,
 )
 from clonecat.cli import run
+from clonecat.data import CloneType
 from clonecat.detect import (
     CategoryWeights,
     VectorDetector,

@@ -15,13 +15,9 @@ from clonecat import bench
 from clonecat.bench import (
     OVERLAP_DETECTORS,
     VECTOR_DETECTORS,
-    CloneType,
     FoldPlan,
-    Pair,
-    PairDataset,
     PipelineConfig,
     SynthSpec,
-    band_for_similarity,
     build_detector,
     builtin_base_methods,
     evaluate,
@@ -30,6 +26,7 @@ from clonecat.bench import (
     synth_clones,
     time_detection,
 )
+from clonecat.data import CloneType, Pair, PairDataset, band_for_similarity
 from clonecat.detect import (
     DEFAULT_THRESHOLD,
     CategoryWeights,
@@ -225,6 +222,12 @@ class TestMakeFolds:
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPairs):
             make_folds(self._dataset_with_n_pairs(5), seed=0, n_folds=10)
+
+    @pytest.mark.parametrize("n_folds", [0, -1])
+    def test_fewer_than_one_fold(self, n_folds):
+        """The library's own check, for callers that do not come through the CLI's."""
+        with pytest.raises(ValueError, match=f"^n_folds must be >= 1, got {n_folds}$"):
+            make_folds(self._dataset_with_n_pairs(5), seed=0, n_folds=n_folds)
 
 
 @pytest.fixture(scope="module")
@@ -637,6 +640,29 @@ def test_benchmark_traced_functions_resolve():
     missing = [f"{module}.{name}" for module, names in spans.TRACED.items() for name in names
                if not callable(getattr(sys.modules.get(module), name, None))]
     assert missing == []
+
+
+def test_lower_layers_never_import_the_harness():
+    """lexcat, errors, data, blocks, embed, encoder and train import nothing from bench,
+    detect, explain or cli, at module level or inside a function: training reads the
+    pair-dataset types from data, so it needs no stand-in types for them."""
+    import clonecat
+
+    above = [["clonecat", name] for name in ("bench", "detect", "explain", "cli")]
+    problems = []
+    for name in ("lexcat", "errors", "data", "blocks", "embed", "encoder", "train"):
+        source = (Path(clonecat.__file__).parent / f"{name}.py").read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["clonecat" if node.level else "", node.module]))
+                targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            problems += [f"{name}.py:{node.lineno} imports {target}" for target in targets
+                         if target.split(".")[:2] in above]
+    assert problems == []
 
 
 def test_package_exports_match_module_all():

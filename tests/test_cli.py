@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clonecat import cli, encoder, train
-from clonecat.bench import load_methods, read_pairs
+from clonecat.data import load_methods, read_pairs
 from clonecat.detect import classifier_score
 from clonecat.cli import run
 from clonecat.embed import EmbedConfig, load_table, train_word2vec

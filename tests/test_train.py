@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonecat import train
-from clonecat.bench import CloneType, Pair
+from clonecat.data import CloneType, Pair, PairDataset
 from clonecat.blocks import D_MODEL
 from clonecat.encoder import encode_method, init_params, params_tensors, save_params
-from clonecat.errors import DegenerateBatch, NumericFailure, ShapeMismatch
+from clonecat.errors import DegenerateBatch, MissingFunction, NumericFailure, ShapeMismatch
 from clonecat.train import (
     FineTuneConfig,
     OptimizerState,
@@ -266,6 +268,32 @@ class TestCloneClasses:
 
     def test_empty(self):
         assert clone_classes([]) == []
+
+    @given(st.lists(st.tuples(st.sampled_from("abcdefg"), st.sampled_from("abcdefg"),
+                              st.booleans()), max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_flood_fill(self, edges):
+        """Self-pairs included: each component once, sorted, in order of its first member."""
+        pairs = [Pair(a, b, int(positive), CloneType.T1 if positive else CloneType.NONCLONE)
+                 for a, b, positive in edges]
+        linked: dict[str, set[str]] = {}
+        for a, b, positive in edges:
+            if positive:
+                linked.setdefault(a, set()).add(b)
+                linked.setdefault(b, set()).add(a)
+        expected, seen = [], set()
+        for start in sorted(linked):
+            if start in seen:
+                continue
+            component, frontier = set(), [start]
+            while frontier:
+                node = frontier.pop()
+                if node not in component:
+                    component.add(node)
+                    frontier.extend(linked[node])
+            seen |= component
+            expected.append(sorted(component))
+        assert clone_classes(pairs) == expected
 
 
 class TestSampleBatches:
@@ -591,6 +619,25 @@ class TestFineTune:
         assert got.keys() == expected.keys()
         for name in expected:
             np.testing.assert_array_equal(got[name], expected[name])
+
+
+def _fail_if_trained(*args, **kwargs):
+    raise AssertionError("a training step ran")
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+def test_unknown_method_id_is_refused_before_training(small_dataset, small_table, monkeypatch,
+                                                      stage):
+    """A pair naming a method the dataset lacks is a MissingFunction, not a KeyError."""
+    known = next(iter(small_dataset.methods))
+    dataset = PairDataset(small_dataset.methods,
+                          small_dataset.pairs + [Pair(known, "nope", 1, CloneType.T1)])
+    monkeypatch.setattr(train, "_fit", _fail_if_trained)
+    with pytest.raises(MissingFunction, match="'nope'"):
+        if stage == "pretrain":
+            pretrain(dataset, small_table, PretrainConfig(epochs=1, seed=0))
+        else:
+            finetune(init_params(seed=0), dataset, small_table, FineTuneConfig(epochs=1, seed=0))
 
 
 class TestLossCsv:
