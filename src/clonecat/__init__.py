@@ -55,11 +55,9 @@ from .bench import (  # noqa: F401
     FoldPlan,
     MetricsReport,
     PipelineConfig,
-    SynthSpec,
-    builtin_base_methods,
     evaluate,
     load_dataset,
     make_folds,
-    synth_clones,
     time_detection,
 )
+from .synth import SynthSpec, builtin_base_methods, synth_clones  # noqa: F401

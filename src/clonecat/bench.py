@@ -1,5 +1,5 @@
-"""Experimental harness: synthetic clone generation, ten-fold
-cross-validation, metrics, and wall-clock timing.
+"""Experimental harness: ten-fold cross-validation, metrics, and
+wall-clock timing.
 
 Cross-validation splits by pairs; a method may therefore appear on both
 sides of a split. That mirrors the pair-level protocol the metrics come
@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .detect import (
 from .embed import EmbedConfig, train_word2vec
 from .encoder import init_params
 from .errors import BadRow, MissingFunction, TooFewPairs
-from .lexcat import CategorizedMethod, TokenCategory, categorize_source, tokenize
+from .lexcat import CategorizedMethod
 from .train import FineTuneConfig, PretrainConfig, finetune, pretrain
 
 __all__ = [
@@ -41,14 +42,11 @@ __all__ = [
     "MetricsReport",
     "FoldMetrics",
     "PipelineConfig",
-    "SynthSpec",
     "TimingReport",
     "load_dataset",
     "build_detector",
     "make_folds",
     "evaluate",
-    "synth_clones",
-    "builtin_base_methods",
     "time_detection",
 ]
 
@@ -256,8 +254,7 @@ def evaluate(
     config.validate()
     dataset.validate()
     fold_metrics: list[FoldMetrics] = []
-    type_tp: dict[str, int] = {}
-    type_fn: dict[str, int] = {}
+    found: Counter[tuple[str, str]] = Counter()  # (clone type, "tp" or "fn") over all folds
 
     for fold_no, fold in enumerate(folds.folds):
         in_fold = set(fold)
@@ -268,30 +265,20 @@ def evaluate(
         test_pairs = [dataset.pairs[i] for i in fold]
         detector = build_detector(config, train_pairs, dataset, config.seed + fold_no)
         verdicts = detect_corpus(dataset.methods, [(p.id1, p.id2) for p in test_pairs], detector)
-        tp = fp = fn = tn = 0
+        cells: Counter[str] = Counter()
         for pair, verdict in zip(test_pairs, verdicts):
             if pair.label == 1:
-                tname = pair.clone_type.value
-                if verdict.is_clone:
-                    tp += 1
-                    type_tp[tname] = type_tp.get(tname, 0) + 1
-                else:
-                    fn += 1
-                    type_fn[tname] = type_fn.get(tname, 0) + 1
-            elif verdict.is_clone:
-                fp += 1
+                cell = "tp" if verdict.is_clone else "fn"
+                found[pair.clone_type.value, cell] += 1
             else:
-                tn += 1
-        precision, recall, f1 = _prf(tp, fp, fn)
-        fold_metrics.append(FoldMetrics(precision, recall, f1, tp, fp, fn, tn))
+                cell = "fp" if verdict.is_clone else "tn"
+            cells[cell] += 1
+        tp, fp, fn, tn = (cells[cell] for cell in ("tp", "fp", "fn", "tn"))
+        fold_metrics.append(FoldMetrics(*_prf(tp, fp, fn), tp, fp, fn, tn))
 
-    per_type_recall: dict[str, float] = {}
-    per_type_counts: dict[str, dict[str, int]] = {}
-    for tname in sorted(set(type_tp) | set(type_fn)):
-        tp_t = type_tp.get(tname, 0)
-        fn_t = type_fn.get(tname, 0)
-        per_type_recall[tname] = tp_t / (tp_t + fn_t) if tp_t + fn_t else 0.0
-        per_type_counts[tname] = {"tp": tp_t, "fn": fn_t}
+    per_type_counts = {tname: {"tp": found[tname, "tp"], "fn": found[tname, "fn"]}
+                       for tname in sorted({tname for tname, _ in found})}
+    per_type_recall = {tname: c["tp"] / (c["tp"] + c["fn"]) for tname, c in per_type_counts.items()}
 
     return MetricsReport(
         precision=float(np.mean([m.precision for m in fold_metrics])),
@@ -302,335 +289,6 @@ def evaluate(
         folds=fold_metrics,
         seed=folds.seed,
     )
-
-
-# --- synthetic clones ----------------------------------------------------
-
-
-@dataclass
-class SynthSpec:
-    n_t1: int = 3
-    n_t2: int = 3
-    n_t3: int = 3
-    substitute_literals: bool = True
-    negative_ratio: float = 1.0
-    seed: int = 0
-
-
-_T2_SUFFIXES = "pqrstuvw"
-
-
-def _t1_variant(source: str, j: int) -> str:
-    """Whitespace/comment edits only: token stream is untouched."""
-    lines = source.splitlines()
-    style = j % 3
-    if style == 0:
-        lines = ["// synthetic copy"] + lines + [""]
-    elif style == 1:
-        lines = ["/* duplicated", f"   revision {j} */"] + ["  " + ln for ln in lines]
-    else:
-        lines = [lines[0]] + ["", f"    // pass {j}"] + [ln + "  " for ln in lines[1:]]
-    return "\n".join(lines)
-
-
-def _t2_variant(source: str, j: int, substitute_literals: bool) -> str:
-    """Consistent identifier renaming, optionally new literal values."""
-    suffix = "_" + _T2_SUFFIXES[j % len(_T2_SUFFIXES)] + (str(j) if j >= len(_T2_SUFFIXES) else "")
-    out = []
-    for token in tokenize(source):
-        lex = token.lexeme
-        if token.category is TokenCategory.IDENTIFIER:
-            lex = lex + suffix
-        elif (
-            substitute_literals
-            and token.category is TokenCategory.DECIMAL_INTEGER
-            and lex.isdigit()
-        ):
-            lex = str(int(lex) + j + 1)
-        out.append(lex)
-    return " ".join(out)
-
-
-def _t3_variant(source: str, j: int, rng: np.random.Generator) -> str:
-    """Swap adjacent statement lines and insert a harmless declaration."""
-    lines = source.splitlines()
-    stmt_rows = [
-        i
-        for i in range(1, len(lines) - 1)
-        if lines[i].rstrip().endswith(";") and lines[i + 1].rstrip().endswith(";")
-    ]
-    if stmt_rows:
-        at = int(rng.choice(stmt_rows))
-        lines[at], lines[at + 1] = lines[at + 1], lines[at]
-    brace_rows = [i for i, ln in enumerate(lines) if ln.rstrip().endswith("{")]
-    insert_at = (brace_rows[0] + 1) if brace_rows else len(lines)
-    lines.insert(insert_at, f"    int extra{j} = {j};")
-    return "\n".join(lines)
-
-
-def synth_clones(base_methods: Mapping[str, str], spec: SynthSpec | None = None) -> PairDataset:
-    """Grow each base method into a clone class and label all pairs.
-
-    Per base: the original, ``n_t1`` whitespace/comment variants, ``n_t2``
-    renamed variants, and ``n_t3`` statement-shuffled variants (a textual
-    heuristic, not a semantics-preserving transform). Positive pairs are
-    all within-class pairs; negatives are sampled across classes at
-    ``negative_ratio`` times the positive count.
-    """
-    spec = spec or SynthSpec()
-    rng = np.random.default_rng(spec.seed)
-
-    methods: dict[str, CategorizedMethod] = {}
-    kinds: dict[str, str] = {}
-    classes: list[list[str]] = []
-
-    for base_id in sorted(base_methods):
-        source = base_methods[base_id]
-        members: list[tuple[str, str]] = [(base_id, source)]
-        kinds[base_id] = "t1"
-        for j in range(spec.n_t1):
-            mid = f"{base_id}__t1_{j}"
-            members.append((mid, _t1_variant(source, j)))
-            kinds[mid] = "t1"
-        for j in range(spec.n_t2):
-            mid = f"{base_id}__t2_{j}"
-            members.append((mid, _t2_variant(source, j, spec.substitute_literals)))
-            kinds[mid] = "t2"
-        for j in range(spec.n_t3):
-            mid = f"{base_id}__t3_{j}"
-            members.append((mid, _t3_variant(source, j, rng)))
-            kinds[mid] = "t3"
-        class_ids = []
-        for mid, text in members:
-            methods[mid] = categorize_source(text, mid)
-            class_ids.append(mid)
-        classes.append(class_ids)
-
-    pairs: list[Pair] = []
-    for class_ids in classes:
-        for i in range(len(class_ids)):
-            for j in range(i + 1, len(class_ids)):
-                a, b = class_ids[i], class_ids[j]
-                pairs.append(Pair(a, b, 1, _positive_type(a, b, kinds, methods)))
-
-    n_negatives = int(round(spec.negative_ratio * len(pairs)))
-    seen: set[tuple[str, str]] = set()
-    attempts = 0
-    while len(seen) < n_negatives and attempts < 50 * max(1, n_negatives):
-        attempts += 1
-        ci, cj = rng.choice(len(classes), size=2, replace=False)
-        a = classes[ci][int(rng.integers(len(classes[ci])))]
-        b = classes[cj][int(rng.integers(len(classes[cj])))]
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append(Pair(key[0], key[1], 0, CloneType.NONCLONE))
-
-    return PairDataset(methods=methods, pairs=pairs)
-
-
-def _positive_type(
-    a: str, b: str, kinds: Mapping[str, str], methods: Mapping[str, CategorizedMethod]
-) -> CloneType:
-    ka, kb = kinds[a], kinds[b]
-    if ka == "t1" and kb == "t1":
-        return CloneType.T1
-    if "t3" not in (ka, kb):
-        return CloneType.T2
-    return band_for_similarity(overlap_similarity(methods[a], methods[b]))
-
-
-# --- built-in base corpus -------------------------------------------------
-
-
-def builtin_base_methods() -> dict[str, str]:
-    """Twenty small Java methods sharing one identifier vocabulary."""
-    return dict(_BASE_METHODS)
-
-
-_BASE_METHODS = {
-    "sum_array": """static int sumArray(int[] arr, int n) {
-    int result = 0;
-    for (int i = 0; i < n; i = i + 1) {
-        result = result + arr[i];
-    }
-    return result;
-}""",
-    "max_array": """static int maxArray(int[] arr, int n) {
-    int result = arr[0];
-    for (int i = 1; i < n; i = i + 1) {
-        if (arr[i] > result) {
-            result = arr[i];
-        }
-    }
-    return result;
-}""",
-    "min_index": """static int minIndex(int[] arr, int n) {
-    int t = 0;
-    for (int i = 1; i < n; i = i + 1) {
-        if (arr[i] < arr[t]) {
-            t = i;
-        }
-    }
-    return t;
-}""",
-    "reverse_array": """static void reverseArray(int[] arr, int n) {
-    int i = 0;
-    int j = n - 1;
-    while (i < j) {
-        int t = arr[i];
-        arr[i] = arr[j];
-        arr[j] = t;
-        i = i + 1;
-        j = j - 1;
-    }
-}""",
-    "count_even": """static int countEven(int[] arr, int n) {
-    int result = 0;
-    for (int i = 0; i < n; i = i + 1) {
-        if (arr[i] % 2 == 0) {
-            result = result + 1;
-        }
-    }
-    return result;
-}""",
-    "factorial": """static long factorial(int n) {
-    long result = 1;
-    for (int i = 2; i <= n; i = i + 1) {
-        result = result * i;
-    }
-    return result;
-}""",
-    "fibonacci": """static int fibonacci(int n) {
-    int a = 0;
-    int b = 1;
-    for (int i = 0; i < n; i = i + 1) {
-        int t = a + b;
-        a = b;
-        b = t;
-    }
-    return a;
-}""",
-    "gcd_loop": """public long gcd(long a, long b) {
-    while (b != 0) {
-        long t = b;
-        b = a % b;
-        a = t;
-    }
-    return a;
-}""",
-    "power_loop": """static long power(int a, int n) {
-    long result = 1;
-    for (int i = 0; i < n; i = i + 1) {
-        result = result * a;
-    }
-    return result;
-}""",
-    "average_array": """static double averageArray(int[] arr, int n) {
-    double result = 0.0;
-    for (int i = 0; i < n; i = i + 1) {
-        result = result + arr[i];
-    }
-    return result / n;
-}""",
-    "contains_value": """static boolean containsValue(int[] arr, int n, int value) {
-    for (int i = 0; i < n; i = i + 1) {
-        if (arr[i] == value) {
-            return true;
-        }
-    }
-    return false;
-}""",
-    "index_of_value": """static int indexOfValue(int[] arr, int n, int value) {
-    for (int i = 0; i < n; i = i + 1) {
-        if (arr[i] == value) {
-            return i;
-        }
-    }
-    return -1;
-}""",
-    "bubble_sort": """@Deprecated
-static void bubbleSort(int[] arr, int n) {
-    for (int i = 0; i < n - 1; i = i + 1) {
-        for (int j = 0; j < n - i - 1; j = j + 1) {
-            if (arr[j] > arr[j + 1]) {
-                int t = arr[j];
-                arr[j] = arr[j + 1];
-                arr[j + 1] = t;
-            }
-        }
-    }
-}""",
-    "is_prime": """static boolean isPrime(int n) {
-    if (n < 2) {
-        return false;
-    }
-    for (int i = 2; i * i <= n; i = i + 1) {
-        if (n % i == 0) {
-            return false;
-        }
-    }
-    return true;
-}""",
-    "sum_digits": """static int sumDigits(int n) {
-    int result = 0;
-    while (n > 0) {
-        result = result + n % 10;
-        n = n / 10;
-    }
-    return result;
-}""",
-    "count_matches": """static int countMatches(char[] text, int n, char value) {
-    int result = 0;
-    int mask = 0xFF;
-    for (int i = 0; i < n; i = i + 1) {
-        if ((text[i] & mask) == value) {
-            result = result + 1;
-        }
-    }
-    return result;
-}""",
-    "clamp_values": """static void clampValues(int[] arr, int n, int lo, int hi) {
-    for (int i = 0; i < n; i = i + 1) {
-        if (arr[i] < lo) {
-            arr[i] = lo;
-        } else if (arr[i] > hi) {
-            arr[i] = hi;
-        }
-    }
-}""",
-    "binary_search": """static int binarySearch(int[] arr, int n, int value) {
-    int lo = 0;
-    int hi = n - 1;
-    while (lo <= hi) {
-        int mid = lo + (hi - lo) / 2;
-        if (arr[mid] == value) {
-            return mid;
-        } else if (arr[mid] < value) {
-            lo = mid + 1;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    return -1;
-}""",
-    "dot_product": """static long dotProduct(int[] a, int[] b, int n) {
-    long result = 0;
-    for (int i = 0; i < n; i = i + 1) {
-        result = result + a[i] * b[i];
-    }
-    return result;
-}""",
-    "rotate_once": """static void rotateOnce(int[] arr, int n) {
-    String label = "rotate";
-    int t = arr[n - 1];
-    for (int i = n - 1; i > 0; i = i - 1) {
-        arr[i] = arr[i - 1];
-    }
-    arr[0] = t;
-}""",
-}
 
 
 # --- timing ---------------------------------------------------------------

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from clonecat.bench import SynthSpec, builtin_base_methods, synth_clones
 from clonecat.embed import EmbedConfig, train_word2vec
 from clonecat.encoder import init_params
 from clonecat.lexcat import categorize, tokenize
+from clonecat.synth import SynthSpec, builtin_base_methods, synth_clones
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -18,14 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from clonecat.bench import (
-    PipelineConfig,
-    SynthSpec,
-    builtin_base_methods,
-    evaluate,
-    make_folds,
-    synth_clones,
-)
+from clonecat.bench import PipelineConfig, evaluate, make_folds
 from clonecat.blocks import (
     D_MODEL,
     block_backward,
@@ -55,6 +48,7 @@ from clonecat.encoder import (
 from clonecat.errors import FormatError
 from clonecat.explain import category_weights
 from clonecat.lexcat import TokenCategory, categorize_source, category_order, tokenize
+from clonecat.synth import SynthSpec, builtin_base_methods, synth_clones
 from clonecat.train import (
     PretrainConfig,
     cross_entropy,

@@ -17,13 +17,10 @@ from clonecat.bench import (
     VECTOR_DETECTORS,
     FoldPlan,
     PipelineConfig,
-    SynthSpec,
     build_detector,
-    builtin_base_methods,
     evaluate,
     load_dataset,
     make_folds,
-    synth_clones,
     time_detection,
 )
 from clonecat.data import CloneType, Pair, PairDataset, band_for_similarity
@@ -38,8 +35,9 @@ from clonecat.detect import (
 )
 from clonecat.embed import EmbedConfig
 from clonecat.encoder import encode_method, init_params, params_tensors
-from clonecat.errors import BadRow, MissingFunction, TooFewPairs
+from clonecat.errors import BadRow, LexError, MissingFunction, TooFewPairs
 from clonecat.lexcat import TokenCategory, categorize_source, tokenize
+from clonecat.synth import SynthSpec, builtin_base_methods, synth_clones
 from clonecat.train import FineTuneConfig, PretrainConfig, init_head
 
 
@@ -295,7 +293,7 @@ class TestSynthClones:
         assert all(p.clone_type is CloneType.T1 for p in t1_pairs)
 
     def test_negative_ratio_balances_labels(self, bases):
-        ds = synth_clones(bases, SynthSpec(seed=0, negative_ratio=1.0))
+        ds = synth_clones(bases, SynthSpec(seed=0))
         pos = sum(1 for p in ds.pairs if p.label == 1)
         neg = sum(1 for p in ds.pairs if p.label == 0)
         assert pos > 0
@@ -322,6 +320,20 @@ class TestSynthClones:
 
     def test_dataset_validates(self, bases):
         synth_clones(bases, SynthSpec(seed=0)).validate()
+
+    def test_one_base_gives_positives_only(self):
+        """With one base no pair crosses classes, so no negative is drawn."""
+        ds = synth_clones({"sum_array": builtin_base_methods()["sum_array"]})
+        assert len(ds.pairs) == 45
+        assert all(p.label == 1 for p in ds.pairs)
+
+    @pytest.mark.parametrize("n_t2", [0, 3])
+    def test_base_that_does_not_lex_is_named(self, n_t2):
+        """The base or its renaming fails first, so the position is in the base's text."""
+        bases = {"a": "int #x;", "b": builtin_base_methods()["sum_array"]}
+        with pytest.raises(LexError, match=r"^a:1:5: illegal character '#'$") as info:
+            synth_clones(bases, SynthSpec(n_t2=n_t2))
+        assert info.value.path == "a"
 
 
 class TestBuiltinCorpus:
@@ -642,15 +654,14 @@ def test_benchmark_traced_functions_resolve():
     assert missing == []
 
 
-def test_lower_layers_never_import_the_harness():
-    """lexcat, errors, data, blocks, embed, encoder and train import nothing from bench,
-    detect, explain or cli, at module level or inside a function: training reads the
-    pair-dataset types from data, so it needs no stand-in types for them."""
+def _imports_of(names, forbidden):
+    """``module.py:line imports target`` for every import in the package modules ``names``,
+    at module level or inside a function, of a package module in ``forbidden``."""
     import clonecat
 
-    above = [["clonecat", name] for name in ("bench", "detect", "explain", "cli")]
+    above = [["clonecat", name] for name in forbidden]
     problems = []
-    for name in ("lexcat", "errors", "data", "blocks", "embed", "encoder", "train"):
+    for name in names:
         source = (Path(clonecat.__file__).parent / f"{name}.py").read_text()
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Import):
@@ -662,6 +673,23 @@ def test_lower_layers_never_import_the_harness():
                 continue
             problems += [f"{name}.py:{node.lineno} imports {target}" for target in targets
                          if target.split(".")[:2] in above]
+    return problems
+
+
+def test_lower_layers_never_import_the_harness():
+    """lexcat, errors, data, blocks, embed, encoder and train import nothing from bench,
+    detect, explain or cli, at module level or inside a function: training reads the
+    pair-dataset types from data, so it needs no stand-in types for them."""
+    problems = _imports_of(("lexcat", "errors", "data", "blocks", "embed", "encoder", "train"),
+                           ("bench", "detect", "explain", "cli"))
+    assert problems == []
+
+
+def test_harness_and_synthetic_corpus_stay_apart():
+    """The harness reads any PairDataset, so bench imports nothing from synth; and synth,
+    which builds one, imports nothing from bench, cli or explain."""
+    problems = (_imports_of(("bench",), ("synth",))
+                + _imports_of(("synth",), ("bench", "cli", "explain")))
     assert problems == []
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clonecat import lexcat
-from clonecat.bench import builtin_base_methods, synth_clones
 from clonecat.errors import LexError
 from clonecat.lexcat import (
     NUM_CATEGORIES,
@@ -17,6 +16,7 @@ from clonecat.lexcat import (
     category_order,
     tokenize,
 )
+from clonecat.synth import builtin_base_methods, synth_clones
 from labeled_corpus import LABELED_SNIPPETS
 
 CANONICAL_NAMES = [
