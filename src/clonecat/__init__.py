@@ -17,7 +17,6 @@ from .data import CloneType, Pair, PairDataset  # noqa: F401
 from .embed import (  # noqa: F401
     EmbedConfig,
     EmbeddingTable,
-    Vocabulary,
     load_table,
     save_table,
     train_word2vec,

@@ -162,7 +162,7 @@ def _cmd_embed_train(args) -> int:
     methods = load_methods(args.functions, args.inputs)
     table = train_word2vec([methods[k] for k in sorted(methods)], config)
     save_table(table, args.out)
-    print(json.dumps({"out": args.out, "vocab": len(table.vocab), "dim": EMBED_DIM}))
+    print(json.dumps({"out": args.out, "vocab": len(table.tokens), "dim": EMBED_DIM}))
     return 0
 
 

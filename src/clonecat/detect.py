@@ -17,7 +17,7 @@ import numpy as np
 
 from .embed import EmbeddingTable
 from .encoder import EncoderParams, encode_chunked
-from .errors import UnknownId
+from .errors import MissingFunction
 from .lexcat import NUM_CATEGORIES, CategorizedMethod, TokenCategory, category_order
 from .train import FineTuneHead, head_forward
 
@@ -219,7 +219,7 @@ def detect_corpus(methods: Mapping[str, CategorizedMethod], pairs: Iterable[tupl
     distinct = dict.fromkeys(mid for pair in pair_list for mid in pair)  # first-seen order
     for mid in distinct:
         if mid not in methods:
-            raise UnknownId(f"unknown method id {mid!r}")
+            raise MissingFunction(f"unknown method id {mid!r}")
     prepared = dict(zip(distinct, detector.prepare_all([methods[mid] for mid in distinct]),
                         strict=True))
     return [detector.verdict((a, b), prepared[a], prepared[b]) for a, b in pair_list]

@@ -31,7 +31,6 @@ __all__ = [
     "EMBED_DIM",
     "UNK_TOKEN",
     "EmbedConfig",
-    "Vocabulary",
     "EmbeddingTable",
     "train_word2vec",
     "save_table",
@@ -78,24 +77,12 @@ class EmbedConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-class Vocabulary:
-    """Dense token ids with a reserved UNK at id 0."""
+def _vocab_from_sentences(sentences: list[list[str]],
+                          min_count: int) -> tuple[list[str], list[int]]:
+    """The table's tokens, UNK first, and each token's count in ``sentences``.
 
-    def __init__(self, tokens: Sequence[str], freqs: Sequence[int]):
-        if not tokens or tokens[0] != UNK_TOKEN:
-            raise ValueError("vocabulary must start with the UNK token")
-        self.tokens = list(tokens)
-        self.freqs = list(freqs)
-        self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def id_for(self, token: str) -> int:
-        return self.token_to_id.get(token, 0)
-
-
-def _vocab_from_sentences(sentences: list[list[str]], min_count: int) -> Vocabulary:
+    UNK counts every token seen fewer than ``min_count`` times.
+    """
     raw: dict[str, int] = {}
     for sent in sentences:
         for tok in sent:
@@ -108,29 +95,36 @@ def _vocab_from_sentences(sentences: list[list[str]], min_count: int) -> Vocabul
         key=lambda tc: (-tc[1], tc[0]),
     )
     unk_freq = sum(c for _, c in raw.items() if c < min_count)
-    tokens = [UNK_TOKEN] + [t for t, _ in kept]
-    freqs = [unk_freq] + [c for _, c in kept]
-    return Vocabulary(tokens, freqs)
+    return [UNK_TOKEN] + [t for t, _ in kept], [unk_freq] + [c for _, c in kept]
+
+
+def _row_ids(row_of: dict[str, int], lexemes: Iterable[str]) -> np.ndarray:
+    """The table row of each lexeme: one the table does not hold reads row 0, UNK."""
+    return np.array([row_of.get(lex, 0) for lex in lexemes], dtype=np.int64)
 
 
 class EmbeddingTable:
-    """token -> 100-d vector map; rows are float32, finite."""
+    """A trained table: its tokens, UNK first, and one finite float32 100-d row per token."""
 
-    def __init__(self, vocab: Vocabulary, matrix: np.ndarray):
-        if matrix.shape != (len(vocab), EMBED_DIM):
-            raise ValueError(f"matrix shape {matrix.shape} != ({len(vocab)}, {EMBED_DIM})")
+    def __init__(self, tokens: Sequence[str], matrix: np.ndarray):
+        if not tokens or tokens[0] != UNK_TOKEN:
+            raise ValueError("embedding tokens must start with the UNK token")
+        if matrix.shape != (len(tokens), EMBED_DIM):
+            raise ValueError(f"matrix shape {matrix.shape} != ({len(tokens)}, {EMBED_DIM})")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("embedding matrix contains non-finite entries")
-        self.vocab = vocab
+        self.tokens = list(tokens)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
+        self._row_of = {t: i for i, t in enumerate(self.tokens)}
 
-    def lookup(self, lexeme: str) -> np.ndarray:
-        return self.matrix[self.vocab.id_for(lexeme)]
+    def rows(self, lexemes: Iterable[str]) -> np.ndarray:
+        """The row of ``matrix`` that each lexeme reads, as an int64 array."""
+        return _row_ids(self._row_of, lexemes)
 
 
-def _noise_cumdist(vocab: Vocabulary) -> np.ndarray:
+def _noise_cumdist(freqs: Sequence[int]) -> np.ndarray:
     # a trained vocabulary counts at least one token (_vocab_from_sentences)
-    weights = np.array(vocab.freqs, dtype=np.float64) ** _NOISE_POWER
+    weights = np.array(freqs, dtype=np.float64) ** _NOISE_POWER
     cumdist = np.cumsum(weights / weights.sum())
     # a draw u < 1 must never fall past the last bucket through rounding
     cumdist[-1] = 1.0
@@ -152,14 +146,11 @@ def train_word2vec(corpus: Iterable[TokenStream | CategorizedMethod],
     config = config or EmbedConfig()
     config.validate()
     sentences = [ts.lexemes() for ts in corpus]
-    vocab = _vocab_from_sentences(sentences, config.min_count)
-    ids_per_sentence = [
-        np.array([vocab.id_for(t) for t in sent], dtype=np.int64)
-        for sent in sentences
-        if sent
-    ]
-    syn0 = _train_syn0(ids_per_sentence, _noise_cumdist(vocab), config)
-    return EmbeddingTable(vocab, syn0.astype(np.float32))
+    tokens, freqs = _vocab_from_sentences(sentences, config.min_count)
+    row_of = {t: i for i, t in enumerate(tokens)}
+    ids_per_sentence = [_row_ids(row_of, sent) for sent in sentences if sent]
+    syn0 = _train_syn0(ids_per_sentence, _noise_cumdist(freqs), config)
+    return EmbeddingTable(tokens, syn0.astype(np.float32))
 
 
 def _train_syn0(ids_per_sentence: list[np.ndarray], cumdist: np.ndarray,
@@ -304,8 +295,8 @@ def _sgns_step(syn0, syn1, in_rows, out_rows, cells, labels, alphas) -> None:
 def save_table(table: EmbeddingTable, path) -> None:
     with open(path, "wb") as fh:
         fh.write(EMBED_MAGIC)
-        fh.write(struct.pack("<II", len(table.vocab), EMBED_DIM))
-        for token in table.vocab.tokens:
+        fh.write(struct.pack("<II", len(table.tokens), EMBED_DIM))
+        for token in table.tokens:
             raw = token.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
@@ -365,4 +356,4 @@ def load_table(path) -> EmbeddingTable:
         raise FormatError(f"duplicate token in embedding file {path}")
     matrix = reader.floats((vsize, EMBED_DIM), "the vector table")
     reader.done()
-    return EmbeddingTable(Vocabulary(tokens, [0] * vsize), matrix.copy())
+    return EmbeddingTable(tokens, matrix.copy())

@@ -111,8 +111,9 @@ def category_input_matrix(
 ) -> np.ndarray:
     """Rows = distinct lexemes sorted ascending, scaled by occurrence count."""
     counts = method.counts.get(cat, {})
-    rows = [counts[lex] * table.lookup(lex).astype(np.float64) for lex in sorted(counts)]
-    return np.array(rows).reshape(-1, D_MODEL)
+    lexemes = sorted(counts)
+    scale = np.array([counts[lex] for lex in lexemes], dtype=np.float64)
+    return table.matrix[table.rows(lexemes)].astype(np.float64) * scale[:, None]
 
 
 def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,

@@ -42,7 +42,7 @@ class FormatError(DataError):
 
 
 class MissingFunction(DataError):
-    """A pair row names a method id with no source file."""
+    """A pair names a method id that the corpus does not hold."""
 
 
 class BadRow(DataError):
@@ -55,10 +55,6 @@ class BadRow(DataError):
 
     def __reduce__(self):
         return type(self), (self.line_number, self.reason), self.__dict__
-
-
-class UnknownId(DataError):
-    """A detection pair references a method id not in the corpus."""
 
 
 class TooFewPairs(DataError):

@@ -105,7 +105,9 @@ class PretrainConfig(_TrainConfig):
         super().validate()
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
-        if self.samples_per_class < 1 or self.batch_size % self.samples_per_class:
+        if self.samples_per_class < 2:  # a class of one sample has no positive
+            raise ValueError(f"samples_per_class must be >= 2, got {self.samples_per_class}")
+        if self.batch_size % self.samples_per_class:
             raise ValueError(
                 f"batch_size {self.batch_size} must be a multiple of "
                 f"samples_per_class {self.samples_per_class}"

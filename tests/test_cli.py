@@ -151,8 +151,8 @@ class TestTrainingCommands:
                     "--out", str(out), "--epochs", "1"]) == 0
         printed = json.loads(capsys.readouterr().out)
         table = load_table(out)
-        assert printed == {"out": str(out), "vocab": len(table.vocab), "dim": 100}
-        assert table.matrix.shape == (len(table.vocab), 100)
+        assert printed == {"out": str(out), "vocab": len(table.tokens), "dim": 100}
+        assert table.matrix.shape == (len(table.tokens), 100)
 
     def test_flag_overrides_config_file(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "slow.cfg"
@@ -675,7 +675,9 @@ def _with_config(command, data: bytes, *flags):
                                 "--out", str(tmp_path / "e.bin")],
                 "evaluate": ["evaluate", "--functions", str(workspace / "funcs"),
                              "--pairs", str(workspace / "pairs.csv"), "--folds", "2"],
-                "finetune": _finetune_argv(workspace, trained, tmp_path, "--epochs", "1")}[command]
+                "finetune": _finetune_argv(workspace, trained, tmp_path, "--epochs", "1"),
+                "pretrain": _pretrain_argv(workspace, trained, tmp_path, workspace / "funcs")
+                }[command]
         return argv + [*flags, "--config", str(tmp_path / "v.cfg")]
     return build
 
@@ -836,6 +838,10 @@ _SNAN = struct.pack("<I", 0x7F800001)
         (_encode_with_params(b"CCENC1" + struct.pack("<B2I", 2, 100, 99)),
          2, "tensor shape (100, 99) != expected"),
         (_header_only_pairs("finetune"), 2, "no pairs to fine-tune on"),
+        (_config_value("pretrain", "samples_per_class = 1"), 1,
+         "v.cfg: samples_per_class must be >= 2, got 1"),
+        (_config_value("evaluate", "samples_per_class = 1"), 1,
+         "v.cfg: samples_per_class must be >= 2, got 1"),
     ],
     ids=["missing-functions-dir", "non-utf8-in", "non-utf8-functions",
          "sgns-diverges", "table-non-finite", "table-duplicate-token",
@@ -865,7 +871,8 @@ _SNAN = struct.pack("<I", 0x7F800001)
          "embed-train-bad-window-flag-with-config", "evaluate-bad-seed-flag-with-config",
          "config-value-out-of-range-with-good-flag", "pretrain-lr-zero",
          "pretrain-batch-size-one", "pretrain-temperature-zero", "embed-train-lr-nan",
-         "table-dim-not-100", "params-tensor-shape-wrong", "finetune-header-only-pairs"],
+         "table-dim-not-100", "params-tensor-shape-wrong", "finetune-header-only-pairs",
+         "config-pretrain-one-sample-per-class", "config-evaluate-one-sample-per-class"],
 )
 def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):
     assert run(build(workspace, trained, tmp_path)) == code
@@ -942,6 +949,8 @@ def _missing_dir(tmp_path):
            f"train_encoder is for the cosine or classifier detector, not {detector}")
           for command in ("evaluate", "bench-time") for detector in ("overlap", "weighted")],
         (_evaluate_folds("0"), 1, "n_folds must be >= 1, got 0"),
+        (_config_value("pretrain", "samples_per_class = 1"), 1,
+         "v.cfg: samples_per_class must be >= 2, got 1"),
     ],
     ids=["embed-train-out-dir", "embed-train-out-no-parent", "pretrain-out-dir",
          "pretrain-loss-log-dir", "pretrain-loss-log-no-parent", "finetune-out-params-dir",
@@ -957,7 +966,7 @@ def _missing_dir(tmp_path):
          "finetune-out-head-aliases-out-params",
          *[f"{command}-no-train-encoder-with-{detector}" for command in ("evaluate", "bench-time")
            for detector in ("overlap", "weighted")],
-         "evaluate-folds-zero"],
+         "evaluate-folds-zero", "config-pretrain-one-sample-per-class"],
 )
 def test_options_checked_before_any_work(workspace, trained, tmp_path, monkeypatch, capsys,
                                          build, code, bad):

@@ -18,7 +18,7 @@ from clonecat.detect import (
     weighted_category_similarity,
 )
 from clonecat.encoder import encode_method
-from clonecat.errors import UnknownId
+from clonecat.errors import MissingFunction
 from clonecat.lexcat import TokenCategory, categorize_source, category_order
 from clonecat.train import init_head
 
@@ -256,7 +256,7 @@ class TestDetectCorpus:
 
     def test_unknown_id_raises(self, corpus, small_table, enc_params):
         detector = VectorDetector(enc_params, small_table)
-        with pytest.raises(UnknownId):
+        with pytest.raises(MissingFunction):
             detect_corpus(corpus, [("a", "zzz")], detector)
 
     def test_overlap_detector_needs_no_vectors(self, corpus):
@@ -333,7 +333,7 @@ class TestBatchedPreparation:
                                                  monkeypatch):
         monkeypatch.setattr(encoder, "encode_methods", _fail_if_encoding)
         first = next(iter(small_dataset.methods))
-        with pytest.raises(UnknownId, match="zzz"):
+        with pytest.raises(MissingFunction, match="zzz"):
             detect_corpus(small_dataset.methods, [(first, first), (first, "zzz")],
                           VectorDetector(enc_params, small_table))
 

@@ -12,7 +12,7 @@ from clonecat.embed import (
     UNK_TOKEN,
     EmbedConfig,
     EmbeddingTable,
-    Vocabulary,
+    _vocab_from_sentences,
     load_table,
     save_table,
     train_word2vec,
@@ -33,41 +33,43 @@ def make_corpus():
 
 
 def corpus_vocab(corpus, min_count=1):
-    """The vocabulary ``train_word2vec`` builds over ``corpus``."""
-    return train_word2vec(corpus, EmbedConfig(epochs=1, min_count=min_count)).vocab
+    """The tokens and counts ``train_word2vec`` builds over ``corpus``."""
+    return _vocab_from_sentences([ts.lexemes() for ts in corpus], min_count)
 
 
 class TestVocabulary:
     def test_unk_reserved_at_zero(self):
-        vocab = corpus_vocab(make_corpus())
-        assert vocab.tokens[0] == UNK_TOKEN
-        assert vocab.id_for("never-seen-token") == 0
+        tokens, _ = corpus_vocab(make_corpus())
+        assert tokens[0] == UNK_TOKEN
+        table = train_word2vec(make_corpus(), EmbedConfig(epochs=1))
+        assert table.tokens == tokens
+        assert table.rows(["never-seen-token"]).tolist() == [0]
 
     def test_rejects_missing_unk(self):
-        with pytest.raises(ValueError):
-            Vocabulary(["a", "b"], [1, 1])
+        with pytest.raises(ValueError, match="UNK"):
+            EmbeddingTable(["a", "b"], np.zeros((2, EMBED_DIM)))
+        with pytest.raises(ValueError, match="UNK"):
+            EmbeddingTable([], np.zeros((0, EMBED_DIM)))
 
     def test_frequency_descending_with_lexeme_tiebreak(self):
-        vocab = corpus_vocab(make_corpus())
-        body = list(zip(vocab.tokens[1:], vocab.freqs[1:]))
-        keys = [(-f, t) for t, f in body]
+        tokens, freqs = corpus_vocab(make_corpus())
+        keys = [(-f, t) for t, f in zip(tokens[1:], freqs[1:])]
         assert keys == sorted(keys)
 
     def test_deterministic(self):
-        v1 = corpus_vocab(make_corpus())
-        v2 = corpus_vocab(make_corpus())
-        assert v1.tokens == v2.tokens and v1.freqs == v2.freqs
+        assert corpus_vocab(make_corpus()) == corpus_vocab(make_corpus())
 
     def test_min_count_folds_rare_tokens_into_unk(self):
-        vocab = corpus_vocab(make_corpus(), min_count=3)
-        assert all(f >= 3 for f in vocab.freqs[1:])
+        tokens, freqs = corpus_vocab(make_corpus(), min_count=3)
+        assert all(f >= 3 for f in freqs[1:])
         rare_total = sum(
             1
             for stream in make_corpus()
             for t in stream.tokens
-            if vocab.id_for(t.lexeme) == 0
+            if t.lexeme not in tokens
         )
-        assert vocab.freqs[0] == rare_total
+        assert rare_total > 0
+        assert freqs[0] == rare_total
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpus):
@@ -96,14 +98,14 @@ class TestEmbedConfig:
 class TestTraining:
     def test_matrix_shape_and_dtype(self):
         table = train_word2vec(make_corpus(), EmbedConfig(epochs=1))
-        assert table.matrix.shape == (len(table.vocab), EMBED_DIM)
+        assert table.matrix.shape == (len(table.tokens), EMBED_DIM)
         assert table.matrix.dtype == np.float32
         assert np.isfinite(table.matrix).all()
 
     def test_same_seed_bit_exact(self):
         t1 = train_word2vec(make_corpus(), EmbedConfig(epochs=2, seed=7))
         t2 = train_word2vec(make_corpus(), EmbedConfig(epochs=2, seed=7))
-        assert t1.vocab.tokens == t2.vocab.tokens
+        assert t1.tokens == t2.tokens
         assert np.array_equal(t1.matrix, t2.matrix)
 
     def test_different_seed_differs(self):
@@ -116,8 +118,7 @@ class TestTraining:
         config = EmbedConfig(epochs=2, seed=3)
         from_streams = train_word2vec(streams, config)
         from_methods = train_word2vec([categorize(ts) for ts in streams], config)
-        assert from_methods.vocab.tokens == from_streams.vocab.tokens
-        assert from_methods.vocab.freqs == from_streams.vocab.freqs
+        assert from_methods.tokens == from_streams.tokens
         assert from_methods.matrix.tobytes() == from_streams.matrix.tobytes()
 
     def test_training_moves_vectors(self):
@@ -202,12 +203,13 @@ class TestSgnsOracle:
             source_id="long"), tokenize("return", source_id="one-token")]
         config = EmbedConfig(epochs=2, window=3, negatives=4, lr=0.05, seed=5)
         table = train_word2vec(corpus, config)
-        vocab = table.vocab
-        ids = [np.array([vocab.id_for(t) for t in ts.lexemes()]) for ts in corpus]
+        tokens, freqs = corpus_vocab(corpus)
+        assert table.tokens == tokens
+        ids = [np.array([tokens.index(t) for t in ts.lexemes()]) for ts in corpus]
         assert max(len(s) for s in ids) > 2 * _STEP_CENTERS
-        syn0 = embed._train_syn0(ids, embed._noise_cumdist(vocab), config)
-        expected = sgns_oracle([s.tolist() for s in ids], embed._noise_cumdist(vocab), config,
-                               chunk_tokens)
+        cumdist = embed._noise_cumdist(freqs)
+        syn0 = embed._train_syn0(ids, cumdist, config)
+        expected = sgns_oracle([s.tolist() for s in ids], cumdist, config, chunk_tokens)
         np.testing.assert_allclose(syn0, expected, rtol=0, atol=1e-12)
         assert np.array_equal(table.matrix, syn0.astype(np.float32))
 
@@ -229,20 +231,16 @@ class TestSgnsOracle:
 
 class TestLookup:
     def test_known_token_returns_its_row(self, small_table):
-        idx = small_table.vocab.id_for("int")
-        assert idx != 0
-        assert np.array_equal(small_table.lookup("int"), small_table.matrix[idx])
+        assert small_table.rows(["int"]).tolist() == [small_table.tokens.index("int")]
+        assert small_table.rows(["int"])[0] != 0
 
     def test_unknown_token_returns_unk_row(self, small_table):
-        assert np.array_equal(
-            small_table.lookup("no-such-lexeme"), small_table.matrix[0]
-        )
+        assert small_table.rows(["no-such-lexeme", UNK_TOKEN]).tolist() == [0, 0]
 
-    def test_table_lookup_method_agrees(self, small_table):
-        for token in small_table.vocab.tokens:
-            assert np.array_equal(
-                small_table.lookup(token), small_table.matrix[small_table.vocab.id_for(token)]
-            )
+    def test_every_token_reads_its_own_row(self, small_table):
+        rows = small_table.rows(small_table.tokens)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == list(range(len(small_table.tokens)))
 
     @pytest.mark.parametrize("matrix, message", [
         (np.zeros((2, EMBED_DIM - 1)), r"matrix shape \(2, 99\) != \(2, 100\)"),
@@ -251,12 +249,13 @@ class TestLookup:
     ], ids=["narrow", "extra-row", "infinite"])
     def test_table_rejects_a_bad_matrix(self, matrix, message):
         with pytest.raises(ValueError, match=message):
-            EmbeddingTable(Vocabulary([UNK_TOKEN, "int"], [0, 1]), matrix)
+            EmbeddingTable([UNK_TOKEN, "int"], matrix)
 
 
 def token_cosine(table, t1, t2):
     """Cosine similarity of two tokens' embedding rows."""
-    return cosine_similarity(table.lookup(t1), table.lookup(t2))
+    r1, r2 = table.rows([t1, t2])
+    return cosine_similarity(table.matrix[r1], table.matrix[r2])
 
 
 class TestTokenCosine:
@@ -273,8 +272,8 @@ class TestTokenCosine:
         assert -1.0 - 1e-9 <= s <= 1.0 + 1e-9
 
     def test_zero_norm_returns_zero(self, small_table):
-        zeroed = type(small_table)(small_table.vocab, small_table.matrix.copy())
-        zeroed.matrix[zeroed.vocab.id_for("int")] = 0.0
+        zeroed = EmbeddingTable(small_table.tokens, small_table.matrix.copy())
+        zeroed.matrix[zeroed.tokens.index("int")] = 0.0
         assert token_cosine(zeroed, "int", ";") == 0.0
 
 
@@ -283,7 +282,7 @@ class TestSerialization:
         path = tmp_path / "emb.bin"
         save_table(small_table, path)
         loaded = load_table(path)
-        assert loaded.vocab.tokens == small_table.vocab.tokens
+        assert loaded.tokens == small_table.tokens
         assert np.array_equal(loaded.matrix, small_table.matrix)
         assert loaded.matrix.dtype == np.float32
 

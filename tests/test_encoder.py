@@ -26,6 +26,7 @@ from clonecat.encoder import (
 )
 from clonecat.errors import FormatError, ShapeMismatch
 from clonecat.lexcat import TokenCategory, categorize_source, category_order
+from clonecat.synth import builtin_base_methods, synth_clones
 
 try:
     import torch
@@ -247,17 +248,52 @@ class TestInitParams:
             params.validate()
 
 
+def input_rows_oracle(method, cat, table):
+    """Plain-Python restatement of category_input_matrix: per distinct lexeme in
+    ascending order, its count times its row, the UNK row 0 when the table lacks it."""
+    counts = method.counts.get(cat, {})
+    rows = []
+    for lex in sorted(counts):
+        row = table.tokens.index(lex) if lex in table.tokens else 0
+        rows.append([counts[lex] * float(v) for v in table.matrix[row]])
+    return np.array(rows, dtype=np.float64).reshape(-1, D_MODEL)
+
+
 class TestCategoryInput:
     def test_rows_sorted_by_lexeme_and_scaled_by_count(self, small_table):
-        cm = categorize_source("int b = 1; int a = 2; int a2 = 3;", "m")
+        cm = categorize_source("int n = 1; int i = 2; int arr = 3; n = i + i;", "m")
         x = category_input_matrix(cm, TokenCategory.IDENTIFIER, small_table)
-        lex_sorted = sorted(cm.counts[TokenCategory.IDENTIFIER])
+        counts = cm.counts[TokenCategory.IDENTIFIER]
+        lex_sorted = sorted(counts)
+        assert lex_sorted == ["arr", "i", "n"] and counts["i"] == 3
         assert x.shape == (len(lex_sorted), D_MODEL)
         assert x.dtype == np.float64
         for i, lex in enumerate(lex_sorted):
-            count = cm.counts[TokenCategory.IDENTIFIER][lex]
-            expected = count * small_table.lookup(lex).astype(np.float64)
-            np.testing.assert_array_equal(x[i], expected)
+            assert lex in small_table.tokens
+            row = small_table.matrix[small_table.tokens.index(lex)].astype(np.float64)
+            np.testing.assert_array_equal(x[i], counts[lex] * row)
+
+    def test_lexeme_absent_from_the_table_reads_the_unk_row(self, small_table):
+        cm = categorize_source("int zz9 = 1; zz9 = zz9 + i;", "m")
+        assert "zz9" not in small_table.tokens and "i" in small_table.tokens
+        x = category_input_matrix(cm, TokenCategory.IDENTIFIER, small_table)
+        unk = small_table.matrix[0].astype(np.float64)
+        assert x.tobytes() == np.stack([
+            small_table.matrix[small_table.tokens.index("i")].astype(np.float64),
+            3 * unk,
+        ]).tobytes()
+
+    def test_every_category_of_the_synthetic_corpus_matches_the_oracle(self, small_table):
+        methods = synth_clones(builtin_base_methods()).methods.values()
+        lexemes = {lex for method in methods for counts in method.counts.values() for lex in counts}
+        # the table knows the lexemes of 4 of the 20 bases: both rules of the row are swept
+        assert lexemes & set(small_table.tokens) and lexemes - set(small_table.tokens)
+        for method in methods:
+            for cat in category_order():
+                x = category_input_matrix(method, cat, small_table)
+                expected = input_rows_oracle(method, cat, small_table)
+                assert x.dtype == np.float64 and x.shape == expected.shape
+                assert x.tobytes() == expected.tobytes(), (method.source_id, cat)
 
     def test_absent_category_yields_empty_matrix(self, small_table):
         cm = categorize_source("int a;", "m")

@@ -20,7 +20,7 @@ CLASSES = [obj for _name, obj in inspect.getmembers(errors, inspect.isclass)
 
 
 def test_every_error_class_is_covered():
-    assert len(CLASSES) == 12
+    assert len(CLASSES) == 11
     assert set(ARGS) <= set(CLASSES)
 
 

@@ -339,6 +339,14 @@ class TestSampleBatches:
                 assert member in classes[label]
 
 
+class TestPretrainConfig:
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_a_class_needs_two_samples(self, k):
+        """With K = 1 no batch holds a positive, so every pretraining step would fail."""
+        with pytest.raises(ValueError, match=f"samples_per_class must be >= 2, got {k}"):
+            PretrainConfig(samples_per_class=k).validate()
+
+
 class TestPretrain:
     def test_epochs_zero_returns_initial_params(self, small_dataset, small_table):
         """pretrain starts from init_params(config.seed)."""
