@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Machine-readable output is JSON lines on stdout; diagnostics go to stderr.
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
-failure. A key=value config file can seed any numeric option; explicit
-flags win over the file.
+Exit codes: 0 success, 1 usage/config error, 2 data error or out of
+memory, 3 numeric failure. A key=value config file can seed any numeric
+option; explicit flags win over the file.
 """
 
 from __future__ import annotations
@@ -399,6 +399,10 @@ def run(argv=None) -> int:
         return 3
     except CloneCatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # the work cannot be held at the size its options ask for
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: missing file {exc.filename}", file=sys.stderr)

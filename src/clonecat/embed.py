@@ -63,6 +63,8 @@ class EmbedConfig:
     def validate(self) -> None:
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.window > np.iinfo(np.int64).max:  # the shrink draw takes int64 bounds
+            raise ValueError(f"window must be <= {np.iinfo(np.int64).max}, got {self.window}")
         if self.negatives < 1:
             raise ValueError("negatives must be >= 1")
         if self.epochs < 1:

@@ -9,7 +9,9 @@ decay folded into the gradient:
     theta <- theta - lr*m
 
 Pretraining and fine-tuning run the same loop, which is single-threaded and
-deterministic under a fixed seed.
+deterministic under a fixed seed: a rerun is byte-identical for one numpy/BLAS
+build and one BLAS thread count. Another thread count may sum a product over
+more than 128 rows in another order and change the last bits.
 """
 
 from __future__ import annotations
@@ -360,7 +362,8 @@ def pretrain(
     config: PretrainConfig | None = None,
 ) -> PretrainResult:
     """SupCon pretraining over clone classes from ``init_params(config.seed)``;
-    embeddings stay frozen. Deterministic given (dataset, table, config).
+    embeddings stay frozen. Deterministic given (dataset, table, config), for one
+    numpy/BLAS build and one BLAS thread count.
     A pair naming a method not in ``dataset.methods`` raises MissingFunction first."""
     config = config or PretrainConfig()
     config.validate()

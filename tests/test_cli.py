@@ -485,6 +485,44 @@ class TestNumericFailureExit:
         assert "numeric" in capsys.readouterr().err.lower()
 
 
+class TestOutOfMemoryExit:
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 72.8 TiB"),
+         "error: out of memory: Unable to allocate 72.8 TiB"),
+        (MemoryError(), "error: out of memory"),
+    ], ids=["with-message", "bare"])
+    def test_memory_error_maps_to_2(self, workspace, monkeypatch, tmp_path, capsys, error, line):
+        def exhaust(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "train_word2vec", exhaust)
+        code = run(["embed-train", "--functions", str(workspace / "funcs"),
+                    "--out", str(tmp_path / "e.bin")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+    def test_impossible_allocation_exits_2(self, workspace, tmp_path):
+        """``--negatives 10**13`` asks for a 72.8 TiB array; a child whose address space is
+        capped at 1 GiB is refused it at once, and reports one line, not a traceback."""
+        import resource
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "clonecat.cli", "embed-train",
+             "--functions", str(workspace / "funcs"), "--out", str(tmp_path / "e.bin"),
+             "--epochs", "1", "--negatives", str(10**13)],
+            env=_child_env(), capture_output=True, encoding="utf-8", timeout=120,
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: out of memory: Unable to allocate")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "e.bin").exists()
+
+
 def _raw_table(tokens, bad_value=None):
     """CCEMB1 bytes written without EmbeddingTable's checks."""
     matrix = np.zeros((len(tokens), 100), dtype="<f4")
@@ -687,6 +725,14 @@ def _config_value(command, line, *flags):
     return _with_config(command, f"# one value\n{line}\n".encode(), *flags)
 
 
+def _window_above_int64(workspace, trained, tmp_path):
+    return ["embed-train", "--functions", str(workspace / "funcs"),
+            "--out", str(tmp_path / "e.bin"), "--window", str(10**20)]
+
+
+_WINDOW_ABOVE_INT64 = f"window must be <= {2**63 - 1}, got {10**20}"
+
+
 def _finetune_argv(workspace, trained, tmp_path, *extra):
     return ["finetune", "--functions", str(workspace / "funcs"),
             "--pairs", str(workspace / "pairs.csv"), "--embeddings", str(trained["emb"]),
@@ -842,6 +888,7 @@ _SNAN = struct.pack("<I", 0x7F800001)
          "v.cfg: samples_per_class must be >= 2, got 1"),
         (_config_value("evaluate", "samples_per_class = 1"), 1,
          "v.cfg: samples_per_class must be >= 2, got 1"),
+        (_window_above_int64, 1, _WINDOW_ABOVE_INT64),
     ],
     ids=["missing-functions-dir", "non-utf8-in", "non-utf8-functions",
          "sgns-diverges", "table-non-finite", "table-duplicate-token",
@@ -872,7 +919,8 @@ _SNAN = struct.pack("<I", 0x7F800001)
          "config-value-out-of-range-with-good-flag", "pretrain-lr-zero",
          "pretrain-batch-size-one", "pretrain-temperature-zero", "embed-train-lr-nan",
          "table-dim-not-100", "params-tensor-shape-wrong", "finetune-header-only-pairs",
-         "config-pretrain-one-sample-per-class", "config-evaluate-one-sample-per-class"],
+         "config-pretrain-one-sample-per-class", "config-evaluate-one-sample-per-class",
+         "embed-train-window-above-int64"],
 )
 def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):
     assert run(build(workspace, trained, tmp_path)) == code
@@ -951,6 +999,7 @@ def _missing_dir(tmp_path):
         (_evaluate_folds("0"), 1, "n_folds must be >= 1, got 0"),
         (_config_value("pretrain", "samples_per_class = 1"), 1,
          "v.cfg: samples_per_class must be >= 2, got 1"),
+        (_window_above_int64, 1, _WINDOW_ABOVE_INT64),
     ],
     ids=["embed-train-out-dir", "embed-train-out-no-parent", "pretrain-out-dir",
          "pretrain-loss-log-dir", "pretrain-loss-log-no-parent", "finetune-out-params-dir",
@@ -966,7 +1015,8 @@ def _missing_dir(tmp_path):
          "finetune-out-head-aliases-out-params",
          *[f"{command}-no-train-encoder-with-{detector}" for command in ("evaluate", "bench-time")
            for detector in ("overlap", "weighted")],
-         "evaluate-folds-zero", "config-pretrain-one-sample-per-class"],
+         "evaluate-folds-zero", "config-pretrain-one-sample-per-class",
+         "embed-train-window-above-int64"],
 )
 def test_options_checked_before_any_work(workspace, trained, tmp_path, monkeypatch, capsys,
                                          build, code, bad):
@@ -1058,11 +1108,15 @@ def test_byte_order_mark_accepted_in_weights_and_config(workspace, tmp_path, cap
     assert (tmp_path / "bom.bin").read_bytes() == (tmp_path / "flags.bin").read_bytes()
 
 
+def _child_env():
+    """The environment of a child ``python -m clonecat.cli``: this checkout's ``src`` first."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def test_text_files_are_utf8_under_any_locale(workspace, trained, tmp_path):
     """Text inputs and outputs name their encoding; Python warns where one is left to the locale."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     funcs, pairs = ["--functions", str(workspace / "funcs")], ["--pairs", str(workspace / "pairs.csv")]
     commands = [
         ["baseline", *funcs, *pairs, "--detector", "weighted",
@@ -1076,7 +1130,7 @@ def test_text_files_are_utf8_under_any_locale(workspace, trained, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
              "-m", "clonecat.cli", *argv],
-            env=env, capture_output=True, encoding="utf-8", timeout=300,
+            env=_child_env(), capture_output=True, encoding="utf-8", timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "report.json").read_text(encoding="utf-8").startswith("{")

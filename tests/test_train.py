@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +11,7 @@ from hypothesis import strategies as st
 from clonecat import train
 from clonecat.data import CloneType, Pair, PairDataset
 from clonecat.blocks import D_MODEL
-from clonecat.encoder import encode_method, init_params, params_tensors, save_params
+from clonecat.encoder import encode_method, init_params, load_params, params_tensors, save_params
 from clonecat.errors import DegenerateBatch, MissingFunction, NumericFailure, ShapeMismatch
 from clonecat.train import (
     FineTuneConfig,
@@ -393,6 +398,58 @@ class TestPretrain:
         result = pretrain(small_dataset, small_table, PretrainConfig(epochs=1, seed=0))
         after = params_tensors(result.params)
         assert any(not np.array_equal(after[k], before[k]) for k in before)
+
+
+# one epoch of pretraining on the synthetic corpus, written to argv[1]; prints the most rows
+# that one block_backward call reduces its weight gradients over
+_PRETRAIN_CHILD = """
+import sys
+from clonecat import encoder
+from clonecat.embed import EmbedConfig, train_word2vec
+from clonecat.synth import builtin_base_methods, synth_clones
+from clonecat.train import PretrainConfig, pretrain
+
+rows = []
+backward = encoder.block_backward
+
+
+def counting(block, cache, dy):
+    rows.append(cache.x.size // cache.x.shape[-1])
+    return backward(block, cache, dy)
+
+
+encoder.block_backward = counting
+dataset = synth_clones(builtin_base_methods())
+table = train_word2vec([dataset.methods[k] for k in sorted(dataset.methods)], EmbedConfig(epochs=1))
+encoder.save_params(pretrain(dataset, table, PretrainConfig(epochs=1)).params, sys.argv[1])
+print(max(rows))
+"""
+# the last bits a float32 file can change by: 8 float32 ulps, or 1e-12 near 0
+_THREAD_RTOL, _THREAD_ATOL = 1e-6, 1e-12
+
+
+def test_pretrain_agrees_across_blas_thread_counts(tmp_path):
+    """A rerun is byte-identical for one BLAS thread count; under another, a product over
+    more than 128 rows may sum in another order, so the parameter file may change in its
+    last bits, and in no more than that."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    tensors = []
+    for threads in ("1", "2"):
+        env = {**os.environ,
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                               threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                           os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / f"threads{threads}.bin"
+        proc = subprocess.run([sys.executable, "-c", _PRETRAIN_CHILD, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 128  # where a thread count can change a product's bits
+        tensors.append(params_tensors(load_params(out)))
+    one, two = tensors
+    for name in one:
+        np.testing.assert_allclose(two[name], one[name], rtol=_THREAD_RTOL, atol=_THREAD_ATOL,
+                                   err_msg=name)
 
 
 class TestEncodeBackward:
