@@ -45,6 +45,7 @@ __all__ = [
     "TimingReport",
     "load_dataset",
     "build_detector",
+    "check_count",
     "make_folds",
     "evaluate",
     "time_detection",
@@ -86,10 +87,15 @@ def _default_clone_type(cm1: CategorizedMethod, cm2: CategorizedMethod) -> Clone
     return band_for_similarity(overlap_similarity(cm1, cm2))
 
 
+def check_count(name: str, value: int) -> None:
+    """Refuse a count of folds or runs below 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def make_folds(dataset: PairDataset, seed: int = 0, n_folds: int = 10) -> FoldPlan:
     """Seeded shuffle, then round-robin assignment; sizes differ by <= 1."""
-    if n_folds < 1:
-        raise ValueError(f"n_folds must be >= 1, got {n_folds}")
+    check_count("n_folds", n_folds)
     n = len(dataset.pairs)
     if n < n_folds:
         raise TooFewPairs(f"need at least {n_folds} pairs, got {n}")
@@ -312,8 +318,7 @@ def time_detection(
     training_s: float | None = None,
 ) -> TimingReport:
     """Wall-clock the full-pair scan ``runs`` times under identical order."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    check_count("runs", runs)
     pair_ids = [(p.id1, p.id2) for p in dataset.pairs]
     samples: list[float] = []
     for _ in range(runs):

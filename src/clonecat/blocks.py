@@ -132,8 +132,7 @@ class BlockCache:
     concat: np.ndarray     # heads re-joined, pre-W_O
     ln1: LayerNormCache
     l1: np.ndarray         # output of first LayerNorm
-    pre_relu: np.ndarray
-    hidden: np.ndarray     # ReLU output
+    hidden: np.ndarray     # ReLU output; > 0 exactly where its input is
     ln2: LayerNormCache
 
 
@@ -172,13 +171,12 @@ def block_forward(block: AttentionBlock, x: np.ndarray, want_cache: bool = False
     concat = _join_heads(probs @ vh)
     attended = concat @ block.wo
     l1, ln1 = layernorm_forward(x + attended, block.g1, block.be1)
-    pre_relu = l1 @ block.w1 + block.b1
-    hidden = np.maximum(pre_relu, 0.0)
+    hidden = np.maximum(l1 @ block.w1 + block.b1, 0.0)
     ff = hidden @ block.w2 + block.b2
     y, ln2 = layernorm_forward(l1 + ff, block.g2, block.be2)
     cache = None
     if want_cache:
-        cache = BlockCache(x, qh, kh, vh, probs, concat, ln1, l1, pre_relu, hidden, ln2)
+        cache = BlockCache(x, qh, kh, vh, probs, concat, ln1, l1, hidden, ln2)
     return y, probs, cache
 
 
@@ -194,7 +192,7 @@ def block_backward(block: AttentionBlock, cache: BlockCache, dy: np.ndarray):
     dhidden = dr2 @ block.w2.T
     dw2 = _rows(cache.hidden).T @ _rows(dr2)
     db2 = _rows(dr2).sum(axis=0)
-    dpre = dhidden * (cache.pre_relu > 0.0)
+    dpre = dhidden * (cache.hidden > 0.0)
     dl1 += dpre @ block.w1.T
     dw1 = _rows(cache.l1).T @ _rows(dpre)
     db1 = _rows(dpre).sum(axis=0)

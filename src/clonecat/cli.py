@@ -23,6 +23,7 @@ from .bench import (
     VECTOR_DETECTORS,
     PipelineConfig,
     build_detector,
+    check_count,
     evaluate,
     load_dataset,
     make_folds,
@@ -241,8 +242,7 @@ def _cmd_explain(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     _check_outputs(args.out)
-    if args.folds < 1:  # make_folds checks too, but only once the corpus is read
-        raise ValueError(f"n_folds must be >= 1, got {args.folds}")
+    check_count("n_folds", args.folds)  # make_folds checks too, but only once the corpus is read
     config = _pipeline_config(args)
     dataset = load_dataset(args.functions, args.pairs)
     folds = make_folds(dataset, seed=config.seed, n_folds=args.folds)
@@ -255,8 +255,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bench_time(args) -> int:
-    if args.runs < 1:
-        raise ValueError("runs must be >= 1")
+    check_count("runs", args.runs)  # before the corpus is read
     config = _pipeline_config(args)
     dataset = load_dataset(args.functions, args.pairs)
     start = time.perf_counter()

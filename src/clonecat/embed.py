@@ -48,7 +48,11 @@ _MIN_LR_FRACTION = 1e-4
 _STEP_CENTERS = 16
 # sentences are drawn and stepped in groups of about this many tokens
 _CHUNK_TOKENS = 4096
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def fits_float32(arr: np.ndarray) -> bool:
+    """Whether every value of ``arr`` is finite as float32; NaN fails the comparison too."""
+    return bool(np.all(np.abs(arr) <= np.finfo(np.float32).max))
 
 
 @dataclass
@@ -106,18 +110,20 @@ def _row_ids(row_of: dict[str, int], lexemes: Iterable[str]) -> np.ndarray:
 
 
 class EmbeddingTable:
-    """A trained table: its tokens, UNK first, and one finite float32 100-d row per token."""
+    """Distinct tokens, UNK first, and a float32 100-d row each; the one check of a table."""
 
     def __init__(self, tokens: Sequence[str], matrix: np.ndarray):
-        if not tokens or tokens[0] != UNK_TOKEN:
-            raise ValueError("embedding tokens must start with the UNK token")
+        self.tokens = list(tokens)
+        self._row_of = {t: i for i, t in enumerate(self.tokens)}
+        if not self.tokens or self.tokens[0] != UNK_TOKEN:
+            raise ValueError(f"first token is not the UNK token {UNK_TOKEN}")
+        if len(self._row_of) != len(self.tokens):
+            raise ValueError("duplicate token")
         if matrix.shape != (len(tokens), EMBED_DIM):
             raise ValueError(f"matrix shape {matrix.shape} != ({len(tokens)}, {EMBED_DIM})")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("embedding matrix contains non-finite entries")
-        self.tokens = list(tokens)
+        if not fits_float32(matrix):
+            raise ValueError("embedding matrix holds a non-finite value or one beyond float32")
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-        self._row_of = {t: i for i, t in enumerate(self.tokens)}
 
     def rows(self, lexemes: Iterable[str]) -> np.ndarray:
         """The row of ``matrix`` that each lexeme reads, as an int64 array."""
@@ -179,8 +185,7 @@ def _train_syn0(ids_per_sentence: list[np.ndarray], cumdist: np.ndarray,
                 center_pos, targets = _draw_pairs(chunk, config.window, config.negatives,
                                                   cumdist, rng)
                 _train_chunk(syn0, syn1, chunk, center_pos, targets, labels, alphas[center_pos])
-            # NaN fails the comparison too; the table is stored as float32
-            if not np.all(np.abs(syn0) <= _FLOAT32_MAX):
+            if not fits_float32(syn0):  # the table is stored as float32
                 raise NumericFailure(
                     f"skip-gram training diverged: non-finite embedding after epoch {epoch + 1}"
                 )
@@ -352,10 +357,9 @@ def load_table(path) -> EmbeddingTable:
         tokens = [reader.take(reader.unpack("<I")[0]).decode("utf-8") for _ in range(vsize)]
     except UnicodeDecodeError as exc:
         raise FormatError(f"token is not valid UTF-8 in embedding file {path}") from exc
-    if not tokens or tokens[0] != UNK_TOKEN:
-        raise FormatError(f"first token is not {UNK_TOKEN} in embedding file {path}")
-    if len(set(tokens)) != len(tokens):
-        raise FormatError(f"duplicate token in embedding file {path}")
     matrix = reader.floats((vsize, EMBED_DIM), "the vector table")
     reader.done()
-    return EmbeddingTable(tokens, matrix.copy())
+    try:
+        return EmbeddingTable(tokens, matrix.copy())
+    except ValueError as exc:
+        raise FormatError(f"{exc} in embedding file {path}") from exc

@@ -26,8 +26,8 @@ from .blocks import (
     block_forward,
     init_block,
 )
-from .embed import EmbeddingTable, ModelReader
-from .errors import FormatError, ShapeMismatch
+from .embed import EmbeddingTable, ModelReader, fits_float32
+from .errors import FormatError, NumericFailure, ShapeMismatch
 from .lexcat import NUM_CATEGORIES, CategorizedMethod, TokenCategory, category_order
 
 __all__ = [
@@ -208,11 +208,16 @@ def encode_method(method: CategorizedMethod, table: EmbeddingTable, params: Enco
 
 def save_params(params: EncoderParams, path) -> None:
     """Write the magic, then per tensor in ``params_tensors`` order: ndim as a byte,
-    each dim as a uint32, the float32 values."""
+    each dim as a uint32, the float32 values. Raises NumericFailure, and opens no
+    file, if a value is not finite as float32."""
     params.validate()
+    tensors = params_tensors(params)
+    for name, arr in tensors.items():
+        if not fits_float32(arr):
+            raise NumericFailure(f"{path}: tensor {name} is beyond float32's range; not written")
     with open(path, "wb") as fh:
         fh.write(ENCODER_MAGIC)
-        for arr in params_tensors(params).values():
+        for arr in tensors.values():
             fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 

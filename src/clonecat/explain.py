@@ -16,8 +16,7 @@ __all__ = ["ExplainReport", "category_weights", "format_weights_table"]
 @dataclass
 class ExplainReport:
     source_id: str
-    weights: np.ndarray       # (15,) floats; absent categories exactly 0
-    present_mask: np.ndarray  # (15,) bool
+    weights: np.ndarray  # (15,) floats; absent categories exactly 0
 
     def to_json_dict(self) -> dict:
         names = [cat.value for cat in category_order()]
@@ -37,11 +36,7 @@ def category_weights(trace: AttentionTrace, source_id: str = "") -> ExplainRepor
     weights = np.zeros(NUM_CATEGORIES)
     if present.size:
         weights[present] = softmax(trace.matrix.sum(axis=0)[present])
-    return ExplainReport(
-        source_id=source_id,
-        weights=weights,
-        present_mask=trace.present_mask.copy(),
-    )
+    return ExplainReport(source_id=source_id, weights=weights)
 
 
 def format_weights_table(report: ExplainReport) -> str:

@@ -190,7 +190,6 @@ def supcon_loss(z, labels, temperature: float = 0.07):
 class OptimizerState:
     square_avg: dict[str, np.ndarray]
     momentum: dict[str, np.ndarray]
-    step: int = 0
 
     @classmethod
     def for_params(cls, params: Mapping[str, np.ndarray]) -> "OptimizerState":
@@ -230,7 +229,6 @@ def rmsprop_step(
         m *= mu
         m += (g + lam * theta) / np.sqrt(s + RMSPROP_EPS)
         theta -= lr * m
-    state.step += 1
     return params
 
 
@@ -466,25 +464,23 @@ def init_head(k: int = 3, seed: int = 0) -> FineTuneHead:
 
 
 def head_forward(head: FineTuneHead, x: np.ndarray, want_cache: bool = False):
-    """Logits (B, 2) for inputs (B, 200); ReLU between layers, none after the last."""
+    """Logits (B, 2) for inputs (B, 200); ReLU between layers, none after the last.
+    The cache is each layer's input: ``x``, then every ReLU output."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != head.weights[0].shape[0]:
         raise ShapeMismatch(f"head input shape {x.shape} != (B, {head.weights[0].shape[0]})")
     activations = [x]
-    pre_relus = []
     h = x
     last = len(head.weights) - 1
     for i, (w, b) in enumerate(zip(head.weights, head.biases)):
         h = h @ w + b
         if i != last:
-            pre_relus.append(h)
             h = np.maximum(h, 0.0)
             activations.append(h)
-    return (h, (activations, pre_relus)) if want_cache else h
+    return (h, activations) if want_cache else h
 
 
-def head_backward(head: FineTuneHead, cache, dlogits: np.ndarray):
-    activations, pre_relus = cache
+def head_backward(head: FineTuneHead, activations, dlogits: np.ndarray):
     grads: dict[str, np.ndarray] = {}
     dh = np.asarray(dlogits, dtype=np.float64)
     last = len(head.weights) - 1
@@ -493,7 +489,7 @@ def head_backward(head: FineTuneHead, cache, dlogits: np.ndarray):
         grads[f"l{i}.b"] = dh.sum(axis=0)
         dh = dh @ head.weights[i].T
         if i > 0:
-            dh = dh * (pre_relus[i - 1] > 0.0)
+            dh = dh * (activations[i] > 0.0)  # a ReLU output is > 0 where its input is
     return dh, grads
 
 

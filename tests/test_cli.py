@@ -100,6 +100,18 @@ class TestBasics:
         out = capsys.readouterr().out
         assert "CCEMB1" in out and "CCENC1" in out
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_version_has_one_owner(self):
+        """The installed metadata reads ``clonecat.__version__``, which --version prints."""
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "clonecat.__version__"}
+
     def test_no_subcommand_is_usage_error(self, capsys):
         assert run([]) == 1
 
@@ -889,6 +901,9 @@ _SNAN = struct.pack("<I", 0x7F800001)
         (_config_value("evaluate", "samples_per_class = 1"), 1,
          "v.cfg: samples_per_class must be >= 2, got 1"),
         (_window_above_int64, 1, _WINDOW_ABOVE_INT64),
+        (lambda w, t, p: _pretrain_argv(w, t, p, w / "funcs", "--epochs", "1",
+                                        "--batch-size", "8", "--lr", "1e39"),
+         3, "beyond float32's range"),
     ],
     ids=["missing-functions-dir", "non-utf8-in", "non-utf8-functions",
          "sgns-diverges", "table-non-finite", "table-duplicate-token",
@@ -920,7 +935,7 @@ _SNAN = struct.pack("<I", 0x7F800001)
          "pretrain-batch-size-one", "pretrain-temperature-zero", "embed-train-lr-nan",
          "table-dim-not-100", "params-tensor-shape-wrong", "finetune-header-only-pairs",
          "config-pretrain-one-sample-per-class", "config-evaluate-one-sample-per-class",
-         "embed-train-window-above-int64"],
+         "embed-train-window-above-int64", "pretrain-params-beyond-float32"],
 )
 def test_bad_input_exit_codes(workspace, trained, tmp_path, capsys, build, code, message):
     assert run(build(workspace, trained, tmp_path)) == code

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from clonecat import embed
 from clonecat.embed import (
@@ -246,10 +248,15 @@ class TestLookup:
         (np.zeros((2, EMBED_DIM - 1)), r"matrix shape \(2, 99\) != \(2, 100\)"),
         (np.zeros((3, EMBED_DIM)), r"matrix shape \(3, 100\) != \(2, 100\)"),
         (np.full((2, EMBED_DIM), np.inf), "non-finite"),
-    ], ids=["narrow", "extra-row", "infinite"])
+        (np.full((2, EMBED_DIM), 1e39), "beyond float32"),
+    ], ids=["narrow", "extra-row", "infinite", "beyond-float32"])
     def test_table_rejects_a_bad_matrix(self, matrix, message):
         with pytest.raises(ValueError, match=message):
             EmbeddingTable([UNK_TOKEN, "int"], matrix)
+
+    def test_table_rejects_a_repeated_token(self):
+        with pytest.raises(ValueError, match="duplicate token"):
+            EmbeddingTable([UNK_TOKEN, "int", "int"], np.zeros((3, EMBED_DIM)))
 
 
 def token_cosine(table, t1, t2):
@@ -326,6 +333,28 @@ class TestSerialization:
         path.write_bytes(b"")
         with pytest.raises(FormatError):
             load_table(path)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tokens=st.lists(st.sampled_from([UNK_TOKEN, "int", "é", ""]), max_size=4),
+       value=st.sampled_from([0.0, -0.0, 1.5, 3.4e38, 1e39, -np.inf, np.nan]))
+@example(tokens=[UNK_TOKEN, "int", "int"], value=0.0)
+@example(tokens=[UNK_TOKEN, "int"], value=1e39)
+def test_every_table_the_constructor_accepts_round_trips(tmp_path, tokens, value):
+    """Save then load gives the table back: load_table refuses no table the constructor accepts."""
+    matrix = np.zeros((len(tokens), EMBED_DIM))
+    matrix[-1:, 7] = value
+    try:
+        table = EmbeddingTable(tokens, matrix)
+    except ValueError:
+        return
+    first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+    save_table(table, first)
+    loaded = load_table(first)
+    save_table(loaded, second)
+    assert loaded.tokens == table.tokens
+    assert first.read_bytes() == second.read_bytes()
 
 
 def write_raw_table(path, tokens, matrix):

@@ -24,7 +24,7 @@ from clonecat.encoder import (
     params_tensors,
     save_params,
 )
-from clonecat.errors import FormatError, ShapeMismatch
+from clonecat.errors import FormatError, NumericFailure, ShapeMismatch
 from clonecat.lexcat import TokenCategory, categorize_source, category_order
 from clonecat.synth import builtin_base_methods, synth_clones
 
@@ -413,6 +413,15 @@ class TestSerialization:
         a, b = params_tensors(params), params_tensors(loaded)
         for name in a:
             assert np.array_equal(a[name], b[name]), name
+
+    @pytest.mark.parametrize("value", [1e39, -np.inf, np.nan], ids=["beyond-float32", "inf", "nan"])
+    def test_unstorable_value_refused_before_the_file_opens(self, tmp_path, value):
+        params = init_params(seed=0)
+        params.category_blocks[3].w1[5, 7] = value
+        path = tmp_path / "enc.bin"
+        with pytest.raises(NumericFailure, match=r"tensor cat03\.w1 .*beyond float32"):
+            save_params(params, path)
+        assert not path.exists()
 
     def test_magic_prefix(self, tmp_path):
         path = tmp_path / "enc.bin"
