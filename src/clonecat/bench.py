@@ -26,7 +26,6 @@ from .detect import (
     WeightedOverlapDetector,
     _finite_threshold,
     detect_corpus,
-    overlap_similarity,
 )
 from .embed import EmbedConfig, train_word2vec
 from .encoder import init_params
@@ -62,29 +61,35 @@ def load_dataset(functions_dir, pairs_file) -> PairDataset:
     """Read .java files (id = file stem) and a CSV of id1,id2,label[,clone_type].
 
     Every row needs a label. A positive row without a clone type gets the
-    best-effort type of ``_default_clone_type``.
+    best-effort type of ``_default_clone_type``, from one overlap scoring of
+    all such rows.
     """
     methods = load_methods(functions_dir)
-    pairs: list[Pair] = []
-    for row in read_pairs(pairs_file):
+    rows = read_pairs(pairs_file)
+    for row in rows:
         if row.label is None:
             raise BadRow(row.line, "missing label")
         for mid in (row.id1, row.id2):
             if mid not in methods:
                 raise MissingFunction(f"pair row {row.line} references missing function {mid!r}")
+    untyped = [(row.id1, row.id2) for row in rows if row.clone_type is None and row.label == 1]
+    overlaps = iter(detect_corpus(methods, untyped, OverlapDetector()))
+    pairs: list[Pair] = []
+    for row in rows:
         ctype = row.clone_type
         if ctype is None:
-            ctype = (CloneType.NONCLONE if row.label == 0
-                     else _default_clone_type(methods[row.id1], methods[row.id2]))
+            ctype = (CloneType.NONCLONE if row.label == 0 else _default_clone_type(
+                methods[row.id1], methods[row.id2], next(overlaps).score))
         pairs.append(Pair(row.id1, row.id2, row.label, ctype))
     return PairDataset(methods=methods, pairs=pairs)
 
 
-def _default_clone_type(cm1: CategorizedMethod, cm2: CategorizedMethod) -> CloneType:
-    """Best-effort type for positive rows without an explicit clone_type."""
+def _default_clone_type(cm1: CategorizedMethod, cm2: CategorizedMethod,
+                        overlap: float) -> CloneType:
+    """Best-effort type for a positive row without an explicit clone_type."""
     if cm1.counts == cm2.counts:
         return CloneType.T1
-    return band_for_similarity(overlap_similarity(cm1, cm2))
+    return band_for_similarity(overlap)
 
 
 def check_count(name: str, value: int) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .errors import BadRow, DataError, LexError, MissingFunction
-from .lexcat import CategorizedMethod, categorize_source
+from .lexcat import CategorizedMethod, TokenCategory, categorize_source
 
 __all__ = [
     "CloneType",
@@ -92,10 +92,11 @@ class PairRow(NamedTuple):
 def load_methods(functions_dir=None, files: Sequence = ()) -> dict[str, CategorizedMethod]:
     """Methods from a directory of .java files and from single files.
 
-    A method's id is its file stem. Raises DataError for a directory that
-    does not exist or holds no .java file, a file that is not valid UTF-8,
-    and an id given twice, and LexError, naming the file, for source that
-    does not lex.
+    A method's id is its file stem. The call's files share one lexeme memo,
+    so each distinct lexeme is lexed once per call. Raises DataError for a
+    directory that does not exist or holds no .java file, a file that is not
+    valid UTF-8, and an id given twice, and LexError, naming the file, for
+    source that does not lex.
     """
     if functions_dir is None and not files:
         raise ValueError("no input methods; pass --functions DIR and/or --in FILE")
@@ -107,6 +108,7 @@ def load_methods(functions_dir=None, files: Sequence = ()) -> dict[str, Categori
         paths += sorted(functions_dir.glob("*.java"))
     paths += [Path(f) for f in files]
     methods: dict[str, CategorizedMethod] = {}
+    memo: dict[str, TokenCategory] = {}  # shared by this call's files only
     for path in paths:
         if path.stem in methods:
             raise DataError(f"method id {path.stem!r} given twice, again by {path}")
@@ -115,7 +117,7 @@ def load_methods(functions_dir=None, files: Sequence = ()) -> dict[str, Categori
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not valid UTF-8: {exc.reason}") from exc
         try:
-            methods[path.stem] = categorize_source(text, path.stem)
+            methods[path.stem] = categorize_source(text, path.stem, memo)
         except LexError as exc:
             raise LexError(exc.line, exc.column, exc.reason, path) from None
     if not methods:

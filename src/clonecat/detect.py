@@ -1,11 +1,14 @@
 """Clone decisions: cosine-threshold and classifier detectors over encoded
 method vectors, plus the token-overlap baselines they are measured against.
 
-Every detector has ``prepare_all(methods)``, which turns each method into
-what its score reads (a vector and its norm, or the method itself for the
-overlap baselines), and ``verdict(pair, a, b)`` over two prepared items.
-Scoring ops are pure; ``detect_corpus`` prepares the distinct methods in one
-call, in first-seen order, then scores the pairs in order.
+Every detector has ``prepare_all(methods)``, which turns the methods into
+what its score reads (a vector and its norm per method, or for the overlap
+baselines one sparse table of every method's lexeme counts), and
+``scores(prepared, left, right)``, the score of each pair of positions
+``(left[p], right[p])`` in what ``prepare_all`` was given. Scoring ops are
+pure; ``detect_corpus`` prepares the distinct methods in one call, in
+first-seen order, scores the pairs in order in one call, and applies the
+threshold.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .embed import EmbeddingTable
 from .encoder import EncoderParams, encode_chunked
 from .errors import MissingFunction
-from .lexcat import NUM_CATEGORIES, CategorizedMethod, TokenCategory, category_order
+from .lexcat import NUM_CATEGORIES, CategorizedMethod, TokenCategory
 from .train import FineTuneHead, head_forward
 
 __all__ = [
@@ -29,6 +32,8 @@ __all__ = [
     "overlap_similarity",
     "category_overlap_similarity",
     "weighted_category_similarity",
+    "CountTable",
+    "count_table",
     "VectorDetector",
     "OverlapDetector",
     "WeightedOverlapDetector",
@@ -91,14 +96,105 @@ def cosine_similarity(v1, v2) -> float:
     return _cosine(a, np.linalg.norm(a), b, np.linalg.norm(b))
 
 
-def _shared_count(counts1: Mapping[str, int], counts2: Mapping[str, int]) -> int:
-    """Size of the multiset intersection of two lexeme -> count maps."""
-    shared = 0
-    for lexeme, n1 in counts1.items():
-        n2 = counts2.get(lexeme, 0)
-        if n2:
-            shared += min(n1, n2)
+# pairs a score call works on at once: bounds the arrays of one chunk
+_PAIR_CHUNK = 128
+
+
+@dataclass(frozen=True)
+class CountTable:
+    """Every method's (category, lexeme) multiset as one sparse table.
+
+    Row r's entries are ``ids[starts[r]:starts[r + 1]]``, ascending, with
+    their ``counts``; an id names one (category, lexeme) seen in the table.
+    """
+
+    starts: np.ndarray    # (M + 1,) entry offsets
+    ids: np.ndarray       # (entries,) int64
+    counts: np.ndarray    # (entries,) int64
+    category: np.ndarray  # (ids,) category index of each id
+    totals: np.ndarray    # (M, 15) int64 tokens per category
+
+
+def count_table(methods: Sequence[CategorizedMethod]) -> CountTable:
+    """The table of ``methods``, one row each in order; ids are numbered first-seen."""
+    ids_of: dict[tuple[TokenCategory, str], int] = {}
+    rows, ids, counts = [], [], []
+    totals = np.zeros((len(methods), NUM_CATEGORIES), dtype=np.int64)
+    for row, method in enumerate(methods):
+        for cat, lexemes in method.counts.items():
+            ids += [ids_of.setdefault((cat, lexeme), len(ids_of)) for lexeme in lexemes]
+            counts += lexemes.values()
+            rows += [row] * len(lexemes)
+            totals[row, cat.index] = sum(lexemes.values())
+    order = np.lexsort((ids, rows))
+    starts = np.zeros(len(methods) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(methods)), out=starts[1:])
+    return CountTable(
+        starts=starts,
+        ids=np.array(ids, dtype=np.int64)[order],
+        counts=np.array(counts, dtype=np.int64)[order],
+        category=np.array([cat.index for cat, _lexeme in ids_of], dtype=np.intp),
+        totals=totals,
+    )
+
+
+def _entries(table: CountTable, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, entry index) of every entry of each ``rows[p]``, ascending in p, then id."""
+    lo = table.starts[rows]
+    n = table.starts[rows + 1] - lo
+    owner = np.repeat(np.arange(len(rows)), n)
+    return owner, np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+
+
+def _shared_counts(table: CountTable, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(P, 15) multiset intersection size of rows ``left[p]`` and ``right[p]``, per category."""
+    n_ids = len(table.category)
+    lp, li = _entries(table, left)
+    rp, ri = _entries(table, right)
+    # both key arrays ascend, so the intersection is one merge of two sorted runs
+    _, at_l, at_r = np.intersect1d(lp * n_ids + table.ids[li], rp * n_ids + table.ids[ri],
+                                   assume_unique=True, return_indices=True)
+    li, ri = li[at_l], ri[at_r]
+    shared = np.zeros((len(left), NUM_CATEGORIES), dtype=np.int64)
+    np.add.at(shared, (lp[at_l], table.category[table.ids[li]]),
+              np.minimum(table.counts[li], table.counts[ri]))
     return shared
+
+
+def _overlap(table: CountTable, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    larger = np.maximum(table.totals[left].sum(axis=1), table.totals[right].sum(axis=1))
+    shared = _shared_counts(table, left, right).sum(axis=1)
+    return np.where(larger == 0, 1.0, shared / np.maximum(larger, 1))
+
+
+def _category_ratios(table: CountTable, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(P, 15) per-category overlap; 0.0 where either method lacks the category."""
+    larger = np.maximum(table.totals[left], table.totals[right])
+    return _shared_counts(table, left, right) / np.maximum(larger, 1)
+
+
+def _weighted(table: CountTable, left: np.ndarray, right: np.ndarray,
+              weights: CategoryWeights) -> np.ndarray:
+    ratios = _category_ratios(table, left, right)
+    total = np.zeros(len(left))
+    for i, w in enumerate(weights.values):  # canonical order, one float sum
+        if w:
+            total += w * ratios[:, i]
+    return total
+
+
+def _chunked(score, table: CountTable, left: np.ndarray, right: np.ndarray,
+             *args) -> np.ndarray:
+    """``score(table, l, r, *args)`` over the pairs, ``_PAIR_CHUNK`` at a time."""
+    out = np.empty(len(left))
+    for start in range(0, len(left), _PAIR_CHUNK):
+        part = slice(start, start + _PAIR_CHUNK)
+        out[part] = score(table, left[part], right[part], *args)
+    return out
+
+
+def _one_pair(score, cm1: CategorizedMethod, cm2: CategorizedMethod, *args) -> np.ndarray:
+    return score(count_table([cm1, cm2]), np.array([0]), np.array([1]), *args)[0]
 
 
 def overlap_similarity(cm1: CategorizedMethod, cm2: CategorizedMethod) -> float:
@@ -107,37 +203,21 @@ def overlap_similarity(cm1: CategorizedMethod, cm2: CategorizedMethod) -> float:
     Two empty methods are identically empty (1.0); one empty method shares
     nothing (0.0). Tokens match only within the same category.
     """
-    if cm1.total_tokens == 0 and cm2.total_tokens == 0:
-        return 1.0
-    if cm1.total_tokens == 0 or cm2.total_tokens == 0:
-        return 0.0
-    shared = sum(_shared_count(counts1, cm2.counts.get(cat, {}))
-                 for cat, counts1 in cm1.counts.items())
-    return shared / max(cm1.total_tokens, cm2.total_tokens)
+    return float(_one_pair(_overlap, cm1, cm2))
 
 
 def category_overlap_similarity(
     cm1: CategorizedMethod, cm2: CategorizedMethod, cat: TokenCategory
 ) -> float:
-    """Overlap restricted to one category; absent in both contributes 0.0."""
-    counts1 = cm1.counts.get(cat, {})
-    counts2 = cm2.counts.get(cat, {})
-    total1 = sum(counts1.values())
-    total2 = sum(counts2.values())
-    if total1 == 0 or total2 == 0:
-        return 0.0
-    return _shared_count(counts1, counts2) / max(total1, total2)
+    """Overlap restricted to one category; absent in either contributes 0.0."""
+    return float(_one_pair(_category_ratios, cm1, cm2)[cat.index])
 
 
 def weighted_category_similarity(
     cm1: CategorizedMethod, cm2: CategorizedMethod, weights: CategoryWeights
 ) -> float:
-    total = 0.0
-    for cat in category_order():
-        w = weights.weight_for(cat)
-        if w:
-            total += w * category_overlap_similarity(cm1, cm2, cat)
-    return total
+    """Sum over categories, in canonical order, of weight times category overlap."""
+    return float(_one_pair(_weighted, cm1, cm2, weights))
 
 
 def classifier_score(
@@ -180,10 +260,12 @@ class VectorDetector:
         return [(v, np.linalg.norm(v))
                 for v, _trace in encode_chunked(methods, self.table, self.params)]
 
-    def verdict(self, pair, a, b) -> CloneVerdict:
-        score = (_cosine(*a, *b) if self.head is None
-                 else classifier_score(a[0], b[0], self.head, self.symmetrize))
-        return CloneVerdict(pair, score, score > self.threshold, self.name)
+    def scores(self, prepared: list, left: np.ndarray, right: np.ndarray) -> list[float]:
+        pairs = zip(left.tolist(), right.tolist())
+        if self.head is None:
+            return [_cosine(*prepared[a], *prepared[b]) for a, b in pairs]
+        return [classifier_score(prepared[a][0], prepared[b][0], self.head, self.symmetrize)
+                for a, b in pairs]
 
 
 class OverlapDetector:
@@ -192,12 +274,11 @@ class OverlapDetector:
     def __init__(self, threshold: float = DEFAULT_THRESHOLD):
         self.threshold = _finite_threshold(threshold)
 
-    def prepare_all(self, methods: Sequence[CategorizedMethod]) -> Sequence[CategorizedMethod]:
-        return methods
+    def prepare_all(self, methods: Sequence[CategorizedMethod]) -> CountTable:
+        return count_table(methods)
 
-    def verdict(self, pair, cm1, cm2) -> CloneVerdict:
-        score = overlap_similarity(cm1, cm2)
-        return CloneVerdict(pair, score, score > self.threshold, self.name)
+    def scores(self, table: CountTable, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return _chunked(_overlap, table, left, right)
 
 
 class WeightedOverlapDetector(OverlapDetector):
@@ -207,19 +288,24 @@ class WeightedOverlapDetector(OverlapDetector):
         super().__init__(threshold)
         self.weights = weights
 
-    def verdict(self, pair, cm1, cm2) -> CloneVerdict:
-        score = weighted_category_similarity(cm1, cm2, self.weights)
-        return CloneVerdict(pair, score, score > self.threshold, self.name)
+    def scores(self, table: CountTable, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return _chunked(_weighted, table, left, right, self.weights)
 
 
 def detect_corpus(methods: Mapping[str, CategorizedMethod], pairs: Iterable[tuple[str, str]],
                   detector) -> list[CloneVerdict]:
-    """Score pairs in order; each method is prepared (encoded) once, in one call."""
+    """Verdicts on the pairs in order: each method is prepared (encoded) once, in one
+    call, the detector scores all pairs in one call, and a score above the
+    detector's threshold is a clone."""
     pair_list = [(str(a), str(b)) for a, b in pairs]
     distinct = dict.fromkeys(mid for pair in pair_list for mid in pair)  # first-seen order
     for mid in distinct:
         if mid not in methods:
             raise MissingFunction(f"unknown method id {mid!r}")
-    prepared = dict(zip(distinct, detector.prepare_all([methods[mid] for mid in distinct]),
-                        strict=True))
-    return [detector.verdict((a, b), prepared[a], prepared[b]) for a, b in pair_list]
+    prepared = detector.prepare_all([methods[mid] for mid in distinct])
+    index = {mid: i for i, mid in enumerate(distinct)}
+    left = np.array([index[a] for a, _b in pair_list], dtype=np.intp)
+    right = np.array([index[b] for _a, b in pair_list], dtype=np.intp)
+    scores = map(float, detector.scores(prepared, left, right))
+    return [CloneVerdict(pair, score, score > detector.threshold, detector.name)
+            for pair, score in zip(pair_list, scores, strict=True)]

@@ -120,42 +120,72 @@ def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
                    params: EncoderParams, want_cache: bool = False):
     """Encode a batch of methods; returns (vectors (M, 100), traces, cache or None).
 
-    Per category, the methods whose input has the same row count run as one
-    (B, n, 100) stack through the block, with no padding; the type block,
-    which sees only the categories a method contains, stacks methods by
-    their number. A method's vector and trace are the same bytes alone and
-    in any batch; a method with no tokens gets zeros.
+    Per category, the inputs with the same row count run as one (B, n, 100)
+    stack through the block, with no padding; the type block, which sees
+    only the categories a method contains, stacks inputs by their number.
+    Without a cache, each distinct category input (the same lexeme counts in
+    one category) is built and run once, and its output feeds every method
+    that has it; each distinct type-block input (the same category outputs)
+    runs once too. With a cache,
+    every method keeps its own slice, so the backward pass sums the same
+    rows as it would for the methods one by one. Every slice of a stack is
+    computed on its own, so a method's vector and trace are the same bytes
+    alone and in any batch; a method with no tokens gets zeros.
     """
     order = category_order()
-    stacked = np.zeros((len(methods), NUM_CATEGORIES, D_MODEL))
     present = np.zeros((len(methods), NUM_CATEGORIES), dtype=bool)
+    # a slot is one distinct category-block input and a type input one distinct tuple of
+    # slots; each keeps the first row that had it. Type input 0, no slots, encodes to zeros.
+    slot_of: dict[tuple, int] = {}
+    slot_row: list[int] = []
+    type_of: dict[tuple[int, ...], int] = {(): 0}
+    type_row = [-1]
+    method_type = np.zeros(len(methods), dtype=np.intp)
     buckets: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
     for row, method in enumerate(methods):
+        slots = []
         for i, cat in enumerate(order):
-            if method.counts.get(cat):
-                x = category_input_matrix(method, cat, table)
-                buckets.setdefault((i, len(x)), []).append((row, x))
+            counts = method.counts.get(cat)
+            if counts:
+                # the lexeme counts fix the input's bytes, and cost no copy of them
+                key = (i, row) if want_cache else (i, frozenset(counts.items()))
+                if key not in slot_of:
+                    slot_of[key] = len(slot_row)
+                    slot_row.append(row)
+                    x = category_input_matrix(method, cat, table)
+                    buckets.setdefault((i, len(x)), []).append((slot_of[key], x))
+                slots.append(slot_of[key])
                 present[row, i] = True
+        type_key = tuple(slots)
+        if type_key not in type_of:
+            type_of[type_key] = len(type_row)
+            type_row.append(row)
+        method_type[row] = type_of[type_key]
     cache = EncodeCache(category=[], type=[])
+    pooled = np.zeros((len(slot_row), D_MODEL))
+    slot_rows = np.array(slot_row, dtype=np.intp)
     for (i, _n), entries in buckets.items():
-        members = np.array([row for row, _x in entries])
-        xs = np.concatenate([x for _row, x in entries]).reshape(len(entries), -1, D_MODEL)
+        slots = np.array([slot for slot, _x in entries])
+        xs = np.concatenate([x for _slot, x in entries]).reshape(len(entries), -1, D_MODEL)
         y, _, block_cache = block_forward(params.category_blocks[i], xs, want_cache)
-        stacked[members, i] = y.mean(axis=1)
-        cache.category.append((i, members, block_cache))
+        pooled[slots] = y.mean(axis=1)
+        cache.category.append((i, slot_rows[slots], block_cache))
 
-    vectors = np.zeros((len(methods), D_MODEL))
-    matrices = np.zeros((len(methods), NUM_CATEGORIES, NUM_CATEGORIES))
-    counts = present.sum(axis=1)
-    for k in sorted(set(counts.tolist()) - {0}):
-        members = np.flatnonzero(counts == k)
-        cats = np.nonzero(present[members])[1].reshape(len(members), k)
+    type_inputs, type_rows = list(type_of), np.array(type_row)
+    type_vectors = np.zeros((len(type_inputs), D_MODEL))
+    type_matrices = np.zeros((len(type_inputs), NUM_CATEGORIES, NUM_CATEGORIES))
+    sizes = np.array([len(slots) for slots in type_inputs])
+    for k in sorted(set(sizes.tolist()) - {0}):
+        ids = np.flatnonzero(sizes == k)
+        rows = type_rows[ids]
+        cats = np.nonzero(present[rows])[1].reshape(len(ids), k)
         y, probs, block_cache = block_forward(
-            params.type_block, stacked[members[:, None], cats], want_cache
+            params.type_block, pooled[np.array([type_inputs[t] for t in ids])], want_cache
         )
-        vectors[members] = y.mean(axis=1)
-        matrices[members[:, None, None], cats[:, :, None], cats[:, None, :]] = probs.mean(axis=1)
-        cache.type.append((members, cats, block_cache))
+        type_vectors[ids] = y.mean(axis=1)
+        type_matrices[ids[:, None, None], cats[:, :, None], cats[:, None, :]] = probs.mean(axis=1)
+        cache.type.append((rows, cats, block_cache))
+    vectors, matrices = type_vectors[method_type], type_matrices[method_type]
     traces = [AttentionTrace(matrix=m, present_mask=p) for m, p in zip(matrices, present)]
     return vectors, traces, cache if want_cache else None
 

@@ -46,6 +46,10 @@ and lexes each distinct lexeme alone. That gives the same category or error:
 with no anchor or lookaround, an alternative that fails in context fails on
 the lexeme alone too. A lexeme that does not lex alone to exactly itself sends
 the whole method through ``tokenize``, so a LexError keeps its line and column.
+A caller may pass a lexeme -> category memo that the calls over one corpus
+share; ``data.load_methods`` makes one per call, so each distinct lexeme of a
+corpus is lexed once and nothing is kept between calls. Only lexemes that lex
+alone are stored.
 """
 
 from __future__ import annotations
@@ -310,16 +314,31 @@ def categorize(ts: TokenStream) -> CategorizedMethod:
     return CategorizedMethod(ts.source_id, counts, tuple(ts.lexemes()))
 
 
-def categorize_source(source: str, source_id: str = "<memory>") -> CategorizedMethod:
-    """``categorize(tokenize(source, source_id))``, from one scan and one lookup a lexeme."""
+def _alone(lexeme: str) -> TokenCategory | None:
+    """The category of ``lexeme`` lexed alone, or None unless it lexes to exactly itself."""
+    try:
+        [(alone, category)] = _lex(lexeme)  # ValueError unless exactly one token
+    except (LexError, ValueError):
+        return None
+    return category if alone == lexeme else None
+
+
+def categorize_source(source: str, source_id: str = "<memory>",
+                      memo: dict[str, TokenCategory] | None = None) -> CategorizedMethod:
+    """``categorize(tokenize(source, source_id))``, from one scan and one lookup a lexeme.
+
+    ``memo`` maps lexemes already lexed alone to their category; pass one dict
+    to every call over a corpus so that each distinct lexeme is lexed once.
+    """
     lexemes = list(filter(None, _LEXEME.findall(source)))
+    memo = {} if memo is None else memo
     counts: dict[TokenCategory, dict[str, int]] = {}
     for lexeme, n in Counter(lexemes).items():
-        try:
-            [(alone, category)] = _lex(lexeme)  # ValueError unless exactly one token
-        except (LexError, ValueError):
-            alone = None
-        if alone != lexeme:
-            return categorize(tokenize(source, source_id))
+        category = memo.get(lexeme)
+        if category is None:
+            category = _alone(lexeme)
+            if category is None:
+                return categorize(tokenize(source, source_id))
+            memo[lexeme] = category
         counts.setdefault(category, {})[lexeme] = n
     return CategorizedMethod(source_id, counts, tuple(lexemes))

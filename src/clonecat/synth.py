@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import CloneType, Pair, PairDataset, band_for_similarity
-from .detect import overlap_similarity
+from .detect import OverlapDetector, detect_corpus
 from .errors import LexError
 from .lexcat import CategorizedMethod, TokenCategory, categorize_source, tokenize
 
@@ -97,7 +97,7 @@ def synth_clones(base_methods: Mapping[str, str], spec: SynthSpec | None = None)
 
     methods: dict[str, CategorizedMethod] = {}
     classes: list[list[str]] = []
-    pairs: list[Pair] = []
+    positives: list[tuple[str, str, CloneType | None]] = []
 
     for base_id in sorted(base_methods):
         source = base_methods[base_id]
@@ -114,14 +114,15 @@ def synth_clones(base_methods: Mapping[str, str], spec: SynthSpec | None = None)
         except LexError as exc:  # the base, or its tokenize in _t2_variant, fails first
             raise LexError(exc.line, exc.column, exc.reason, base_id) from None
         for (a, ka, _), (b, kb, _) in combinations(members, 2):
-            if ka == kb == "t1":
-                ctype = CloneType.T1
-            elif "t3" not in (ka, kb):
-                ctype = CloneType.T2
-            else:
-                ctype = band_for_similarity(overlap_similarity(methods[a], methods[b]))
-            pairs.append(Pair(a, b, 1, ctype))
+            ctype = (CloneType.T1 if ka == kb == "t1"
+                     else CloneType.T2 if "t3" not in (ka, kb) else None)
+            positives.append((a, b, ctype))
         classes.append([mid for mid, _, _ in members])
+    # a pair with a T3 member gets the band of its token overlap, all scored in one call
+    overlaps = iter(detect_corpus(methods, [(a, b) for a, b, ctype in positives if ctype is None],
+                                  OverlapDetector()))
+    pairs = [Pair(a, b, 1, band_for_similarity(next(overlaps).score) if ctype is None else ctype)
+             for a, b, ctype in positives]
 
     n_negatives = len(pairs) if len(classes) > 1 else 0
     seen: set[tuple[str, str]] = set()

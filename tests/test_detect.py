@@ -1,12 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from labeled_corpus import LABELED_SNIPPETS
 
-from clonecat import encoder
+from clonecat import detect, encoder
 from clonecat.detect import (
     CategoryWeights,
     CloneVerdict,
+    CountTable,
     OverlapDetector,
     VectorDetector,
     WeightedOverlapDetector,
@@ -19,7 +23,7 @@ from clonecat.detect import (
 )
 from clonecat.encoder import encode_method
 from clonecat.errors import MissingFunction
-from clonecat.lexcat import TokenCategory, categorize_source, category_order
+from clonecat.lexcat import NUM_CATEGORIES, TokenCategory, categorize_source, category_order
 from clonecat.train import init_head
 
 
@@ -337,9 +341,27 @@ class TestBatchedPreparation:
             detect_corpus(small_dataset.methods, [(first, first), (first, "zzz")],
                           VectorDetector(enc_params, small_table))
 
-    def test_overlap_prepare_all_returns_the_methods(self, small_dataset):
+    def test_overlap_prepare_all_builds_one_count_table(self, small_dataset):
+        """One row per method holding its (category, lexeme) counts, ids ascending;
+        no array is methods x vocabulary in size."""
         methods = list(small_dataset.methods.values())
-        assert OverlapDetector().prepare_all(methods) == methods
+        table = OverlapDetector().prepare_all(methods)
+        assert isinstance(table, CountTable)
+        names = {}
+        for m in methods:
+            for cat, lexemes in m.counts.items():
+                names.update(dict.fromkeys(((cat, lex) for lex in lexemes), None))
+        assert len(table.category) == len(names)
+        entries = sum(len(lexemes) for m in methods for lexemes in m.counts.values())
+        assert len(table.ids) == len(table.counts) == entries
+        assert len(table.starts) == len(methods) + 1
+        for row, m in enumerate(methods):
+            ids = table.ids[table.starts[row]:table.starts[row + 1]]
+            assert np.all(np.diff(ids) > 0)
+            assert table.counts[table.starts[row]:table.starts[row + 1]].sum() == m.total_tokens
+            assert table.totals[row].tolist() == [
+                sum(m.counts.get(cat, {}).values()) for cat in category_order()]
+        assert table.category.tolist() == [cat.index for cat, _lex in names]
 
 
 class TestThresholdMonotonicity:
@@ -351,3 +373,92 @@ class TestThresholdMonotonicity:
             verdicts = detect_corpus(small_dataset.methods, pairs, detector)
             flagged.append({v.pair for v in verdicts if v.is_clone})
         assert flagged[2] <= flagged[1] <= flagged[0]
+
+
+# --- the batch overlap scorer against the per-pair loop it replaced --------
+
+
+def _shared_count(counts1, counts2) -> int:
+    shared = 0
+    for lexeme, n1 in counts1.items():
+        n2 = counts2.get(lexeme, 0)
+        if n2:
+            shared += min(n1, n2)
+    return shared
+
+
+def _loop_overlap(cm1, cm2) -> float:
+    if cm1.total_tokens == 0 and cm2.total_tokens == 0:
+        return 1.0
+    if cm1.total_tokens == 0 or cm2.total_tokens == 0:
+        return 0.0
+    shared = sum(_shared_count(counts1, cm2.counts.get(cat, {}))
+                 for cat, counts1 in cm1.counts.items())
+    return shared / max(cm1.total_tokens, cm2.total_tokens)
+
+
+def _loop_category(cm1, cm2, cat) -> float:
+    counts1, counts2 = cm1.counts.get(cat, {}), cm2.counts.get(cat, {})
+    total1, total2 = sum(counts1.values()), sum(counts2.values())
+    if total1 == 0 or total2 == 0:
+        return 0.0
+    return _shared_count(counts1, counts2) / max(total1, total2)
+
+
+def _loop_weighted(cm1, cm2, weights) -> float:
+    total = 0.0
+    for cat in category_order():
+        w = float(weights.values[cat.index])
+        if w:
+            total += w * _loop_category(cm1, cm2, cat)
+    return total
+
+
+_LABELLED = {f"s{i:02d}": categorize_source(src, f"s{i:02d}")
+             for i, (src, _) in enumerate(LABELED_SNIPPETS)}
+_LABELLED["empty"] = categorize_source("", "empty")
+_IDS = list(_LABELLED)
+_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 5.0, allow_nan=False, allow_subnormal=False))
+
+
+def _check_against_the_loop(pairs, weights):
+    for detector, loop in ((OverlapDetector(), _loop_overlap),
+                           (WeightedOverlapDetector(weights),
+                            lambda a, b: _loop_weighted(a, b, weights))):
+        got = detect_corpus(_LABELLED, pairs, detector)
+        for verdict, (a, b) in zip(got, pairs, strict=True):
+            score = loop(_LABELLED[a], _LABELLED[b])
+            assert verdict == CloneVerdict((a, b), score, score > 0.7, detector.name)
+            assert type(verdict.score) is float
+
+
+class TestScoresEqualThePairLoop:
+    def test_every_ordered_pair_in_more_than_one_chunk(self):
+        pairs = [(a, b) for a in _IDS for b in _IDS]
+        assert len(pairs) > 2 * detect._PAIR_CHUNK
+        one_sided = {(a, b) for a, b in pairs
+                     if set(_LABELLED[a].counts) - set(_LABELLED[b].counts)}
+        assert len(one_sided) > len(pairs) // 2  # categories absent on one side
+        weights = CategoryWeights(np.linspace(0.0, 1.4, NUM_CATEGORIES))  # a zero weight first
+        _check_against_the_loop(pairs, weights)
+
+    @given(st.lists(st.tuples(st.sampled_from(_IDS), st.sampled_from(_IDS)), max_size=40),
+           st.lists(_WEIGHT, min_size=NUM_CATEGORIES, max_size=NUM_CATEGORIES),
+           st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_any_pairs_weights_and_chunk(self, pairs, weights, chunk):
+        with mock.patch.object(detect, "_PAIR_CHUNK", chunk):
+            _check_against_the_loop(pairs, CategoryWeights(weights))
+
+    @given(st.sampled_from(_IDS), st.sampled_from(_IDS),
+           st.lists(_WEIGHT, min_size=NUM_CATEGORIES, max_size=NUM_CATEGORIES))
+    @example("empty", "empty", [1.0] * NUM_CATEGORIES)
+    @example("empty", "s00", [1.0] * NUM_CATEGORIES)
+    @settings(max_examples=150, deadline=None)
+    def test_one_pair_helpers(self, a, b, weights):
+        cm1, cm2 = _LABELLED[a], _LABELLED[b]
+        assert overlap_similarity(cm1, cm2) == _loop_overlap(cm1, cm2)
+        weights = CategoryWeights(weights)
+        assert weighted_category_similarity(cm1, cm2, weights) == _loop_weighted(cm1, cm2, weights)
+        for cat in category_order():
+            assert category_overlap_similarity(cm1, cm2, cat) == _loop_category(cm1, cm2, cat)

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from labeled_corpus import LABELED_SNIPPETS
 
+from clonecat import encoder
 from clonecat.blocks import (
     D_HEAD,
     D_MODEL,
@@ -25,7 +28,7 @@ from clonecat.encoder import (
     save_params,
 )
 from clonecat.errors import FormatError, NumericFailure, ShapeMismatch
-from clonecat.lexcat import TokenCategory, categorize_source, category_order
+from clonecat.lexcat import NUM_CATEGORIES, TokenCategory, categorize_source, category_order
 from clonecat.synth import builtin_base_methods, synth_clones
 
 try:
@@ -366,6 +369,11 @@ class TestEncodeMethod:
 # the labelled snippets are short, so many share a row count per category
 _SNIPPETS = [categorize_source(src, f"snippet{i:02d}") for i, (src, _) in enumerate(LABELED_SNIPPETS)]
 _SNIPPETS.append(categorize_source("", "empty"))
+# whitespace and comment copies of the first five snippets under their own ids
+_COPIES = [categorize_source(f"/* copy */\n  {src}  // again", f"copy{i:02d}")
+           for i, (src, _) in enumerate(LABELED_SNIPPETS[:5])]
+# each of the first five inputs three times: itself, its copy, and itself again
+_WITH_COPIES = [*_SNIPPETS, *_COPIES, *_SNIPPETS[:5]]
 
 
 class TestEncodeMethods:
@@ -395,6 +403,60 @@ class TestEncodeMethods:
                     y, _, _ = block_forward(enc_params.category_blocks[i], cat_x)
                     assert x_row.tobytes() == y.mean(axis=0).tobytes()
         assert sorted(reached) == [row for row, m in enumerate(_SNIPPETS) if m.total_tokens]
+
+    @pytest.fixture
+    def block_inputs(self, monkeypatch, enc_params):
+        """Every slice each block_forward call of encode_methods receives, as
+        (block index, slice bytes); 15 is the type block."""
+        seen = []
+        blocks = [*enc_params.category_blocks, enc_params.type_block]
+        forward = encoder.block_forward
+
+        def recording(block, x, want_cache=False):
+            i = next(n for n, b in enumerate(blocks) if b is block)
+            seen.extend((i, xs.tobytes()) for xs in x)
+            return forward(block, x, want_cache)
+
+        monkeypatch.setattr(encoder, "block_forward", recording)
+        return seen
+
+    def test_each_distinct_input_runs_once_without_a_cache(self, small_table, enc_params,
+                                                           block_inputs):
+        methods = _WITH_COPIES
+        inputs = [{i: frozenset(m.counts[cat].items())
+                   for i, cat in enumerate(category_order()) if m.counts.get(cat)}
+                  for m in methods]
+        encode_methods(methods, small_table, enc_params)
+        category = [seen for seen in block_inputs if seen[0] < NUM_CATEGORIES]
+        assert len(category) == len({(i, c) for per in inputs for i, c in per.items()})
+        assert set(category) == {(i, category_input_matrix(m, cat, small_table).tobytes())
+                                 for m in methods for i, cat in enumerate(category_order())
+                                 if m.counts.get(cat)}
+        type_calls = sum(1 for i, _x in block_inputs if i == NUM_CATEGORIES)
+        assert type_calls == len({tuple(per.items()) for per in inputs if per})
+        assert len(category) < sum(map(len, inputs)) and type_calls < len(methods) - 1
+
+    def test_a_cache_keeps_one_slice_per_method(self, small_table, enc_params, block_inputs):
+        methods = _WITH_COPIES
+        _, _, cache = encode_methods(methods, small_table, enc_params, want_cache=True)
+        slices = Counter(i for i, _x in block_inputs)
+        for i, cat in enumerate(category_order()):
+            assert slices[i] == sum(1 for m in methods if m.counts.get(cat))
+        assert slices[NUM_CATEGORIES] == sum(1 for m in methods if m.total_tokens)
+        for _cat, members, _c in cache.category:
+            assert len(set(members.tolist())) == len(members)
+        assert sorted(row for members, _cats, _c in cache.type for row in members) == \
+            [row for row, m in enumerate(methods) if m.total_tokens]
+
+    def test_copies_under_other_ids_encode_as_alone(self, small_table, enc_params):
+        """Methods that share inputs share block runs, and still get their own bytes."""
+        methods = [*_COPIES, *_SNIPPETS[:5], *_SNIPPETS]
+        vectors, traces, _ = encode_methods(methods, small_table, enc_params)
+        for row, method in enumerate(methods):
+            mv, trace = encode_method(method, small_table, enc_params)
+            assert vectors[row].tobytes() == mv.vector.tobytes()
+            assert traces[row].matrix.tobytes() == trace.matrix.tobytes()
+            np.testing.assert_array_equal(traces[row].present_mask, trace.present_mask)
 
     def test_equal_row_counts_share_one_block_call(self, small_table, enc_params):
         _, traces, cache = encode_methods(_SNIPPETS, small_table, enc_params, want_cache=True)

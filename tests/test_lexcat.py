@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clonecat import lexcat
+from clonecat.data import load_methods
 from clonecat.errors import LexError
 from clonecat.lexcat import (
     NUM_CATEGORIES,
@@ -312,6 +313,48 @@ def test_valid_sources_take_the_one_scan_path(monkeypatch):
     with pytest.raises(LexError):
         categorize_source("int #x;", "bad")
     assert fallbacks == ["bad"]
+
+
+def test_load_methods_lexes_each_distinct_lexeme_once_per_call(tmp_path, monkeypatch):
+    """One memo per load_methods call: a lexeme that recurs across files is lexed
+    alone once, and a second call lexes it again."""
+    sources = {"a": "int f(int x) { return x + 1; }", "b": "int g(int x) { return x * 1; }",
+               "c": "void h() { f(1); g(2); }"}
+    for name, src in sources.items():
+        (tmp_path / f"{name}.java").write_text(src)
+    lexed = Counter()
+    lex = lexcat._lex
+
+    def counting(source):
+        lexed[source] += 1
+        return lex(source)
+
+    monkeypatch.setattr(lexcat, "_lex", counting)
+    methods = load_methods(tmp_path)
+    distinct = {lexeme for m in methods.values() for lexeme in m.sequence}
+    assert lexed == Counter(distinct)
+    assert sum(len(m.sequence) for m in methods.values()) > 2 * len(distinct)
+    load_methods(tmp_path)
+    assert lexed == Counter(dict.fromkeys(distinct, 2))
+
+
+def test_a_bad_lexeme_after_memo_hits_keeps_its_place(tmp_path):
+    (tmp_path / "a.java").write_text("int x = 1;")
+    (tmp_path / "b.java").write_text("int x = 1;\n  x = #;")
+    with pytest.raises(LexError) as exc:
+        load_methods(tmp_path)
+    assert (exc.value.line, exc.value.column, exc.value.reason) == (2, 7, "illegal character '#'")
+    assert exc.value.path == tmp_path / "b.java"
+
+
+def test_the_memo_stores_only_lexemes_that_lex_alone():
+    memo = {}
+    with pytest.raises(LexError):
+        categorize_source("int # x;", "bad", memo)
+    assert memo == {"int": TokenCategory.BASIC_TYPE}
+    assert categorize_source("int y;", "ok", memo) == categorize_source("int y;", "ok")
+    assert memo == {"int": TokenCategory.BASIC_TYPE, "y": TokenCategory.IDENTIFIER,
+                    ";": TokenCategory.SEPARATOR}
 
 
 class TestCommentAndWhitespaceInvariance:

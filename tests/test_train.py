@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,14 @@ class TestPretrain:
         result = pretrain(small_dataset, small_table, PretrainConfig(epochs=1, seed=0))
         after = params_tensors(result.params)
         assert any(not np.array_equal(after[k], before[k]) for k in before)
+
+
+def test_divergence_is_one_numeric_failure_and_no_warning(small_dataset, small_table):
+    """An overflowing step reaches the finite-gradient check as the one report."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailure, match="non-finite gradient .* step rejected"):
+            pretrain(small_dataset, small_table, PretrainConfig(epochs=2, batch_size=8, lr=1e39))
 
 
 # one epoch of pretraining on the synthetic corpus, written to argv[1]; prints the most rows
