@@ -46,6 +46,9 @@ from .train import (
     write_loss_csv,
 )
 
+# one encoder for every sorted-key JSON line; json.dumps(..., sort_keys=True) builds one a call
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
 VERSION_LINE = f"clonecat {__version__} (formats {EMBED_MAGIC.decode()}, {ENCODER_MAGIC.decode()})"
 
 # keys a --config file may set, with the type of their value: a field of any
@@ -153,7 +156,7 @@ def _pipeline_config(args) -> PipelineConfig:
 def _cmd_tokenize(args) -> int:
     methods = load_methods(args.functions, args.inputs)
     for source_id in sorted(methods):
-        print(json.dumps(methods[source_id].to_json_dict(), sort_keys=True))
+        print(_SORTED_JSON.encode(methods[source_id].to_json_dict()))
     return 0
 
 
@@ -228,14 +231,14 @@ def _cmd_detect(args) -> int:
     pair_ids = [(row.id1, row.id2) for row in read_pairs(args.pairs)]
     models = _models(args) if "embeddings" in args else None  # baseline reads no model
     for verdict in detect_corpus(methods, pair_ids, build_detector(config, models=models)):
-        print(json.dumps(verdict.to_json_dict(), sort_keys=True))
+        print(_SORTED_JSON.encode(verdict.to_json_dict()))
     return 0
 
 
 def _cmd_explain(args) -> int:
     for source_id, (_vector, trace) in _encoded(args):
         report = category_weights(trace, source_id=source_id)
-        print(json.dumps(report.to_json_dict(), sort_keys=True))
+        print(_SORTED_JSON.encode(report.to_json_dict()))
         print(format_weights_table(report), file=sys.stderr)
     return 0
 

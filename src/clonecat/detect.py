@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .blocks import softmax
 from .embed import EmbeddingTable
 from .encoder import EncoderParams, encode_chunked
 from .errors import MissingFunction
@@ -83,17 +84,28 @@ class CategoryWeights:
         return float(self.values[cat.index])
 
 
-def _cosine(a: np.ndarray, norm_a, b: np.ndarray, norm_b) -> float:
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    if np.array_equal(a, b):
-        return 1.0  # identical vectors must not lose exactness to rounding
-    return float(np.dot(a, b) / (norm_a * norm_b))
+def _cosines(vectors: np.ndarray, left: np.ndarray, right: np.ndarray,
+             norms: np.ndarray) -> np.ndarray:
+    """Cosine of rows ``left[p]`` and ``right[p]`` of ``vectors`` (norms ``norms``).
+
+    Each dot product is its own ``(1, d) @ (d, 1)`` slice of one stacked
+    product, so it has the bytes of ``np.dot`` on the two rows. A zero norm
+    scores 0.0, and otherwise two equal rows score exactly 1.0.
+    """
+    a, b = vectors[left], vectors[right]
+    norm_a, norm_b = norms[left], norms[right]
+    dots = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    nonzero = (norm_a != 0.0) & (norm_b != 0.0)
+    cos = np.divide(dots, norm_a * norm_b, out=np.zeros(len(dots)), where=nonzero)
+    cos[nonzero & (a == b).all(axis=1)] = 1.0  # identical rows must not lose exactness to rounding
+    return cos
 
 
 def cosine_similarity(v1, v2) -> float:
-    a, b = np.asarray(v1, dtype=np.float64), np.asarray(v2, dtype=np.float64)
-    return _cosine(a, np.linalg.norm(a), b, np.linalg.norm(b))
+    """Cosine of two vectors: 0.0 if either is zero, exactly 1.0 if they are equal."""
+    vectors = np.array([v1, v2], dtype=np.float64)
+    norms = np.array([np.linalg.norm(v) for v in vectors])
+    return float(_cosines(vectors, np.array([0]), np.array([1]), norms)[0])
 
 
 # pairs a score call works on at once: bounds the arrays of one chunk
@@ -183,13 +195,12 @@ def _weighted(table: CountTable, left: np.ndarray, right: np.ndarray,
     return total
 
 
-def _chunked(score, table: CountTable, left: np.ndarray, right: np.ndarray,
-             *args) -> np.ndarray:
-    """``score(table, l, r, *args)`` over the pairs, ``_PAIR_CHUNK`` at a time."""
+def _chunked(score, prepared, left: np.ndarray, right: np.ndarray, *args) -> np.ndarray:
+    """``score(prepared, l, r, *args)`` over the pairs, ``_PAIR_CHUNK`` at a time."""
     out = np.empty(len(left))
     for start in range(0, len(left), _PAIR_CHUNK):
         part = slice(start, start + _PAIR_CHUNK)
-        out[part] = score(table, left[part], right[part], *args)
+        out[part] = score(prepared, left[part], right[part], *args)
     return out
 
 
@@ -220,18 +231,31 @@ def weighted_category_similarity(
     return float(_one_pair(_weighted, cm1, cm2, weights))
 
 
+def _clone_probs(vectors: np.ndarray, left: np.ndarray, right: np.ndarray,
+                 head: FineTuneHead, symmetrize: bool) -> np.ndarray:
+    """The head's clone-class probability for concat(rows ``left[p]``, ``right[p]``),
+    or with ``symmetrize`` its mean with that for the reversed concatenation.
+
+    The head runs once over a (P, 1, 200) stack, so each pair's logits have the
+    bytes of a one-row call; a flat (P, 200) product would not.
+    """
+    def probs(first, second):
+        pairs = np.concatenate([vectors[first], vectors[second]], axis=1)[:, None, :]
+        return softmax(head_forward(head, pairs))[:, 0, 1]
+
+    if symmetrize:
+        return (probs(left, right) + probs(right, left)) / 2
+    return probs(left, right)
+
+
 def classifier_score(
     v1: np.ndarray, v2: np.ndarray, head: FineTuneHead, symmetrize: bool = False
 ) -> float:
     """Softmax probability of the clone class for concat(v1, v2), or with
-    ``symmetrize`` its mean with that for concat(v2, v1)."""
-    scores = []
-    for a, b in ((v1, v2), (v2, v1)) if symmetrize else ((v1, v2),):
-        logits = head_forward(head, np.concatenate([a, b])[None])[0]
-        # inline, not blocks.softmax: that costs about 7 us more a pair
-        shifted = logits - logits.max()
-        scores.append(float((np.exp(shifted) / np.exp(shifted).sum())[1]))
-    return sum(scores) / len(scores)
+    ``symmetrize`` its mean with that for concat(v2, v1); one pair of the
+    stacked scoring that ``VectorDetector.scores`` runs."""
+    vectors = np.array([v1, v2], dtype=np.float64)
+    return float(_clone_probs(vectors, np.array([0]), np.array([1]), head, symmetrize)[0])
 
 
 # --- corpus-level detection ---------------------------------------------
@@ -260,12 +284,13 @@ class VectorDetector:
         return [(v, np.linalg.norm(v))
                 for v, _trace in encode_chunked(methods, self.table, self.params)]
 
-    def scores(self, prepared: list, left: np.ndarray, right: np.ndarray) -> list[float]:
-        pairs = zip(left.tolist(), right.tolist())
+    def scores(self, prepared: list, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Each pair's score, ``_PAIR_CHUNK`` pairs to one stacked product."""
+        vectors = np.array([v for v, _norm in prepared])
         if self.head is None:
-            return [_cosine(*prepared[a], *prepared[b]) for a, b in pairs]
-        return [classifier_score(prepared[a][0], prepared[b][0], self.head, self.symmetrize)
-                for a, b in pairs]
+            norms = np.array([norm for _v, norm in prepared])
+            return _chunked(_cosines, vectors, left, right, norms)
+        return _chunked(_clone_probs, vectors, left, right, self.head, self.symmetrize)
 
 
 class OverlapDetector:

@@ -42,10 +42,14 @@ a character other than a letter, '_' or '$' (a digit such as '²') is an
 illegal character.
 
 ``categorize_source`` scans a method once with ``_LEXEME`` for its lexemes
-and lexes each distinct lexeme alone. That gives the same category or error:
-with no anchor or lookaround, an alternative that fails in context fails on
-the lexeme alone too. A lexeme that does not lex alone to exactly itself sends
-the whole method through ``tokenize``, so a LexError keeps its line and column.
+and lexes each distinct lexeme alone. ``_LEXEME`` is a skip run, then
+``_TOKEN``'s other alternatives unnamed or the end of the source, so each
+match is one lexeme or the end's "". Lexing a lexeme alone (``_alone``) is
+one ``_TOKEN`` match, categorized as ``tokenize`` does. That gives the same
+category or error: with no anchor or lookaround, an alternative that fails
+in context fails on the lexeme alone too. A lexeme that does not lex alone
+to exactly itself sends the whole method through ``tokenize``, so a LexError
+keeps its line and column.
 A caller may pass a lexeme -> category memo that the calls over one corpus
 share; ``data.load_methods`` makes one per call, so each distinct lexeme of a
 corpus is lexed once and nothing is kept between calls. Only lexemes that lex
@@ -195,10 +199,9 @@ class CategorizedMethod:
 # closes.  Separators come before operators so that "::" beats ":".  A word
 # is re-checked in tokenize: \w also admits numeric characters such as '²'
 # that cannot start a name.
-_TOKEN = re.compile(
-    rf"""
-    (?P<skip>(?:[ \t\r\n\f\v]|//[^\n]*|/\*.*?\*/)+)
-  | (?P<text>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
+_SKIP = r"[ \t\r\n\f\v]|//[^\n]*|/\*.*?\*/"
+_LEXEMES = rf"""
+    (?P<text>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
   | (?P<open>/\*|["'])
   | (?P<hex>0[xX][0-9a-fA-F_]*(?:\.[0-9a-fA-F_]*)?(?:[pP][+-]?(?:[0-9][0-9_]*[fFdD]?)?|[lL])?)
   | (?P<bin>0[bB](?:[01][01_]*[lL]?)?)
@@ -208,13 +211,16 @@ _TOKEN = re.compile(
   | (?P<sep>{"|".join(map(re.escape, SEPARATORS))})
   | (?P<op>{"|".join(map(re.escape, OPERATORS))})
   | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+"""
+_TOKEN = re.compile(rf"(?P<skip>(?:{_SKIP})+) | {_LEXEMES}", re.VERBOSE | re.DOTALL)
 
-# _TOKEN unnamed, one group around all but ``skip``: findall gives each lexeme, "" for a skip.
-_LEXEME = re.compile(re.sub(r"\(\?P<\w+>", "(?:", _TOKEN.pattern.replace("(?P<text>", "((?P<text>"))
-                     + ")", _TOKEN.flags)
+# A skip run, then one lexeme or the end of the source: findall gives every
+# lexeme in order, then "" for the end (twice when the source ends in a skip
+# run).  After a skip run a lexeme or the end always matches (``bad`` takes
+# any character), so the run is never given back: with no ``\Z`` branch, a
+# trailing newline would come back as a ``bad`` lexeme.
+_LEXEME = re.compile(rf"(?:{_SKIP})* ({re.sub(r'[(][?]P<[a-z]+>', '(?:', _LEXEMES)} | \Z)",
+                     re.VERBOSE | re.DOTALL)
 
 _UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "char literal"}
 
@@ -274,26 +280,27 @@ def _number(m: re.Match) -> TokenCategory:
     return TokenCategory.DECIMAL_INTEGER
 
 
+def _category(m: re.Match) -> TokenCategory:
+    """The category of one ``_TOKEN`` lexeme match; raise LexError if it is bad."""
+    kind, lexeme = m.lastgroup, m.group()
+    if kind == "word":
+        if not (lexeme[0].isalpha() or lexeme[0] in "_$"):
+            raise _error(m.string, m.start(), f"illegal character {lexeme[0]!r}")
+        return _WORD_CATEGORY.get(lexeme, TokenCategory.IDENTIFIER)
+    if kind in _FIXED_CATEGORY:
+        return _FIXED_CATEGORY[kind]
+    if kind == "open":
+        raise _error(m.string, m.start(), f"unterminated {_UNTERMINATED[lexeme]}")
+    if kind == "bad":
+        raise _error(m.string, m.start(), f"illegal character {lexeme!r}")
+    return _number(m)
+
+
 def _lex(source: str):
     """Yield each Token of ``source`` in order; raise LexError at the first bad one."""
     for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        lexeme = m.group()
-        if kind == "word":
-            if not (lexeme[0].isalpha() or lexeme[0] in "_$"):
-                raise _error(source, m.start(), f"illegal character {lexeme[0]!r}")
-            category = _WORD_CATEGORY.get(lexeme, TokenCategory.IDENTIFIER)
-        elif kind in _FIXED_CATEGORY:
-            category = _FIXED_CATEGORY[kind]
-        elif kind == "open":
-            raise _error(source, m.start(), f"unterminated {_UNTERMINATED[lexeme]}")
-        elif kind == "bad":
-            raise _error(source, m.start(), f"illegal character {lexeme!r}")
-        else:
-            category = _number(m)
-        yield Token(lexeme, category)
+        if m.lastgroup != "skip":
+            yield Token(m.group(), _category(m))
 
 
 def tokenize(source: str, source_id: str = "<memory>") -> TokenStream:
@@ -315,12 +322,15 @@ def categorize(ts: TokenStream) -> CategorizedMethod:
 
 
 def _alone(lexeme: str) -> TokenCategory | None:
-    """The category of ``lexeme`` lexed alone, or None unless it lexes to exactly itself."""
-    try:
-        [(alone, category)] = _lex(lexeme)  # ValueError unless exactly one token
-    except (LexError, ValueError):
+    """The category of a scanned lexeme lexed alone, or None unless it lexes to exactly
+    itself. A scanned lexeme is never empty and never starts a skip run."""
+    m = _TOKEN.match(lexeme)
+    if m.end() != len(lexeme):
         return None
-    return category if alone == lexeme else None
+    try:
+        return _category(m)
+    except LexError:
+        return None
 
 
 def categorize_source(source: str, source_id: str = "<memory>",

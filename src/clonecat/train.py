@@ -205,7 +205,8 @@ def rmsprop_step(
     state: OptimizerState,
     config,
 ) -> Mapping[str, np.ndarray]:
-    """One in-place update; rejects the step if any gradient is non-finite."""
+    """One in-place update; rejects the step if any gradient is non-finite, and
+    raises NumericFailure naming the first tensor that the update made non-finite."""
     for name, theta in params.items():
         if name not in grads:
             raise ShapeMismatch(f"missing gradient for {name}")
@@ -229,6 +230,8 @@ def rmsprop_step(
         m *= mu
         m += (g + lam * theta) / np.sqrt(s + RMSPROP_EPS)
         theta -= lr * m
+        if not np.isfinite(theta).all():
+            raise NumericFailure(f"RMSProp step made tensor {name} non-finite; training stopped")
     return params
 
 
@@ -466,11 +469,14 @@ def init_head(k: int = 3, seed: int = 0) -> FineTuneHead:
 
 
 def head_forward(head: FineTuneHead, x: np.ndarray, want_cache: bool = False):
-    """Logits (B, 2) for inputs (B, 200); ReLU between layers, none after the last.
-    The cache is each layer's input: ``x``, then every ReLU output."""
+    """Logits ([P,] B, 2) for inputs ([P,] B, 200); ReLU between layers, none after
+    the last. Each slice of a (P, B, 200) stack gives the bytes of its own 2-D
+    call, as every product is a per-slice ``@``. The cache is each layer's
+    input: ``x``, then every ReLU output; ``head_backward`` reads 2-D caches."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != head.weights[0].shape[0]:
-        raise ShapeMismatch(f"head input shape {x.shape} != (B, {head.weights[0].shape[0]})")
+    if x.ndim not in (2, 3) or x.shape[-1] != head.weights[0].shape[0]:
+        raise ShapeMismatch(
+            f"head input shape {x.shape} != ([P,] B, {head.weights[0].shape[0]})")
     activations = [x]
     h = x
     last = len(head.weights) - 1

@@ -24,7 +24,7 @@ from clonecat.detect import (
 from clonecat.encoder import encode_method
 from clonecat.errors import MissingFunction
 from clonecat.lexcat import NUM_CATEGORIES, TokenCategory, categorize_source, category_order
-from clonecat.train import init_head
+from clonecat.train import head_forward, init_head
 
 
 def detect_pair(m1, m2, detector):
@@ -462,3 +462,76 @@ class TestScoresEqualThePairLoop:
         assert weighted_category_similarity(cm1, cm2, weights) == _loop_weighted(cm1, cm2, weights)
         for cat in category_order():
             assert category_overlap_similarity(cm1, cm2, cat) == _loop_category(cm1, cm2, cat)
+
+
+# --- the stacked vector scorers against the per-pair code they replaced ----
+
+
+def _pair_cosine(a, b) -> float:
+    norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    if np.array_equal(a, b):
+        return 1.0
+    return float(np.dot(a, b) / (norm_a * norm_b))
+
+
+def _pair_classifier(v1, v2, head, symmetrize) -> float:
+    scores = []
+    for a, b in ((v1, v2), (v2, v1)) if symmetrize else ((v1, v2),):
+        logits = head_forward(head, np.concatenate([a, b])[None])[0]
+        shifted = logits - logits.max()
+        scores.append(float((np.exp(shifted) / np.exp(shifted).sum())[1]))
+    return sum(scores) / len(scores)
+
+
+def _vectors():
+    """24 method vectors of mixed norms; row 0 is zero and row 2 repeats row 1."""
+    rng = np.random.default_rng(11)
+    vectors = rng.standard_normal((24, 100)) * rng.uniform(0.1, 10.0, (24, 1))
+    vectors[0] = 0.0
+    vectors[2] = vectors[1]
+    return vectors
+
+
+class TestVectorScoresEqualThePairLoop:
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("head_layers, symmetrize",
+                             [(None, False), (1, False), (1, True), (3, False), (3, True),
+                              (5, False), (5, True)])
+    def test_scores_equal_the_pair_loop(self, enc_params, small_table, offset, head_layers,
+                                        symmetrize):
+        vectors = _vectors()
+        n = detect._PAIR_CHUNK + offset
+        rng = np.random.default_rng(n)
+        left, right = rng.integers(0, len(vectors), (2, n))
+        # a zero vector on either side, a duplicated vector, and one vector with itself
+        left[:4], right[:4] = [0, 3, 1, 5], [3, 0, 2, 5]
+        head = None if head_layers is None else init_head(head_layers, seed=head_layers)
+        detector = VectorDetector(enc_params, small_table, head=head, symmetrize=symmetrize)
+        got = detector.scores([(v, np.linalg.norm(v)) for v in vectors], left, right)
+        if head is None:
+            want = [_pair_cosine(vectors[a], vectors[b]) for a, b in zip(left, right)]
+            assert want[:4] == [0.0, 0.0, 1.0, 1.0]
+        else:
+            want = [_pair_classifier(vectors[a], vectors[b], head, symmetrize)
+                    for a, b in zip(left, right)]
+        assert got.tolist() == want
+
+    def test_no_pairs(self, enc_params, small_table):
+        prepared = [(v, np.linalg.norm(v)) for v in _vectors()]
+        none = np.array([], dtype=np.intp)
+        for head in (None, init_head(3, seed=0)):
+            detector = VectorDetector(enc_params, small_table, head=head, symmetrize=True)
+            assert detector.scores(prepared, none, none).shape == (0,)
+
+    @pytest.mark.parametrize("head_layers", [1, 3, 5])
+    def test_one_pair_functions(self, head_layers):
+        vectors = _vectors()
+        head = init_head(head_layers, seed=7)
+        for a, b in [(0, 1), (1, 2), (3, 3), (4, 9), (9, 4)]:
+            assert cosine_similarity(vectors[a], vectors[b]) == \
+                _pair_cosine(vectors[a], vectors[b])
+            for symmetrize in (False, True):
+                assert classifier_score(vectors[a], vectors[b], head, symmetrize) == \
+                    _pair_classifier(vectors[a], vectors[b], head, symmetrize)

@@ -323,13 +323,13 @@ def test_load_methods_lexes_each_distinct_lexeme_once_per_call(tmp_path, monkeyp
     for name, src in sources.items():
         (tmp_path / f"{name}.java").write_text(src)
     lexed = Counter()
-    lex = lexcat._lex
+    alone = lexcat._alone
 
-    def counting(source):
-        lexed[source] += 1
-        return lex(source)
+    def counting(lexeme):
+        lexed[lexeme] += 1
+        return alone(lexeme)
 
-    monkeypatch.setattr(lexcat, "_lex", counting)
+    monkeypatch.setattr(lexcat, "_alone", counting)
     methods = load_methods(tmp_path)
     distinct = {lexeme for m in methods.values() for lexeme in m.sequence}
     assert lexed == Counter(distinct)
@@ -355,6 +355,52 @@ def test_the_memo_stores_only_lexemes_that_lex_alone():
     assert categorize_source("int y;", "ok", memo) == categorize_source("int y;", "ok")
     assert memo == {"int": TokenCategory.BASIC_TYPE, "y": TokenCategory.IDENTIFIER,
                     ";": TokenCategory.SEPARATOR}
+
+
+def _scan(source):
+    """The lexemes of one ``_LEXEME`` scan, which must end in the match of the source's end."""
+    found = lexcat._LEXEME.findall(source)
+    assert found[-1:] == [""]
+    return [lexeme for lexeme in found if lexeme]
+
+
+@pytest.mark.parametrize("source", [
+    "int x = 1;  \n\t",
+    "int x = 1; // done",
+    "int x = 1; /* done */",
+    "",
+    " \t\n\r\f\v ",
+    "/* a */int/**/x // b\n=\t1\r\n/* c\n */;\f// d\n",
+], ids=["trailing-whitespace", "trailing-line-comment", "trailing-block-comment", "empty",
+        "whitespace-only", "skip-between-every-token"])
+def test_the_lexeme_scan_gives_the_tokens(source):
+    assert _scan(source) == [t.lexeme for t in tokenize(source)]
+
+
+def test_an_unclosed_comment_at_the_end_keeps_its_place():
+    source = "int x;\n  /* open"
+    assert _scan(source) == ["int", "x", ";", "/*", "open"]
+    with pytest.raises(LexError) as exc:
+        categorize_source(source, "t")
+    assert (exc.value.line, exc.value.column, exc.value.reason) == \
+        (2, 3, "unterminated block comment")
+
+
+_WHITESPACE = [" ", "\t", "\n", "\r\n", "\f", "\v"]
+_SKIP_RUNS = st.lists(st.sampled_from(_WHITESPACE + ["// c\n", "/* c */", "/**/", "/* * /\n*/"]),
+                      max_size=3).map("".join)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_CONTRACT_LEXEMES), st.sampled_from(_WHITESPACE),
+                          _SKIP_RUNS), max_size=20),
+       _SKIP_RUNS, st.sampled_from(["", "// tail", "/* tail */"]))
+@settings(max_examples=300, deadline=None)
+def test_the_lexeme_scan_skips_any_run(pieces, head, tail):
+    """Skip runs of whitespace and comments go before, between and after the lexemes; each
+    run after a lexeme starts with whitespace, so that it cannot join the lexeme."""
+    source = head + "".join(lexeme + space + run for lexeme, space, run in pieces) + tail
+    lexemes = [lexeme for lexeme, _space, _run in pieces]
+    assert _scan(source) == [t.lexeme for t in tokenize(source)] == lexemes
 
 
 class TestCommentAndWhitespaceInvariance:

@@ -183,6 +183,14 @@ class TestRMSProp:
             np.testing.assert_array_equal(state.square_avg[name], 0.0)
             np.testing.assert_array_equal(state.momentum[name], 0.0)
 
+    def test_overflowing_update_names_its_tensor(self):
+        """Finite gradients whose update overflows a parameter stop at that step."""
+        params = {"b": np.array([0.0]), "w": np.array([1.0, 2.0])}
+        state = OptimizerState.for_params(params)
+        grads = {"b": np.array([0.0]), "w": np.array([1.0, 0.0])}
+        with np.errstate(over="ignore"), pytest.raises(NumericFailure, match="tensor w "):
+            rmsprop_step(params, grads, state, PretrainConfig(lr=1e308))
+
     def test_infinite_gradient_also_rejected(self):
         params = {"w": np.array([1.0])}
         state = OptimizerState.for_params(params)
@@ -556,15 +564,27 @@ class TestHeads:
             init_head(k, seed=0)
 
     def test_single_vector_input_rejected(self):
-        """The head takes (B, 200) rows only; one pair is passed as a batch of one."""
+        """The head takes (B, 200) rows or a (P, B, 200) stack only; one pair is passed
+        as a batch of one."""
         head = init_head(1, seed=0)
-        with pytest.raises(ShapeMismatch):
-            head_forward(head, np.ones(200))
+        for shape in [(200,), (2, 3, 1, 200), (4, 1, 100)]:
+            with pytest.raises(ShapeMismatch):
+                head_forward(head, np.ones(shape))
 
     def test_batch_forward(self):
         head = init_head(3, seed=0)
         logits = head_forward(head, np.ones((5, 200)))
         assert logits.shape == (5, 2)
+
+    @pytest.mark.parametrize("layers", [1, 3, 5])
+    def test_stack_equals_one_row_calls(self, layers):
+        """A (P, 1, 200) stack gives each slice the bytes of its own one-row call."""
+        head = init_head(layers, seed=layers)
+        x = np.random.default_rng(layers).standard_normal((129, 1, 200))
+        logits = head_forward(head, x)
+        assert logits.shape == (129, 1, 2)
+        for p in range(len(x)):
+            assert logits[p].tobytes() == head_forward(head, x[p]).tobytes()
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(8)
