@@ -187,6 +187,13 @@ def block_backward(block: AttentionBlock, cache: BlockCache, dy: np.ndarray):
     maps tensor name -> array matching the parameter shape; for a stack, one
     product over all B * n rows sums the slices' weight gradients.
     """
+    grads, dr1, dq, dk, dv = _param_backward(block, cache, dy)
+    return dr1 + (dq @ block.wq.T + dk @ block.wk.T + dv @ block.wv.T), grads
+
+
+def _param_backward(block: AttentionBlock, cache: BlockCache, dy: np.ndarray):
+    """``block_backward`` short of the input gradient: (grads, dr1, dq, dk, dv), where
+    dx = dr1 + dq @ wq.T + dk @ wk.T + dv @ wv.T. A caller that discards dx stops here."""
     dr2, dg2, dbe2 = layernorm_backward(dy, cache.ln2, block.g2)
     dl1 = dr2.copy()
     dhidden = dr2 @ block.w2.T
@@ -198,7 +205,6 @@ def block_backward(block: AttentionBlock, cache: BlockCache, dy: np.ndarray):
     db1 = _rows(dpre).sum(axis=0)
 
     dr1, dg1, dbe1 = layernorm_backward(dl1, cache.ln1, block.g1)
-    dx = dr1.copy()
     dconcat = dr1 @ block.wo.T
     dwo = _rows(cache.concat).T @ _rows(dr1)
 
@@ -212,7 +218,6 @@ def block_backward(block: AttentionBlock, cache: BlockCache, dy: np.ndarray):
     dkh = dscores.swapaxes(-1, -2) @ cache.qh
 
     dq, dk, dv = _join_heads(dqh), _join_heads(dkh), _join_heads(dvh)
-    dx += dq @ block.wq.T + dk @ block.wk.T + dv @ block.wv.T
     x = _rows(cache.x)
     grads = {
         "wq": x.T @ _rows(dq),
@@ -228,4 +233,4 @@ def block_backward(block: AttentionBlock, cache: BlockCache, dy: np.ndarray):
         "g2": dg2,
         "be2": dbe2,
     }
-    return dx, grads
+    return grads, dr1, dq, dk, dv

@@ -51,8 +51,9 @@ _CHUNK_TOKENS = 4096
 
 
 def fits_float32(arr: np.ndarray) -> bool:
-    """Whether every value of ``arr`` is finite as float32; NaN fails the comparison too."""
-    return bool(np.all(np.abs(arr) <= np.finfo(np.float32).max))
+    """Whether every value of ``arr`` is finite as float32, by two reductions; NaN fails too."""
+    limit = float(np.finfo(np.float32).max)
+    return arr.size == 0 or bool(-limit <= arr.min() and arr.max() <= limit)
 
 
 @dataclass

@@ -5,8 +5,9 @@ distinct lexemes (embedding rows scaled by occurrence count) and mean-pools
 to one 100-d vector per category. Stage two stacks the 15 category vectors,
 masks out categories the method does not contain, runs one more block, and
 mean-pools over the present rows only. The type-level attention matrix is
-kept as a 15x15 trace for interpretability. ``encode_backward`` runs the
-composition in reverse from the cache an encode call keeps.
+kept as a 15x15 trace for interpretability. Methods that share an input share
+its block run; ``encode_backward`` runs the composition in reverse from the
+cache an encode call keeps, once per distinct input.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .blocks import (
     BLOCK_TENSOR_SHAPES,
     BlockCache,
     D_MODEL,
+    _param_backward,
     block_backward,
     block_forward,
     init_block,
@@ -85,11 +87,13 @@ class AttentionTrace:
 
 @dataclass
 class EncodeCache:
-    """What the backward pass needs: one entry per stacked block call, whose
-    member rows index the encoded batch."""
+    """What the backward pass needs: one entry per stacked block call, whose slices
+    are distinct inputs. A slot is one distinct category-block input, and a type
+    input one distinct tuple of slots; type input 0, no slots, runs no block."""
 
-    category: list[tuple[int, np.ndarray, BlockCache]]  # (category, members, cache)
-    type: list[tuple[np.ndarray, np.ndarray, BlockCache]]  # (members, (B, k) categories, cache)
+    category: list[tuple[int, np.ndarray, BlockCache]]  # (category, slots, cache)
+    type: list[tuple[np.ndarray, np.ndarray, BlockCache]]  # (type inputs, (B, k) slots, cache)
+    method_type: np.ndarray  # (M,) the type input of each encoded method
 
 
 def init_params(seed: int = 0) -> EncoderParams:
@@ -123,21 +127,19 @@ def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
     Per category, the inputs with the same row count run as one (B, n, 100)
     stack through the block, with no padding; the type block, which sees
     only the categories a method contains, stacks inputs by their number.
-    Without a cache, each distinct category input (the same lexeme counts in
-    one category) is built and run once, and its output feeds every method
-    that has it; each distinct type-block input (the same category outputs)
-    runs once too. With a cache,
-    every method keeps its own slice, so the backward pass sums the same
-    rows as it would for the methods one by one. Every slice of a stack is
-    computed on its own, so a method's vector and trace are the same bytes
-    alone and in any batch; a method with no tokens gets zeros.
+    Each distinct category input (the same lexeme counts in one category) is
+    built and run once, and its output feeds every method that has it; each
+    distinct type-block input (the same category outputs) runs once too. The
+    cache keeps one slice per distinct input, so ``encode_backward`` runs each
+    once. Every slice of a stack is computed on its own, so a method's vector
+    and trace are the same bytes alone and in any batch; a method with no
+    tokens gets zeros.
     """
     order = category_order()
     present = np.zeros((len(methods), NUM_CATEGORIES), dtype=bool)
-    # a slot is one distinct category-block input and a type input one distinct tuple of
-    # slots; each keeps the first row that had it. Type input 0, no slots, encodes to zeros.
+    # slots and type inputs as in EncodeCache; a type input keeps the first row that had it,
+    # for its categories. Type input 0, no slots, encodes to zeros.
     slot_of: dict[tuple, int] = {}
-    slot_row: list[int] = []
     type_of: dict[tuple[int, ...], int] = {(): 0}
     type_row = [-1]
     method_type = np.zeros(len(methods), dtype=np.intp)
@@ -148,10 +150,9 @@ def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
             counts = method.counts.get(cat)
             if counts:
                 # the lexeme counts fix the input's bytes, and cost no copy of them
-                key = (i, row) if want_cache else (i, frozenset(counts.items()))
+                key = (i, frozenset(counts.items()))
                 if key not in slot_of:
-                    slot_of[key] = len(slot_row)
-                    slot_row.append(row)
+                    slot_of[key] = len(slot_of)
                     x = category_input_matrix(method, cat, table)
                     buckets.setdefault((i, len(x)), []).append((slot_of[key], x))
                 slots.append(slot_of[key])
@@ -161,15 +162,14 @@ def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
             type_of[type_key] = len(type_row)
             type_row.append(row)
         method_type[row] = type_of[type_key]
-    cache = EncodeCache(category=[], type=[])
-    pooled = np.zeros((len(slot_row), D_MODEL))
-    slot_rows = np.array(slot_row, dtype=np.intp)
+    cache = EncodeCache(category=[], type=[], method_type=method_type)
+    pooled = np.zeros((len(slot_of), D_MODEL))
     for (i, _n), entries in buckets.items():
         slots = np.array([slot for slot, _x in entries])
         xs = np.concatenate([x for _slot, x in entries]).reshape(len(entries), -1, D_MODEL)
         y, _, block_cache = block_forward(params.category_blocks[i], xs, want_cache)
         pooled[slots] = y.mean(axis=1)
-        cache.category.append((i, slot_rows[slots], block_cache))
+        cache.category.append((i, slots, block_cache))
 
     type_inputs, type_rows = list(type_of), np.array(type_row)
     type_vectors = np.zeros((len(type_inputs), D_MODEL))
@@ -177,14 +177,12 @@ def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
     sizes = np.array([len(slots) for slots in type_inputs])
     for k in sorted(set(sizes.tolist()) - {0}):
         ids = np.flatnonzero(sizes == k)
-        rows = type_rows[ids]
-        cats = np.nonzero(present[rows])[1].reshape(len(ids), k)
-        y, probs, block_cache = block_forward(
-            params.type_block, pooled[np.array([type_inputs[t] for t in ids])], want_cache
-        )
+        cats = np.nonzero(present[type_rows[ids]])[1].reshape(len(ids), k)
+        slots = np.array([type_inputs[t] for t in ids])
+        y, probs, block_cache = block_forward(params.type_block, pooled[slots], want_cache)
         type_vectors[ids] = y.mean(axis=1)
         type_matrices[ids[:, None, None], cats[:, :, None], cats[:, None, :]] = probs.mean(axis=1)
-        cache.type.append((rows, cats, block_cache))
+        cache.type.append((ids, slots, block_cache))
     vectors, matrices = type_vectors[method_type], type_matrices[method_type]
     traces = [AttentionTrace(matrix=m, present_mask=p) for m, p in zip(matrices, present)]
     return vectors, traces, cache if want_cache else None
@@ -194,7 +192,9 @@ def encode_backward(params: EncoderParams, cache: EncodeCache,
                     dvec: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of loss wrt all touched encoder tensors, named as in
     ``params_tensors``, given dL/dvector: one row per method the cache encoded
-    ((100,) for one method). Each stacked block call is backpropagated once."""
+    ((100,) for one method). Each stacked block call is backpropagated once, with
+    each input's gradient summed over the methods that share it; a category block,
+    whose input is data, computes only its tensors' gradients."""
     dvec = np.reshape(dvec, (-1, D_MODEL))
     grads: dict[str, np.ndarray] = {}
 
@@ -203,17 +203,19 @@ def encode_backward(params: EncoderParams, cache: EncodeCache,
             key = f"{prefix}.{name}"
             grads[key] = grads[key] + g if key in grads else g
 
-    d_stacked = np.zeros((len(dvec), NUM_CATEGORIES, D_MODEL))
-    for members, cats, block_cache in cache.type:
-        dy = np.broadcast_to((dvec[members] / cats.shape[1])[:, None], block_cache.x.shape)
+    # every type input but 0 runs in one type call, and every slot in one category call
+    d_type = np.zeros((1 + sum(len(ids) for ids, _s, _c in cache.type), D_MODEL))
+    np.add.at(d_type, cache.method_type, dvec)
+    d_slot = np.zeros((sum(len(slots) for _i, slots, _c in cache.category), D_MODEL))
+    for ids, slots, block_cache in cache.type:
+        dy = np.broadcast_to((d_type[ids] / slots.shape[1])[:, None], block_cache.x.shape)
         d_in, block_grads = block_backward(params.type_block, block_cache, dy)
         add(_BLOCK_PREFIXES[-1], block_grads)
-        d_stacked[members[:, None], cats] = d_in
-    for cat, members, block_cache in cache.category:
+        np.add.at(d_slot, slots, d_in)
+    for cat, slots, block_cache in cache.category:
         n_rows = block_cache.x.shape[1]
-        dy = np.broadcast_to((d_stacked[members, cat] / n_rows)[:, None], block_cache.x.shape)
-        _, block_grads = block_backward(params.category_blocks[cat], block_cache, dy)
-        add(_BLOCK_PREFIXES[cat], block_grads)
+        dy = np.broadcast_to((d_slot[slots] / n_rows)[:, None], block_cache.x.shape)
+        add(_BLOCK_PREFIXES[cat], _param_backward(params.category_blocks[cat], block_cache, dy)[0])
     return grads
 
 

@@ -12,6 +12,9 @@ Pretraining and fine-tuning run the same loop, which is single-threaded and
 deterministic under a fixed seed: a rerun is byte-identical for one numpy/BLAS
 build and one BLAS thread count. Another thread count may sum a product over
 more than 128 rows in another order and change the last bits.
+A batch sums the gradients of the methods that share an encoder input before
+its one backward pass, so float64 state differs at about 1e-15 from the earlier
+backward pass per method; reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .blocks import D_MODEL, xavier_uniform
 from .data import Pair, PairDataset
-from .embed import EmbeddingTable
+from .embed import EmbeddingTable, fits_float32
 from .encoder import EncoderParams, encode_backward, encode_methods, init_params, params_tensors
 from .errors import DegenerateBatch, FormatError, NumericFailure, ShapeMismatch
 
@@ -206,7 +209,9 @@ def rmsprop_step(
     config,
 ) -> Mapping[str, np.ndarray]:
     """One in-place update; rejects the step if any gradient is non-finite, and
-    raises NumericFailure naming the first tensor that the update made non-finite."""
+    raises NumericFailure naming the first tensor that the update put beyond
+    float32's range, which a saved file could not hold. Each temporary is
+    written into one of two scratch arrays the size of the largest tensor."""
     for name, theta in params.items():
         if name not in grads:
             raise ShapeMismatch(f"missing gradient for {name}")
@@ -221,17 +226,23 @@ def rmsprop_step(
     lr = config.lr
     mu = config.rmsprop_momentum
     lam = config.weight_decay
+    scratch = np.empty((2, max((theta.size for theta in params.values()), default=0)))
     for name, theta in params.items():
         g = grads[name]
         s = state.square_avg[name]
         m = state.momentum[name]
+        a, b = (buf[:theta.size].reshape(theta.shape) for buf in scratch)
+        # the recurrence above, one rounding per operation in the order it is written
         s *= RMSPROP_ALPHA
-        s += (1.0 - RMSPROP_ALPHA) * g * g
+        np.multiply(1.0 - RMSPROP_ALPHA, g, out=a)
+        s += np.multiply(a, g, out=a)
         m *= mu
-        m += (g + lam * theta) / np.sqrt(s + RMSPROP_EPS)
-        theta -= lr * m
-        if not np.isfinite(theta).all():
-            raise NumericFailure(f"RMSProp step made tensor {name} non-finite; training stopped")
+        np.add(g, np.multiply(lam, theta, out=a), out=a)
+        m += np.divide(a, np.sqrt(np.add(s, RMSPROP_EPS, out=b), out=b), out=a)
+        theta -= np.multiply(lr, m, out=a)
+        if not fits_float32(theta):
+            raise NumericFailure(f"RMSProp step made tensor {name} beyond float32's range; "
+                                 "training stopped")
     return params
 
 
@@ -337,8 +348,8 @@ def _fit(
     for epoch in range(config.epochs):
         batch_losses = []
         for batch_no, batch in enumerate(epoch_batches()):
-            # a diverging step overflows on the way; rmsprop_step's finite-gradient
-            # check reports it as one NumericFailure, with no numpy warning first
+            # a diverging step overflows on the way; rmsprop_step's checks report it
+            # as one NumericFailure, with no numpy warning first
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, grads = batch_grads(batch)
                 rmsprop_step(tensors, _full_grads(tensors, grads), state, config)

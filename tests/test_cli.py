@@ -496,6 +496,17 @@ class TestNumericFailureExit:
         assert code == 3
         assert "numeric" in capsys.readouterr().err.lower()
 
+    def test_finetune_stops_at_the_step_beyond_float32(self, workspace, trained, tmp_path,
+                                                       capsys):
+        """A step that puts a parameter beyond float32's range ends the run there, in one
+        line with exit 3, before either output is written."""
+        argv = _finetune_argv(workspace, trained, tmp_path, "--epochs", "1", "--lr", "1e300")
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "RMSProp step made tensor" in err and "beyond float32's range; training stopped" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "enc2.bin").exists() and not (tmp_path / "head.npz").exists()
+
 
 class TestOutOfMemoryExit:
     @pytest.mark.parametrize("error, line", [

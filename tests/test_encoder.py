@@ -1,4 +1,4 @@
-from collections import Counter
+import itertools
 
 import numpy as np
 import pytest
@@ -347,10 +347,11 @@ class TestEncodeMethod:
         )
         from clonecat.blocks import block_forward as bf
 
-        [(_members, cats, type_cache)] = cache.type
+        [(_ids, slots, type_cache)] = cache.type
         y, _, _ = bf(enc_params.type_block, type_cache.x[0])
         np.testing.assert_allclose(vec.vector, y.mean(axis=0), atol=1e-12)
-        np.testing.assert_array_equal(cats[0], np.flatnonzero(trace.present_mask))
+        cats = [_slot_categories(cache)[slot] for slot in slots[0]]
+        np.testing.assert_array_equal(cats, np.flatnonzero(trace.present_mask))
 
     def test_empty_method_yields_zero_vector(self, small_table, enc_params):
         cm = categorize_source("", "empty")
@@ -364,6 +365,11 @@ class TestEncodeMethod:
         v2, _ = encode_method(gcd1, small_table, enc_params)
         np.testing.assert_array_equal(v1.vector, v2.vector)
         assert v1.source_id == "gcd1"
+
+
+def _slot_categories(cache):
+    """The category of each slot that a cache's category calls ran."""
+    return {slot: cat for cat, slots, _c in cache.category for slot in slots.tolist()}
 
 
 # the labelled snippets are short, so many share a row count per category
@@ -392,16 +398,19 @@ class TestEncodeMethods:
         canonical order, and that row is the mean of its category block's output."""
         order = category_order()
         _, _, cache = encode_methods(_SNIPPETS, small_table, enc_params, want_cache=True)
+        slot_cats = _slot_categories(cache)
         reached = []
-        for members, cats, type_cache in cache.type:
-            for row, row_cats, x in zip(members, cats, type_cache.x):
-                method = _SNIPPETS[row]
-                reached.append(row)
-                assert row_cats.tolist() == [i for i, c in enumerate(order) if method.counts.get(c)]
-                for i, x_row in zip(row_cats, x):
-                    cat_x = category_input_matrix(method, order[i], small_table)
-                    y, _, _ = block_forward(enc_params.category_blocks[i], cat_x)
-                    assert x_row.tobytes() == y.mean(axis=0).tobytes()
+        for ids, slots, type_cache in cache.type:
+            for t, t_slots, x in zip(ids, slots, type_cache.x):
+                row_cats = [slot_cats[slot] for slot in t_slots]
+                for row in np.flatnonzero(cache.method_type == t):
+                    method = _SNIPPETS[row]
+                    reached.append(row)
+                    assert row_cats == [i for i, c in enumerate(order) if method.counts.get(c)]
+                    for i, x_row in zip(row_cats, x):
+                        cat_x = category_input_matrix(method, order[i], small_table)
+                        y, _, _ = block_forward(enc_params.category_blocks[i], cat_x)
+                        assert x_row.tobytes() == y.mean(axis=0).tobytes()
         assert sorted(reached) == [row for row, m in enumerate(_SNIPPETS) if m.total_tokens]
 
     @pytest.fixture
@@ -420,13 +429,15 @@ class TestEncodeMethods:
         monkeypatch.setattr(encoder, "block_forward", recording)
         return seen
 
-    def test_each_distinct_input_runs_once_without_a_cache(self, small_table, enc_params,
-                                                           block_inputs):
+    @staticmethod
+    def _each_distinct_input_runs_once(small_table, enc_params, block_inputs, want_cache):
+        """Encodes _WITH_COPIES and checks that each distinct input ran one block slice;
+        returns each method's category inputs and the cache."""
         methods = _WITH_COPIES
         inputs = [{i: frozenset(m.counts[cat].items())
                    for i, cat in enumerate(category_order()) if m.counts.get(cat)}
                   for m in methods]
-        encode_methods(methods, small_table, enc_params)
+        _, _, cache = encode_methods(methods, small_table, enc_params, want_cache)
         category = [seen for seen in block_inputs if seen[0] < NUM_CATEGORIES]
         assert len(category) == len({(i, c) for per in inputs for i, c in per.items()})
         assert set(category) == {(i, category_input_matrix(m, cat, small_table).tobytes())
@@ -435,18 +446,27 @@ class TestEncodeMethods:
         type_calls = sum(1 for i, _x in block_inputs if i == NUM_CATEGORIES)
         assert type_calls == len({tuple(per.items()) for per in inputs if per})
         assert len(category) < sum(map(len, inputs)) and type_calls < len(methods) - 1
+        return inputs, cache
 
-    def test_a_cache_keeps_one_slice_per_method(self, small_table, enc_params, block_inputs):
-        methods = _WITH_COPIES
-        _, _, cache = encode_methods(methods, small_table, enc_params, want_cache=True)
-        slices = Counter(i for i, _x in block_inputs)
-        for i, cat in enumerate(category_order()):
-            assert slices[i] == sum(1 for m in methods if m.counts.get(cat))
-        assert slices[NUM_CATEGORIES] == sum(1 for m in methods if m.total_tokens)
-        for _cat, members, _c in cache.category:
-            assert len(set(members.tolist())) == len(members)
-        assert sorted(row for members, _cats, _c in cache.type for row in members) == \
-            [row for row, m in enumerate(methods) if m.total_tokens]
+    def test_each_distinct_input_runs_once_without_a_cache(self, small_table, enc_params,
+                                                           block_inputs):
+        _, cache = self._each_distinct_input_runs_once(small_table, enc_params, block_inputs,
+                                                       want_cache=False)
+        assert cache is None
+
+    def test_each_distinct_input_runs_once_with_a_cache(self, small_table, enc_params,
+                                                        block_inputs):
+        """The cache keeps each slot and each type input once, and methods share a type
+        input exactly when they share every category input."""
+        inputs, cache = self._each_distinct_input_runs_once(small_table, enc_params,
+                                                            block_inputs, want_cache=True)
+        slots = [slot for _cat, slots, _c in cache.category for slot in slots.tolist()]
+        assert sorted(slots) == list(range(len(slots)))
+        type_ids = [t for ids, _slots, _c in cache.type for t in ids.tolist()]
+        assert sorted(type_ids) == list(range(1, len(type_ids) + 1))
+        for a, b in itertools.combinations(range(len(inputs)), 2):
+            assert (cache.method_type[a] == cache.method_type[b]) == (inputs[a] == inputs[b])
+        assert [t == 0 for t in cache.method_type] == [not per for per in inputs]
 
     def test_copies_under_other_ids_encode_as_alone(self, small_table, enc_params):
         """Methods that share inputs share block runs, and still get their own bytes."""
@@ -462,8 +482,8 @@ class TestEncodeMethods:
         _, traces, cache = encode_methods(_SNIPPETS, small_table, enc_params, want_cache=True)
         per_method_calls = sum(int(t.present_mask.sum()) + int(t.present_mask.any()) for t in traces)
         assert len(cache.category) + len(cache.type) < per_method_calls / 4
-        assert max(len(members) for _cat, members, _c in cache.category) > 1
-        assert max(len(members) for members, _cats, _c in cache.type) > 1
+        assert max(len(slots) for _cat, slots, _c in cache.category) > 1
+        assert max(len(ids) for ids, _slots, _c in cache.type) > 1
 
 
 class TestSerialization:

@@ -14,6 +14,7 @@ from clonecat.data import CloneType, Pair, PairDataset
 from clonecat.blocks import D_MODEL
 from clonecat.encoder import encode_method, init_params, load_params, params_tensors, save_params
 from clonecat.errors import DegenerateBatch, MissingFunction, NumericFailure, ShapeMismatch
+from clonecat.synth import SynthSpec, builtin_base_methods, synth_clones
 from clonecat.train import (
     FineTuneConfig,
     OptimizerState,
@@ -190,6 +191,16 @@ class TestRMSProp:
         grads = {"b": np.array([0.0]), "w": np.array([1.0, 0.0])}
         with np.errstate(over="ignore"), pytest.raises(NumericFailure, match="tensor w "):
             rmsprop_step(params, grads, state, PretrainConfig(lr=1e308))
+
+    def test_update_beyond_float32_names_its_tensor(self):
+        """A step that leaves a parameter finite in float64 but beyond float32's range,
+        which no saved file could hold, stops at that step."""
+        params = {"b": np.array([0.0]), "w": np.array([1.0, 2.0])}
+        state = OptimizerState.for_params(params)
+        grads = {"b": np.array([0.0]), "w": np.array([1.0, 0.0])}
+        with pytest.raises(NumericFailure, match="tensor w beyond float32's range"):
+            rmsprop_step(params, grads, state, PretrainConfig(lr=1e38))
+        assert np.isfinite(params["w"]).all() and abs(params["w"][0]) > 5e38
 
     def test_infinite_gradient_also_rejected(self):
         params = {"w": np.array([1.0])}
@@ -403,15 +414,17 @@ class TestPretrain:
 
 
 def test_divergence_is_one_numeric_failure_and_no_warning(small_dataset, small_table):
-    """An overflowing step reaches the finite-gradient check as the one report."""
+    """A diverging run stops at the first step that puts a parameter beyond float32's
+    range, as the one report."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericFailure, match="non-finite gradient .* step rejected"):
+        with pytest.raises(NumericFailure,
+                           match="RMSProp step made tensor .* beyond float32's range"):
             pretrain(small_dataset, small_table, PretrainConfig(epochs=2, batch_size=8, lr=1e39))
 
 
 # one epoch of pretraining on the synthetic corpus, written to argv[1]; prints the most rows
-# that one block_backward call reduces its weight gradients over
+# that one block backward, with or without the input gradient, reduces its weight gradients over
 _PRETRAIN_CHILD = """
 import sys
 from clonecat import encoder
@@ -420,15 +433,17 @@ from clonecat.synth import builtin_base_methods, synth_clones
 from clonecat.train import PretrainConfig, pretrain
 
 rows = []
-backward = encoder.block_backward
 
 
-def counting(block, cache, dy):
-    rows.append(cache.x.size // cache.x.shape[-1])
-    return backward(block, cache, dy)
+def counting(backward):
+    def wrapper(block, cache, dy):
+        rows.append(cache.x.size // cache.x.shape[-1])
+        return backward(block, cache, dy)
+    return wrapper
 
 
-encoder.block_backward = counting
+encoder.block_backward = counting(encoder.block_backward)
+encoder._param_backward = counting(encoder._param_backward)
 dataset = synth_clones(builtin_base_methods())
 table = train_word2vec([dataset.methods[k] for k in sorted(dataset.methods)], EmbedConfig(epochs=1))
 encoder.save_params(pretrain(dataset, table, PretrainConfig(epochs=1)).params, sys.argv[1])
@@ -505,43 +520,94 @@ def _batch_ids(dataset):
     return ids, np.array(labels)
 
 
+@pytest.fixture(scope="module")
+def shared_dataset():
+    """Four bases, each with a whitespace/comment copy, which shares every category input
+    with its base, and a renamed copy, which shares all but Identifier."""
+    bases = dict(list(builtin_base_methods().items())[:4])
+    return synth_clones(bases, SynthSpec(n_t1=1, n_t2=1, n_t3=0, substitute_literals=False))
+
+
+def _shared_batch_ids():
+    """Eight rows of two clone classes: base, copy, renamed copy, copy again."""
+    ids = [mid for base in ("sum_array", "max_array")
+           for mid in (base, f"{base}__t1_0", f"{base}__t2_0", f"{base}__t1_0")]
+    return ids, np.repeat([0, 1], 4)
+
+
+def _batched_equals_per_method_sums(ids, dataset, table, params, monkeypatch):
+    """_batch_grads against the sum of one-method encode_backward calls, within 1e-12 of
+    the largest entry; returns the cache the batch was backpropagated from."""
+    dz = np.random.default_rng(0).standard_normal((len(ids), D_MODEL))
+    seen, caches = [], []
+
+    def batch_loss(z):
+        seen.append(z)
+        return 0.0, dz, {}
+
+    def recording(params, cache, dvec):
+        caches.append(cache)
+        return encode_backward(params, cache, dvec)
+
+    monkeypatch.setattr(train, "encode_backward", recording)
+    _, batched = train._batch_grads(ids, dataset, table, params, batch_loss)
+    (z,), (cache,) = seen, caches
+    summed: dict[str, np.ndarray] = {}
+    for row, (mid, dv) in enumerate(zip(ids, dz)):
+        mv, _, one = encode_method(dataset.methods[mid], table, params, want_cache=True)
+        assert z[row].tobytes() == mv.vector.tobytes()
+        for name, g in encode_backward(params, one, dv).items():
+            summed[name] = summed[name] + g if name in summed else g
+    assert set(batched) == set(summed)
+    for name, g in summed.items():
+        assert np.max(np.abs(batched[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+    return cache
+
+
+def _supcon_step_matches_finite_differences(ids, labels, dataset, table, params):
+    """Central differences of one SupCon step over the batch ``ids``."""
+    tensors = params_tensors(params)
+
+    def loss_fn(_):
+        loss, grads = train._batch_grads(ids, dataset, table, params,
+                                         lambda z: (*supcon_loss(z, labels), {}))
+        return loss, train._full_grads(tensors, grads)
+
+    report = grad_check(loss_fn, tensors, tol=1e-4, samples_per_tensor=1, seed=1)
+    assert report.ok, report.failures[:5]
+    assert report.checked == len(tensors)
+
+
 class TestBatchedEncoderGrads:
-    def test_equal_per_method_encode_backward_sums(self, small_dataset, small_table):
-        params = init_params(seed=1)
+    def test_equal_per_method_encode_backward_sums(self, small_dataset, small_table,
+                                                   monkeypatch):
         ids, _ = _batch_ids(small_dataset)
-        dz = np.random.default_rng(0).standard_normal((len(ids), D_MODEL))
-        seen = []
+        _batched_equals_per_method_sums(ids, small_dataset, small_table, init_params(seed=1),
+                                        monkeypatch)
 
-        def batch_loss(z):
-            seen.append(z)
-            return 0.0, dz, {}
-
-        _, batched = train._batch_grads(ids, small_dataset, small_table, params, batch_loss)
-        (z,) = seen
-        summed: dict[str, np.ndarray] = {}
-        for row, (mid, dv) in enumerate(zip(ids, dz)):
-            mv, _, one = encode_method(small_dataset.methods[mid], small_table, params, want_cache=True)
-            assert z[row].tobytes() == mv.vector.tobytes()
-            for name, g in encode_backward(params, one, dv).items():
-                summed[name] = summed[name] + g if name in summed else g
-        assert set(batched) == set(summed)
-        for name, g in summed.items():
-            assert np.max(np.abs(batched[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+    def test_shared_inputs_equal_per_method_encode_backward_sums(self, shared_dataset,
+                                                                 small_table, monkeypatch):
+        """Methods that share inputs run them once, and get the gradients they would alone."""
+        ids, _ = _shared_batch_ids()
+        cache = _batched_equals_per_method_sums(ids, shared_dataset, small_table,
+                                                init_params(seed=1), monkeypatch)
+        methods = [shared_dataset.methods[mid] for mid in set(ids)]
+        per_method_inputs = sum(1 for m in methods for counts in m.counts.values() if counts)
+        slots = sum(len(slots) for _cat, slots, _c in cache.category)
+        assert slots < per_method_inputs
+        assert sum(len(ids) for ids, _slots, _c in cache.type) < len(methods)
 
     def test_supcon_step_matches_finite_differences(self, small_dataset, small_table):
         """Central differences of one SupCon step over a batch of eight rows."""
         ids, labels = _batch_ids(small_dataset)
-        params = init_params(seed=2)
-        tensors = params_tensors(params)
+        _supcon_step_matches_finite_differences(ids, labels, small_dataset, small_table,
+                                                init_params(seed=2))
 
-        def loss_fn(_):
-            loss, grads = train._batch_grads(ids, small_dataset, small_table, params,
-                                             lambda z: (*supcon_loss(z, labels), {}))
-            return loss, train._full_grads(tensors, grads)
-
-        report = grad_check(loss_fn, tensors, tol=1e-4, samples_per_tensor=1, seed=1)
-        assert report.ok, report.failures[:5]
-        assert report.checked == len(tensors)
+    def test_supcon_step_on_shared_inputs_matches_finite_differences(self, shared_dataset,
+                                                                     small_table):
+        ids, labels = _shared_batch_ids()
+        _supcon_step_matches_finite_differences(ids, labels, shared_dataset, small_table,
+                                                init_params(seed=2))
 
 
 class TestHeads:
