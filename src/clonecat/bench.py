@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import CloneType, Pair, PairDataset, band_for_similarity, load_methods, read_pairs
+from .data import CloneType, Pair, PairDataset, load_methods, read_pairs
 from .detect import (
     DEFAULT_THRESHOLD,
     CategoryWeights,
@@ -25,12 +25,12 @@ from .detect import (
     VectorDetector,
     WeightedOverlapDetector,
     _finite_threshold,
+    default_clone_types,
     detect_corpus,
 )
 from .embed import EmbedConfig, train_word2vec
 from .encoder import init_params
 from .errors import BadRow, MissingFunction, TooFewPairs
-from .lexcat import CategorizedMethod
 from .train import FineTuneConfig, PretrainConfig, finetune, pretrain
 
 __all__ = [
@@ -61,8 +61,7 @@ def load_dataset(functions_dir, pairs_file) -> PairDataset:
     """Read .java files (id = file stem) and a CSV of id1,id2,label[,clone_type].
 
     Every row needs a label. A positive row without a clone type gets the
-    best-effort type of ``_default_clone_type``, from one overlap scoring of
-    all such rows.
+    best-effort type of ``default_clone_types``.
     """
     methods = load_methods(functions_dir)
     rows = read_pairs(pairs_file)
@@ -73,23 +72,12 @@ def load_dataset(functions_dir, pairs_file) -> PairDataset:
             if mid not in methods:
                 raise MissingFunction(f"pair row {row.line} references missing function {mid!r}")
     untyped = [(row.id1, row.id2) for row in rows if row.clone_type is None and row.label == 1]
-    overlaps = iter(detect_corpus(methods, untyped, OverlapDetector()))
-    pairs: list[Pair] = []
-    for row in rows:
-        ctype = row.clone_type
-        if ctype is None:
-            ctype = (CloneType.NONCLONE if row.label == 0 else _default_clone_type(
-                methods[row.id1], methods[row.id2], next(overlaps).score))
-        pairs.append(Pair(row.id1, row.id2, row.label, ctype))
+    defaults = iter(default_clone_types(methods, untyped))
+    pairs = [Pair(row.id1, row.id2, row.label,
+                  row.clone_type if row.clone_type is not None
+                  else CloneType.NONCLONE if row.label == 0 else next(defaults))
+             for row in rows]
     return PairDataset(methods=methods, pairs=pairs)
-
-
-def _default_clone_type(cm1: CategorizedMethod, cm2: CategorizedMethod,
-                        overlap: float) -> CloneType:
-    """Best-effort type for a positive row without an explicit clone_type."""
-    if cm1.counts == cm2.counts:
-        return CloneType.T1
-    return band_for_similarity(overlap)
 
 
 def check_count(name: str, value: int) -> None:

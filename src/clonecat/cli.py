@@ -9,6 +9,7 @@ option; explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -387,10 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# run's parser, built on the first run: a build leaves cycles that only a collection frees
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --version/--help, 2 for usage errors
         return 0 if exc.code in (0, None) else 1

@@ -2,8 +2,8 @@
 method vectors, plus the token-overlap baselines they are measured against.
 
 Every detector has ``prepare_all(methods)``, which turns the methods into
-what its score reads (a vector and its norm per method, or for the overlap
-baselines one sparse table of every method's lexeme counts), and
+what its score reads (the stacked method vectors and their norms, or for the
+overlap baselines one sparse table of every method's lexeme counts), and
 ``scores(prepared, left, right)``, the score of each pair of positions
 ``(left[p], right[p])`` in what ``prepare_all`` was given. Scoring ops are
 pure; ``detect_corpus`` prepares the distinct methods in one call, in
@@ -18,7 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .blocks import softmax
+from .blocks import D_MODEL, softmax
+from .data import CloneType, band_for_similarity
 from .embed import EmbeddingTable
 from .encoder import EncoderParams, encode_chunked
 from .errors import MissingFunction
@@ -39,6 +40,7 @@ __all__ = [
     "OverlapDetector",
     "WeightedOverlapDetector",
     "detect_corpus",
+    "default_clone_types",
 ]
 
 DEFAULT_THRESHOLD = 0.7
@@ -262,7 +264,8 @@ def classifier_score(
 
 
 class VectorDetector:
-    """Encodes each method once, then decides on the two method vectors.
+    """Encodes each method once, into one stacked record of vectors and their
+    norms that every score call reads, then decides on the two method vectors.
 
     Without a ``head`` it is the cosine detector: cosine similarity above
     ``threshold``. With a fine-tuned ``head`` it is the classifier detector:
@@ -279,16 +282,17 @@ class VectorDetector:
         self.threshold = _finite_threshold(threshold) if head is None else 0.5
         self.name = "cosine" if head is None else "classifier"
 
-    def prepare_all(self, methods: Sequence[CategorizedMethod]) -> list:
-        """One ``(vector, norm)`` per method, encoded in chunks."""
-        return [(v, np.linalg.norm(v))
-                for v, _trace in encode_chunked(methods, self.table, self.params)]
+    def prepare_all(self, methods: Sequence[CategorizedMethod]) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked ``(vectors (M, 100), norms (M,))``, encoded in chunks; each
+        norm is ``np.linalg.norm`` of its own row."""
+        vectors = np.array([v for v, _trace in encode_chunked(methods, self.table, self.params)])
+        vectors = vectors.reshape(len(methods), D_MODEL)
+        return vectors, np.array([np.linalg.norm(v) for v in vectors])
 
-    def scores(self, prepared: list, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    def scores(self, prepared: tuple, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Each pair's score, ``_PAIR_CHUNK`` pairs to one stacked product."""
-        vectors = np.array([v for v, _norm in prepared])
+        vectors, norms = prepared
         if self.head is None:
-            norms = np.array([norm for _v, norm in prepared])
             return _chunked(_cosines, vectors, left, right, norms)
         return _chunked(_clone_probs, vectors, left, right, self.head, self.symmetrize)
 
@@ -334,3 +338,13 @@ def detect_corpus(methods: Mapping[str, CategorizedMethod], pairs: Iterable[tupl
     scores = map(float, detector.scores(prepared, left, right))
     return [CloneVerdict(pair, score, score > detector.threshold, detector.name)
             for pair, score in zip(pair_list, scores, strict=True)]
+
+
+def default_clone_types(methods: Mapping[str, CategorizedMethod],
+                        pairs: Sequence[tuple[str, str]]) -> list[CloneType]:
+    """The best-effort clone type of each positive pair that has none: T1 when
+    the two methods' lexeme counts are equal, otherwise the band of their token
+    overlap, with all pairs scored in one ``detect_corpus`` call."""
+    verdicts = detect_corpus(methods, pairs, OverlapDetector())
+    return [CloneType.T1 if methods[a].counts == methods[b].counts
+            else band_for_similarity(verdict.score) for (a, b), verdict in zip(pairs, verdicts)]

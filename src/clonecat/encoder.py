@@ -89,7 +89,8 @@ class AttentionTrace:
 class EncodeCache:
     """What the backward pass needs: one entry per stacked block call, whose slices
     are distinct inputs. A slot is one distinct category-block input, and a type
-    input one distinct tuple of slots; type input 0, no slots, runs no block."""
+    input is only its tuple of slots, whose categories are those of its slots;
+    type input 0, no slots, runs no block."""
 
     category: list[tuple[int, np.ndarray, BlockCache]]  # (category, slots, cache)
     type: list[tuple[np.ndarray, np.ndarray, BlockCache]]  # (type inputs, (B, k) slots, cache)
@@ -129,19 +130,19 @@ def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
     only the categories a method contains, stacks inputs by their number.
     Each distinct category input (the same lexeme counts in one category) is
     built and run once, and its output feeds every method that has it; each
-    distinct type-block input (the same category outputs) runs once too. The
-    cache keeps one slice per distinct input, so ``encode_backward`` runs each
-    once. Every slice of a stack is computed on its own, so a method's vector
-    and trace are the same bytes alone and in any batch; a method with no
-    tokens gets zeros.
+    distinct type-block input (the same tuple of slots) runs once too, and its
+    vector, trace matrix and presence mask are gathered for each method that
+    has it. The cache keeps one slice per distinct input, so ``encode_backward``
+    runs each once. Every slice of a stack is computed on its own, so a
+    method's vector and trace are the same bytes alone and in any batch; a
+    method with no tokens gets zeros.
     """
     order = category_order()
-    present = np.zeros((len(methods), NUM_CATEGORIES), dtype=bool)
-    # slots and type inputs as in EncodeCache; a type input keeps the first row that had it,
-    # for its categories. Type input 0, no slots, encodes to zeros.
+    # slots and type inputs as in EncodeCache; slot_cat holds each slot's category.
+    # Type input 0, no slots, encodes to zeros.
     slot_of: dict[tuple, int] = {}
+    slot_cat: list[int] = []
     type_of: dict[tuple[int, ...], int] = {(): 0}
-    type_row = [-1]
     method_type = np.zeros(len(methods), dtype=np.intp)
     buckets: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
     for row, method in enumerate(methods):
@@ -152,18 +153,14 @@ def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
                 # the lexeme counts fix the input's bytes, and cost no copy of them
                 key = (i, frozenset(counts.items()))
                 if key not in slot_of:
-                    slot_of[key] = len(slot_of)
+                    slot_of[key] = len(slot_cat)
+                    slot_cat.append(i)
                     x = category_input_matrix(method, cat, table)
                     buckets.setdefault((i, len(x)), []).append((slot_of[key], x))
                 slots.append(slot_of[key])
-                present[row, i] = True
-        type_key = tuple(slots)
-        if type_key not in type_of:
-            type_of[type_key] = len(type_row)
-            type_row.append(row)
-        method_type[row] = type_of[type_key]
+        method_type[row] = type_of.setdefault(tuple(slots), len(type_of))
     cache = EncodeCache(category=[], type=[], method_type=method_type)
-    pooled = np.zeros((len(slot_of), D_MODEL))
+    pooled = np.zeros((len(slot_cat), D_MODEL))
     for (i, _n), entries in buckets.items():
         slots = np.array([slot for slot, _x in entries])
         xs = np.concatenate([x for _slot, x in entries]).reshape(len(entries), -1, D_MODEL)
@@ -171,21 +168,23 @@ def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
         pooled[slots] = y.mean(axis=1)
         cache.category.append((i, slots, block_cache))
 
-    type_inputs, type_rows = list(type_of), np.array(type_row)
+    type_inputs, slot_cat = list(type_of), np.array(slot_cat, dtype=np.intp)
     type_vectors = np.zeros((len(type_inputs), D_MODEL))
     type_matrices = np.zeros((len(type_inputs), NUM_CATEGORIES, NUM_CATEGORIES))
+    type_present = np.zeros((len(type_inputs), NUM_CATEGORIES), dtype=bool)
     sizes = np.array([len(slots) for slots in type_inputs])
     for k in sorted(set(sizes.tolist()) - {0}):
         ids = np.flatnonzero(sizes == k)
-        cats = np.nonzero(present[type_rows[ids]])[1].reshape(len(ids), k)
         slots = np.array([type_inputs[t] for t in ids])
+        cats = slot_cat[slots]  # ascending, as slots are made in category order
         y, probs, block_cache = block_forward(params.type_block, pooled[slots], want_cache)
         type_vectors[ids] = y.mean(axis=1)
         type_matrices[ids[:, None, None], cats[:, :, None], cats[:, None, :]] = probs.mean(axis=1)
+        type_present[ids[:, None], cats] = True
         cache.type.append((ids, slots, block_cache))
-    vectors, matrices = type_vectors[method_type], type_matrices[method_type]
+    matrices, present = type_matrices[method_type], type_present[method_type]
     traces = [AttentionTrace(matrix=m, present_mask=p) for m, p in zip(matrices, present)]
-    return vectors, traces, cache if want_cache else None
+    return type_vectors[method_type], traces, cache if want_cache else None
 
 
 def encode_backward(params: EncoderParams, cache: EncodeCache,

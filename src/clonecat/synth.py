@@ -13,8 +13,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import CloneType, Pair, PairDataset, band_for_similarity
-from .detect import OverlapDetector, detect_corpus
+from .data import CloneType, Pair, PairDataset
+from .detect import default_clone_types
 from .errors import LexError
 from .lexcat import CategorizedMethod, TokenCategory, categorize_source, tokenize
 
@@ -118,11 +118,10 @@ def synth_clones(base_methods: Mapping[str, str], spec: SynthSpec | None = None)
                      else CloneType.T2 if "t3" not in (ka, kb) else None)
             positives.append((a, b, ctype))
         classes.append([mid for mid, _, _ in members])
-    # a pair with a T3 member gets the band of its token overlap, all scored in one call
-    overlaps = iter(detect_corpus(methods, [(a, b) for a, b, ctype in positives if ctype is None],
-                                  OverlapDetector()))
-    pairs = [Pair(a, b, 1, band_for_similarity(next(overlaps).score) if ctype is None else ctype)
-             for a, b, ctype in positives]
+    # a pair with a T3 member gets the type that load_dataset gives an untyped positive pair
+    untyped = [(a, b) for a, b, ctype in positives if ctype is None]
+    defaults = iter(default_clone_types(methods, untyped))
+    pairs = [Pair(a, b, 1, ctype or next(defaults)) for a, b, ctype in positives]
 
     n_negatives = len(pairs) if len(classes) > 1 else 0
     seen: set[tuple[str, str]] = set()

@@ -208,17 +208,18 @@ def rmsprop_step(
     state: OptimizerState,
     config,
 ) -> Mapping[str, np.ndarray]:
-    """One in-place update; rejects the step if any gradient is non-finite, and
-    raises NumericFailure naming the first tensor that the update put beyond
-    float32's range, which a saved file could not hold. Each temporary is
-    written into one of two scratch arrays the size of the largest tensor."""
-    for name, theta in params.items():
-        if name not in grads:
-            raise ShapeMismatch(f"missing gradient for {name}")
-        if grads[name].shape != theta.shape:
-            raise ShapeMismatch(
-                f"{name}: grad shape {grads[name].shape} != param shape {theta.shape}"
-            )
+    """One in-place update of every tensor in ``params``; a tensor missing from
+    ``grads`` takes a zero gradient from a zero row of the scratch, so it decays
+    through the same operations. Before any change it refuses a gradient that
+    names no tensor or has the wrong shape, and a non-finite one; it raises
+    NumericFailure naming the first tensor that the update put beyond float32's
+    range, which a saved file could not hold. Each temporary is written into
+    one of two scratch rows the size of the largest tensor."""
+    for name, g in grads.items():
+        if name not in params:
+            raise ShapeMismatch(f"gradient for {name}, which names no tensor")
+        if g.shape != params[name].shape:
+            raise ShapeMismatch(f"{name}: grad shape {g.shape} != param shape {params[name].shape}")
     for name in grads:
         if not np.all(np.isfinite(grads[name])):
             raise NumericFailure(f"non-finite gradient for {name}; step rejected")
@@ -226,12 +227,12 @@ def rmsprop_step(
     lr = config.lr
     mu = config.rmsprop_momentum
     lam = config.weight_decay
-    scratch = np.empty((2, max((theta.size for theta in params.values()), default=0)))
+    scratch = np.zeros((3, max((theta.size for theta in params.values()), default=0)))
     for name, theta in params.items():
-        g = grads[name]
+        a, b, zero = (buf[:theta.size].reshape(theta.shape) for buf in scratch)
+        g = grads.get(name, zero)
         s = state.square_avg[name]
         m = state.momentum[name]
-        a, b = (buf[:theta.size].reshape(theta.shape) for buf in scratch)
         # the recurrence above, one rounding per operation in the order it is written
         s *= RMSPROP_ALPHA
         np.multiply(1.0 - RMSPROP_ALPHA, g, out=a)
@@ -322,13 +323,6 @@ def _batch_grads(
     return loss, grads
 
 
-def _full_grads(
-    tensors: Mapping[str, np.ndarray], partial: Mapping[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    return {name: partial[name] if name in partial else np.zeros_like(arr)
-            for name, arr in tensors.items()}
-
-
 def _fit(
     tensors: Mapping[str, np.ndarray],
     config: _TrainConfig,
@@ -352,7 +346,7 @@ def _fit(
             # as one NumericFailure, with no numpy warning first
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, grads = batch_grads(batch)
-                rmsprop_step(tensors, _full_grads(tensors, grads), state, config)
+                rmsprop_step(tensors, grads, state, config)
             del grads  # not held while the next batch is encoded
             batch_losses.append(loss)
             log.append((epoch, batch_no, loss))

@@ -291,6 +291,26 @@ class TestSynthClones:
         assert t1_pairs
         assert all(p.clone_type is CloneType.T1 for p in t1_pairs)
 
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(), SynthSpec(seed=7), SynthSpec(n_t1=1, n_t2=1, n_t3=1),
+        SynthSpec(n_t1=1, n_t2=1, n_t3=0, substitute_literals=False),
+        SynthSpec(n_t1=2, n_t2=0, n_t3=0)], ids=["default", "seed7", "one-each", "no-t3", "t1"])
+    def test_pair_types_follow_the_variant_kinds(self, spec):
+        """T1 between whitespace copies, T2 with a renamed copy and no shuffled one, and
+        with a statement-shuffled copy the band of the pair's token overlap."""
+        ds = synth_clones(builtin_base_methods(), spec)
+        kind = {mid: mid.split("__")[1][:2] if "__" in mid else "t1" for mid in ds.methods}
+        for p in ds.pairs:
+            kinds = {kind[p.id1], kind[p.id2]}
+            if p.label == 0:
+                expected = CloneType.NONCLONE
+            elif "t3" in kinds:
+                expected = band_for_similarity(
+                    overlap_similarity(ds.methods[p.id1], ds.methods[p.id2]))
+            else:
+                expected = CloneType.T2 if "t2" in kinds else CloneType.T1
+            assert p.clone_type is expected, (p.id1, p.id2)
+
     def test_negative_ratio_balances_labels(self, bases):
         ds = synth_clones(bases, SynthSpec(seed=0))
         pos = sum(1 for p in ds.pairs if p.label == 1)

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import io
 import json
 import os
@@ -1096,6 +1097,26 @@ _PARSER_OPTIONS = {
                    "--seed": "seed", "--no-train-encoder": "no_train_encoder",
                    "--runs": "runs"},
 }
+
+
+def test_run_builds_its_parser_once(capsys):
+    """After a warm-up run, further runs make no new parser: a build leaves cycles
+    that only a garbage collection frees. build_parser still gives a fresh one."""
+    def parsers():
+        return sum(isinstance(obj, argparse.ArgumentParser) for obj in gc.get_objects())
+
+    run(["--version"])
+    gc.disable()
+    try:
+        before = parsers()
+        for _ in range(3):
+            assert run(["--version"]) == 0
+            assert run(["detect", "--no-such-flag"]) == 1
+        assert parsers() == before
+        assert cli.build_parser() is not cli.build_parser()
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_parser_declares_each_subcommands_options():

@@ -326,12 +326,14 @@ class TestBatchedPreparation:
         monkeypatch.setattr(encoder, "_ENCODE_CHUNK", 3)
         vectors, _pairs = expected
         ids = list(small_dataset.methods)
-        prepared = VectorDetector(enc_params, small_table).prepare_all(
-            [small_dataset.methods[mid] for mid in ids])
-        assert len(prepared) == len(ids)
-        for mid, (vector, norm) in zip(ids, prepared):
+        detector = VectorDetector(enc_params, small_table)
+        stacked, norms = detector.prepare_all([small_dataset.methods[mid] for mid in ids])
+        assert stacked.shape == (len(ids), 100) and norms.shape == (len(ids),)
+        for mid, vector, norm in zip(ids, stacked, norms, strict=True):
             assert vector.tobytes() == vectors[mid].tobytes()
             assert norm == np.linalg.norm(vectors[mid])
+        stacked, norms = detector.prepare_all([])
+        assert stacked.shape == (0, 100) and norms.shape == (0,)
 
     def test_unknown_id_raises_before_any_encode(self, small_dataset, small_table, enc_params,
                                                  monkeypatch):
@@ -494,6 +496,11 @@ def _vectors():
     return vectors
 
 
+def _prepared(vectors):
+    """The record ``VectorDetector.prepare_all`` gives: the vectors and each row's norm."""
+    return vectors, np.array([np.linalg.norm(v) for v in vectors])
+
+
 class TestVectorScoresEqualThePairLoop:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("head_layers, symmetrize",
@@ -509,7 +516,7 @@ class TestVectorScoresEqualThePairLoop:
         left[:4], right[:4] = [0, 3, 1, 5], [3, 0, 2, 5]
         head = None if head_layers is None else init_head(head_layers, seed=head_layers)
         detector = VectorDetector(enc_params, small_table, head=head, symmetrize=symmetrize)
-        got = detector.scores([(v, np.linalg.norm(v)) for v in vectors], left, right)
+        got = detector.scores(_prepared(vectors), left, right)
         if head is None:
             want = [_pair_cosine(vectors[a], vectors[b]) for a, b in zip(left, right)]
             assert want[:4] == [0.0, 0.0, 1.0, 1.0]
@@ -519,7 +526,7 @@ class TestVectorScoresEqualThePairLoop:
         assert got.tolist() == want
 
     def test_no_pairs(self, enc_params, small_table):
-        prepared = [(v, np.linalg.norm(v)) for v in _vectors()]
+        prepared = _prepared(_vectors())
         none = np.array([], dtype=np.intp)
         for head in (None, init_head(3, seed=0)):
             detector = VectorDetector(enc_params, small_table, head=head, symmetrize=True)

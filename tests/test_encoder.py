@@ -478,6 +478,22 @@ class TestEncodeMethods:
             assert traces[row].matrix.tobytes() == trace.matrix.tobytes()
             np.testing.assert_array_equal(traces[row].present_mask, trace.present_mask)
 
+    def test_same_size_type_inputs_keep_their_own_categories(self, small_table, enc_params):
+        """Two methods whose type inputs have the same size but different categories
+        share one type-block stack, and each keeps the mask and trace it has alone."""
+        present = {m.source_id: [bool(m.counts.get(c)) for c in category_order()]
+                   for m in _SNIPPETS}
+        a, b = next((a, b) for a, b in itertools.combinations(_SNIPPETS, 2)
+                    if sum(present[a.source_id]) == sum(present[b.source_id]) > 1
+                    and present[a.source_id] != present[b.source_id])
+        _, traces, cache = encode_methods([a, b], small_table, enc_params, want_cache=True)
+        assert len(cache.type) == 1 and cache.type[0][0].tolist() == [1, 2]
+        for method, trace in zip([a, b], traces, strict=True):
+            _, alone = encode_method(method, small_table, enc_params)
+            assert trace.present_mask.tolist() == present[method.source_id]
+            np.testing.assert_array_equal(trace.present_mask, alone.present_mask)
+            assert trace.matrix.tobytes() == alone.matrix.tobytes()
+
     def test_equal_row_counts_share_one_block_call(self, small_table, enc_params):
         _, traces, cache = encode_methods(_SNIPPETS, small_table, enc_params, want_cache=True)
         per_method_calls = sum(int(t.present_mask.sum()) + int(t.present_mask.any()) for t in traces)

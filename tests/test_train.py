@@ -214,11 +214,33 @@ class TestRMSProp:
         with pytest.raises(ShapeMismatch):
             rmsprop_step(params, {"w": np.array([1.0])}, state, PretrainConfig())
 
-    def test_missing_gradient_rejected_before_mutation(self):
+    def test_missing_gradient_is_a_zero_gradient(self):
+        """A tensor absent from a step's gradients, as one a batch does not touch, is
+        updated as if its gradient were explicit zeros: byte for byte, with its decay
+        and momentum, over steps that do and do not give it a gradient."""
+        cfg = PretrainConfig(lr=1e-2, weight_decay=0.5, rmsprop_momentum=0.9)
+        runs = []
+        for explicit in (False, True):
+            params = {"w": np.array([1.0, -2.0, 0.25]), "b": np.array([[3.0], [-0.5]])}
+            state = OptimizerState.for_params(params)
+            for step in range(3):
+                grads = {"w": np.array([0.5, -1.0, 2.0]) * (step + 1)}
+                if step == 0:
+                    grads["b"] = np.array([[1.5], [0.5]])
+                elif explicit:
+                    grads["b"] = np.zeros((2, 1))
+                rmsprop_step(params, grads, state, cfg)
+            runs.append([arr.tobytes() for record in (params, state.square_avg, state.momentum)
+                         for arr in record.values()])
+            assert not np.array_equal(params["b"], [[3.0], [-0.5]])
+        assert runs[0] == runs[1]
+
+    def test_gradient_naming_no_tensor_rejected_before_mutation(self):
         params = {"w": np.array([1.0]), "b": np.array([2.0])}
         state = OptimizerState.for_params(params)
-        with pytest.raises(ShapeMismatch, match="missing gradient for b"):
-            rmsprop_step(params, {"w": np.array([1.0])}, state, PretrainConfig())
+        grads = {"w": np.array([1.0]), "b": np.array([1.0]), "x": np.array([1.0])}
+        with pytest.raises(ShapeMismatch, match="x, which names no tensor"):
+            rmsprop_step(params, grads, state, PretrainConfig())
         assert (params["w"][0], params["b"][0]) == (1.0, 2.0)
         assert not any(a.any() for a in [*state.square_avg.values(), *state.momentum.values()])
 
@@ -571,7 +593,7 @@ def _supcon_step_matches_finite_differences(ids, labels, dataset, table, params)
     def loss_fn(_):
         loss, grads = train._batch_grads(ids, dataset, table, params,
                                          lambda z: (*supcon_loss(z, labels), {}))
-        return loss, train._full_grads(tensors, grads)
+        return loss, {name: grads.get(name, np.zeros_like(arr)) for name, arr in tensors.items()}
 
     report = grad_check(loss_fn, tensors, tol=1e-4, samples_per_tensor=1, seed=1)
     assert report.ok, report.failures[:5]
