@@ -195,12 +195,11 @@ def _param_backward(block: AttentionBlock, cache: BlockCache, dy: np.ndarray):
     """``block_backward`` short of the input gradient: (grads, dr1, dq, dk, dv), where
     dx = dr1 + dq @ wq.T + dk @ wk.T + dv @ wv.T. A caller that discards dx stops here."""
     dr2, dg2, dbe2 = layernorm_backward(dy, cache.ln2, block.g2)
-    dl1 = dr2.copy()
     dhidden = dr2 @ block.w2.T
     dw2 = _rows(cache.hidden).T @ _rows(dr2)
     db2 = _rows(dr2).sum(axis=0)
     dpre = dhidden * (cache.hidden > 0.0)
-    dl1 += dpre @ block.w1.T
+    dl1 = dr2 + dpre @ block.w1.T
     dw1 = _rows(cache.l1).T @ _rows(dpre)
     db1 = _rows(dpre).sum(axis=0)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import signal
 import sys
 import time
 from dataclasses import fields as dataclass_fields, replace
@@ -423,6 +424,10 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # a reader that leaves early, as head does, ends the process by SIGPIPE as it ends any
+    # filter; Python ignores the signal, and run() would report the BrokenPipeError as exit 2
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

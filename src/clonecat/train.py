@@ -172,12 +172,8 @@ def supcon_loss(z, labels, temperature: float = 0.07):
         loss += -pos_sims.mean() + log_denom[i]
 
     # dL/dsims for anchor rows: softmax over a != i, minus 1/|P| at positives
-    grad_s = np.zeros_like(sims)
-    soft = expd / denom
-    grad_s[anchors] = soft[anchors]
-    grad_s[positives & anchors[:, None]] -= np.repeat(
-        1.0 / pos_count[anchors], pos_count[anchors]
-    )
+    grad_s = np.where(anchors[:, None],
+                      expd / denom - positives / np.maximum(pos_count, 1)[:, None], 0.0)
     grad_zhat = (grad_s + grad_s.T) @ zhat / temperature
     # through the normalization: project out the radial component
     radial = np.sum(grad_zhat * zhat, axis=1, keepdims=True)
@@ -208,39 +204,32 @@ def rmsprop_step(
     state: OptimizerState,
     config,
 ) -> Mapping[str, np.ndarray]:
-    """One in-place update of every tensor in ``params``; a tensor missing from
-    ``grads`` takes a zero gradient from a zero row of the scratch, so it decays
-    through the same operations. Before any change it refuses a gradient that
-    names no tensor or has the wrong shape, and a non-finite one; it raises
-    NumericFailure naming the first tensor that the update put beyond float32's
-    range, which a saved file could not hold. Each temporary is written into
-    one of two scratch rows the size of the largest tensor."""
+    """One in-place update of every tensor in ``params`` by the module docstring's recurrence,
+    one rounding per operation in the order it is written; a tensor missing from ``grads``
+    has a zero gradient, so it decays through the same operations. Before any change it refuses
+    a gradient that names no tensor or has the wrong shape, and a non-finite one; it raises
+    NumericFailure naming the first tensor that the update put beyond float32's range,
+    which a saved file could not hold."""
     for name, g in grads.items():
         if name not in params:
             raise ShapeMismatch(f"gradient for {name}, which names no tensor")
         if g.shape != params[name].shape:
             raise ShapeMismatch(f"{name}: grad shape {g.shape} != param shape {params[name].shape}")
-    for name in grads:
-        if not np.all(np.isfinite(grads[name])):
+        if not np.all(np.isfinite(g)):
             raise NumericFailure(f"non-finite gradient for {name}; step rejected")
 
     lr = config.lr
     mu = config.rmsprop_momentum
     lam = config.weight_decay
-    scratch = np.zeros((3, max((theta.size for theta in params.values()), default=0)))
     for name, theta in params.items():
-        a, b, zero = (buf[:theta.size].reshape(theta.shape) for buf in scratch)
-        g = grads.get(name, zero)
+        g = grads.get(name, 0.0)
         s = state.square_avg[name]
         m = state.momentum[name]
-        # the recurrence above, one rounding per operation in the order it is written
         s *= RMSPROP_ALPHA
-        np.multiply(1.0 - RMSPROP_ALPHA, g, out=a)
-        s += np.multiply(a, g, out=a)
+        s += (1.0 - RMSPROP_ALPHA) * g * g
         m *= mu
-        np.add(g, np.multiply(lam, theta, out=a), out=a)
-        m += np.divide(a, np.sqrt(np.add(s, RMSPROP_EPS, out=b), out=b), out=a)
-        theta -= np.multiply(lr, m, out=a)
+        m += (g + lam * theta) / np.sqrt(s + RMSPROP_EPS)
+        theta -= lr * m
         if not fits_float32(theta):
             raise NumericFailure(f"RMSProp step made tensor {name} beyond float32's range; "
                                  "training stopped")

@@ -7,6 +7,7 @@ import os
 import pickle
 import re
 import shlex
+import signal
 import struct
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from clonecat.encoder import encode_method, load_params
 from clonecat.errors import NumericFailure
 from clonecat.explain import category_weights, format_weights_table
 from clonecat.lexcat import tokenize
+from clonecat.synth import builtin_base_methods
 
 ADD1 = "int add(int a, int b) { int s = a + b; return s; }"
 ADD2 = "int add(int a, int b) {\n  // sum\n  int s = a + b;\n  return s;\n}"
@@ -1182,6 +1184,32 @@ def test_text_files_are_utf8_under_any_locale(workspace, trained, tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "report.json").read_text(encoding="utf-8").startswith("{")
     assert (tmp_path / "loss.csv").read_text(encoding="utf-8").startswith("epoch,batch,loss")
+
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_reader_closing_stdout_ends_by_sigpipe(tmp_path):
+    """``clonecat baseline ... | head -1`` is no data error: the command ends by SIGPIPE with
+    nothing on stderr. Its 1,900 verdict lines, about 217 kB, outgrow any pipe buffer, so the
+    command is still writing when the reader leaves."""
+    bases = builtin_base_methods()
+    funcs = tmp_path / "funcs"
+    funcs.mkdir()
+    for name, source in bases.items():
+        (funcs / f"{name}.java").write_text(source, encoding="utf-8")
+    names = sorted(bases)
+    rows = [f"{a},{b},0" for i, a in enumerate(names) for b in names[i + 1:]]
+    (tmp_path / "pairs.csv").write_text("\n".join(["id1,id2,label", *rows * 10]),
+                                        encoding="utf-8")
+    with subprocess.Popen(
+        [sys.executable, "-m", "clonecat.cli", "baseline", "--functions", str(funcs),
+         "--pairs", str(tmp_path / "pairs.csv")],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b'{"detector": "overlap"')
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=120), stderr) == (-signal.SIGPIPE, b"")
 
 
 # --- corrupted input files ------------------------------------------------

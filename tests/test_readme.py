@@ -1,4 +1,4 @@
-"""README's examples keep up with the code: its imports resolve, its first
+"""README's examples keep up with the code: its imports, and PAPER.md's, resolve, its first
 Library example runs, and every ``clonecat`` command it shows parses."""
 
 import importlib
@@ -9,7 +9,9 @@ from pathlib import Path
 
 from clonecat.cli import build_parser
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+PAPER = (ROOT / "PAPER.md").read_text(encoding="utf-8")
 DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -18,15 +20,20 @@ def _blocks(lang: str, text: str = README) -> list[str]:
 
 
 def test_python_imports_resolve():
-    lines = [line for block in _blocks("python") for line in block.splitlines()
-             if line.startswith("from clonecat")]
+    """Each name that README's and PAPER.md's examples import exists, and is imported from the
+    module that defines it, not from one that re-imports it."""
+    lines = [line for text in (README, PAPER) for block in _blocks("python", text)
+             for line in block.splitlines() if line.startswith("from clonecat")]
     assert lines
     problems = []
     for line in lines:
         module, names = re.fullmatch(r"from (\S+) import (.+)", line).groups()
         imported = importlib.import_module(module)
-        names = [name.split(" as ")[0].strip() for name in names.split(",")]
-        problems += [f"{line}: {name}" for name in names if not hasattr(imported, name)]
+        for name in (name.split(" as ")[0].strip() for name in names.split(",")):
+            if not hasattr(imported, name):
+                problems.append(f"{line}: {name} is missing")
+            elif getattr(getattr(imported, name), "__module__", module) != module:
+                problems.append(f"{line}: {name} is defined in {getattr(imported, name).__module__}")
     assert problems == []
 
 

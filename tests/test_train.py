@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,8 @@ from clonecat.train import (
     FineTuneConfig,
     OptimizerState,
     PretrainConfig,
+    RMSPROP_ALPHA,
+    RMSPROP_EPS,
     clone_classes,
     cross_entropy,
     encode_backward,
@@ -234,6 +237,35 @@ class TestRMSProp:
                          for arr in record.values()])
             assert not np.array_equal(params["b"], [[3.0], [-0.5]])
         assert runs[0] == runs[1]
+
+    def test_matches_the_recurrence_in_python_floats(self):
+        """Byte for byte, the update is the docstring's recurrence done one element at a time
+        in Python floats, one rounding per operation in the order written; ``b`` has no
+        gradient in steps 2 and 3, so it reads as zero there."""
+        cfg = PretrainConfig(lr=1e-2, weight_decay=0.5, rmsprop_momentum=0.9)
+        rng = np.random.default_rng(3)
+        params = {"w": rng.standard_normal(3), "b": rng.standard_normal((2, 1))}
+        state = OptimizerState.for_params(params)
+        oracle = {name: [[x, 0.0, 0.0] for x in theta.ravel().tolist()]  # theta, s, m
+                  for name, theta in params.items()}
+        alpha, eps = RMSPROP_ALPHA, RMSPROP_EPS
+        for step in range(3):
+            grads = {name: rng.standard_normal(theta.shape) for name, theta in params.items()
+                     if name == "w" or step == 0}
+            rmsprop_step(params, grads, state, cfg)
+            for name, elements in oracle.items():
+                flat = grads[name].ravel().tolist() if name in grads else [0.0] * len(elements)
+                for element, g in zip(elements, flat):
+                    theta, s, m = element
+                    s = alpha * s
+                    s = s + (1.0 - alpha) * g * g
+                    m = cfg.rmsprop_momentum * m
+                    m = m + (g + cfg.weight_decay * theta) / math.sqrt(s + eps)
+                    element[:] = theta - cfg.lr * m, s, m
+        for i, record in enumerate((params, state.square_avg, state.momentum)):
+            for name, arr in record.items():
+                expected = np.array([element[i] for element in oracle[name]]).reshape(arr.shape)
+                assert arr.tobytes() == expected.tobytes(), (i, name)
 
     def test_gradient_naming_no_tensor_rejected_before_mutation(self):
         params = {"w": np.array([1.0]), "b": np.array([2.0])}
