@@ -186,8 +186,12 @@ class PipelineConfig:
             raise ValueError("weighted detector needs CategoryWeights: --weights FILE of 15 values")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for sub in (self.embed, self.pretrain, self.finetune):
+        for name in ("embed", "pretrain", "finetune"):
+            sub = getattr(self, name)
             sub.validate()
+            if sub.seed not in (0, self.seed):
+                raise ValueError(f"{name}.seed {sub.seed} is not read: every stage trains "
+                                 f"from seed, {self.seed}")
 
     def refuse_unread(self, *given: str) -> None:
         """ValueError for an unknown detector, or for the first option it does not read of those

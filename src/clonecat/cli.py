@@ -212,7 +212,7 @@ def _models(args):
 
 
 def _encoded(args):
-    """``(source_id, (vector, trace))`` of every input method in id order, encoded
+    """``(source_id, (vector, attention))`` of every input method in id order, encoded
     in chunks; the corpus and both model files are read before this returns."""
     methods = load_methods(args.functions, args.inputs)
     params, table, _ = _models(args)
@@ -221,7 +221,7 @@ def _encoded(args):
 
 
 def _cmd_encode(args) -> int:
-    for source_id, (vector, _trace) in _encoded(args):
+    for source_id, (vector, _matrix) in _encoded(args):
         print(json.dumps({"source_id": source_id, "vector": [float(x) for x in vector]}))
     return 0
 
@@ -238,8 +238,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    for source_id, (_vector, trace) in _encoded(args):
-        report = category_weights(trace, source_id=source_id)
+    for source_id, (_vector, matrix) in _encoded(args):
+        report = category_weights(matrix, source_id=source_id)
         print(_SORTED_JSON.encode(report.to_json_dict()))
         print(format_weights_table(report), file=sys.stderr)
     return 0

@@ -285,7 +285,7 @@ class VectorDetector:
     def prepare_all(self, methods: Sequence[CategorizedMethod]) -> tuple[np.ndarray, np.ndarray]:
         """The stacked ``(vectors (M, 100), norms (M,))``, encoded in chunks; each
         norm is ``np.linalg.norm`` of its own row."""
-        vectors = np.array([v for v, _trace in encode_chunked(methods, self.table, self.params)])
+        vectors = np.array([v for v, _matrix in encode_chunked(methods, self.table, self.params)])
         vectors = vectors.reshape(len(methods), D_MODEL)
         return vectors, np.array([np.linalg.norm(v) for v in vectors])
 

@@ -4,10 +4,11 @@ Stage one runs an attention block per token category over that category's
 distinct lexemes (embedding rows scaled by occurrence count) and mean-pools
 to one 100-d vector per category. Stage two stacks the 15 category vectors,
 masks out categories the method does not contain, runs one more block, and
-mean-pools over the present rows only. The type-level attention matrix is
-kept as a 15x15 trace for interpretability. Methods that share an input share
-its block run; ``encode_backward`` runs the composition in reverse from the
-cache an encode call keeps, once per distinct input.
+mean-pools over the present rows only. Its head-averaged 15x15 attention is
+kept for interpretability; a present category's row sums to 1, an absent one's
+row and column are 0. Methods that share an input share its block run;
+``encode_backward`` runs the composition in reverse from the cache an encode
+call keeps, once per distinct input.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .lexcat import NUM_CATEGORIES, CategorizedMethod, TokenCategory, category_o
 __all__ = [
     "EncoderParams",
     "MethodVector",
-    "AttentionTrace",
     "EncodeCache",
     "init_params",
     "encode_methods",
@@ -49,7 +49,7 @@ __all__ = [
 
 ENCODER_MAGIC = b"CCENC1"
 # methods per encode_methods call in encode_chunked: bounds peak memory on a large
-# corpus; vectors and traces are the same bytes at any size
+# corpus; vectors and matrices are the same bytes at any size
 _ENCODE_CHUNK = 256
 # tensor name prefix of each block, in file order: cat00..cat14, then type
 _BLOCK_PREFIXES = [f"cat{i:02d}" for i in range(NUM_CATEGORIES)] + ["type"]
@@ -75,14 +75,6 @@ class EncoderParams:
 class MethodVector:
     source_id: str
     vector: np.ndarray  # (100,) float64
-
-
-@dataclass
-class AttentionTrace:
-    """Head-averaged type-level attention; absent rows and columns are zero."""
-
-    matrix: np.ndarray        # (15, 15) float64
-    present_mask: np.ndarray  # (15,) bool
 
 
 @dataclass
@@ -123,7 +115,7 @@ def category_input_matrix(
 
 def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
                    params: EncoderParams, want_cache: bool = False):
-    """Encode a batch of methods; returns (vectors (M, 100), traces, cache or None).
+    """Encode a batch; returns (vectors (M, 100), attention (M, 15, 15), cache or None).
 
     Per category, the inputs with the same row count run as one (B, n, 100)
     stack through the block, with no padding; the type block, which sees
@@ -131,11 +123,11 @@ def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
     Each distinct category input (the same lexeme counts in one category) is
     built and run once, and its output feeds every method that has it; each
     distinct type-block input (the same tuple of slots) runs once too, and its
-    vector, trace matrix and presence mask are gathered for each method that
-    has it. The cache keeps one slice per distinct input, so ``encode_backward``
-    runs each once. Every slice of a stack is computed on its own, so a
-    method's vector and trace are the same bytes alone and in any batch; a
-    method with no tokens gets zeros.
+    vector and attention matrix are gathered for each method that has it. The
+    cache keeps one slice per distinct input, so ``encode_backward`` runs each
+    once. Every slice of a stack is computed on its own, so a method's vector
+    and matrix are the same bytes alone and in any batch; a method with no
+    tokens gets zeros.
     """
     order = category_order()
     # slots and type inputs as in EncodeCache; slot_cat holds each slot's category.
@@ -171,7 +163,6 @@ def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
     type_inputs, slot_cat = list(type_of), np.array(slot_cat, dtype=np.intp)
     type_vectors = np.zeros((len(type_inputs), D_MODEL))
     type_matrices = np.zeros((len(type_inputs), NUM_CATEGORIES, NUM_CATEGORIES))
-    type_present = np.zeros((len(type_inputs), NUM_CATEGORIES), dtype=bool)
     sizes = np.array([len(slots) for slots in type_inputs])
     for k in sorted(set(sizes.tolist()) - {0}):
         ids = np.flatnonzero(sizes == k)
@@ -180,11 +171,8 @@ def encode_methods(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
         y, probs, block_cache = block_forward(params.type_block, pooled[slots], want_cache)
         type_vectors[ids] = y.mean(axis=1)
         type_matrices[ids[:, None, None], cats[:, :, None], cats[:, None, :]] = probs.mean(axis=1)
-        type_present[ids[:, None], cats] = True
         cache.type.append((ids, slots, block_cache))
-    matrices, present = type_matrices[method_type], type_present[method_type]
-    traces = [AttentionTrace(matrix=m, present_mask=p) for m, p in zip(matrices, present)]
-    return type_vectors[method_type], traces, cache if want_cache else None
+    return type_vectors[method_type], type_matrices[method_type], cache if want_cache else None
 
 
 def encode_backward(params: EncoderParams, cache: EncodeCache,
@@ -219,19 +207,19 @@ def encode_backward(params: EncoderParams, cache: EncodeCache,
 
 
 def encode_chunked(methods: Sequence[CategorizedMethod], table: EmbeddingTable,
-                   params: EncoderParams) -> Iterator[tuple[np.ndarray, AttentionTrace]]:
-    """``(vector, trace)`` of each method in order, encoded _ENCODE_CHUNK methods at a time."""
+                   params: EncoderParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(vector, attention)`` of each method in order, _ENCODE_CHUNK methods a call."""
     for start in range(0, len(methods), _ENCODE_CHUNK):
-        vectors, traces, _ = encode_methods(methods[start:start + _ENCODE_CHUNK], table, params)
-        yield from zip(vectors, traces)
+        vectors, matrices, _ = encode_methods(methods[start:start + _ENCODE_CHUNK], table, params)
+        yield from zip(vectors, matrices)
 
 
 def encode_method(method: CategorizedMethod, table: EmbeddingTable, params: EncoderParams,
                   want_cache: bool = False):
-    """Encode one method (a batch of one); returns (MethodVector, AttentionTrace[, cache])."""
-    vectors, traces, cache = encode_methods([method], table, params, want_cache)
+    """Encode one method (a batch of one); returns (MethodVector, attention (15, 15)[, cache])."""
+    vectors, matrices, cache = encode_methods([method], table, params, want_cache)
     mv = MethodVector(source_id=method.source_id, vector=vectors[0])
-    return (mv, traces[0], cache) if want_cache else (mv, traces[0])
+    return (mv, matrices[0], cache) if want_cache else (mv, matrices[0])
 
 
 # --- serialization ------------------------------------------------------

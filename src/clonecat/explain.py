@@ -1,4 +1,4 @@
-"""Per-category importance weights from the type-level attention trace."""
+"""Per-category importance weights from a method's type-level attention matrix."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import softmax
-from .encoder import AttentionTrace
 from .lexcat import NUM_CATEGORIES, category_order
 
 __all__ = ["ExplainReport", "category_weights", "format_weights_table"]
@@ -26,16 +25,16 @@ class ExplainReport:
         }
 
 
-def category_weights(trace: AttentionTrace, source_id: str = "") -> ExplainReport:
-    """Column-sum the trace, softmax over present categories only.
+def category_weights(matrix: np.ndarray, source_id: str = "") -> ExplainReport:
+    """Column-sum the (15, 15) attention matrix, softmax over present categories only.
 
-    Absent categories get weight exactly 0; the probability mass lives
-    entirely on the categories the method actually contains.
+    A category is present when its row is nonzero: a present row sums to 1, while
+    a present column can underflow to 0. Absent categories get weight exactly 0.
     """
-    present = np.flatnonzero(trace.present_mask)
+    present = np.flatnonzero(matrix.any(axis=1))
     weights = np.zeros(NUM_CATEGORIES)
     if present.size:
-        weights[present] = softmax(trace.matrix.sum(axis=0)[present])
+        weights[present] = softmax(matrix.sum(axis=0)[present])
     return ExplainReport(source_id=source_id, weights=weights)
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "rmsprop_step",
     "clone_classes",
     "sample_batches",
-    "encode_backward",
     "pretrain",
     "init_head",
     "save_head",

@@ -433,10 +433,11 @@ def test_05_encoder_invariants(gcd2, small_table, enc_params, capsys):
             failures.append(f"block attention rows at n={n} do not sum to 1")
 
     # ...and at the type level for present categories.
-    _, trace = encode_method(gcd2, small_table, enc_params)
-    present = np.flatnonzero(trace.present_mask)
-    absent = np.flatnonzero(~trace.present_mask)
-    row_sums = trace.matrix[present].sum(axis=1)
+    # The lexer, not the matrix under test, says which categories gcd2 contains.
+    _, matrix = encode_method(gcd2, small_table, enc_params)
+    found = np.array([bool(gcd2.counts.get(cat)) for cat in category_order()])
+    present, absent = np.flatnonzero(found), np.flatnonzero(~found)
+    row_sums = matrix[present].sum(axis=1)
     if np.abs(row_sums - 1.0).max() > 1e-6:
         failures.append("trace rows for present categories do not sum to 1 within 1e-6")
 
@@ -447,15 +448,15 @@ def test_05_encoder_invariants(gcd2, small_table, enc_params, capsys):
     v2, t2 = encode_method(right, small_table, enc_params)
     if not np.array_equal(v1.vector, v2.vector):
         failures.append("permuted token order changed the method vector")
-    if not np.array_equal(t1.matrix, t2.matrix):
+    if not np.array_equal(t1, t2):
         failures.append("permuted token order changed the attention trace")
 
     # Absent categories leave exact zeros everywhere they surface.
     if len(absent) != 15 - 7:
         failures.append(f"gcd2 should leave {15 - 7} absent categories, got {len(absent)}")
-    if trace.matrix[absent].any() or trace.matrix[:, absent].any():
+    if matrix[absent].any() or matrix[:, absent].any():
         failures.append("absent categories have non-zero trace rows or columns")
-    report = category_weights(trace, source_id="gcd2")
+    report = category_weights(matrix, source_id="gcd2")
     if report.weights[absent].any():
         failures.append("absent categories received non-zero explanation weight")
     if abs(report.weights[present].sum() - 1.0) > 1e-6:

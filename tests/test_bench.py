@@ -475,6 +475,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             PipelineConfig(seed=-1).validate()
 
+    @pytest.mark.parametrize("nested", ["embed", "pretrain", "finetune"])
+    def test_nested_seed_that_would_be_ignored_rejected(self, nested):
+        """Every stage trains from the pipeline's (fold) seed, so a nested seed other
+        than 0 or that seed would be read by nothing; validate names the field."""
+        sub = dataclasses.replace(getattr(PipelineConfig(), nested), seed=9)
+        with pytest.raises(ValueError, match=rf"^{nested}\.seed 9 is not read: every stage trains from seed, 3$"):
+            PipelineConfig(seed=3, **{nested: sub}).validate()
+        PipelineConfig(seed=9, **{nested: sub}).validate()
+        PipelineConfig(seed=9).validate()
+
     def test_unknown_method_id_rejected_before_training(self, small_dataset, monkeypatch):
         monkeypatch.setattr(bench, "train_word2vec", _fail_if_trained)
         by_hand = PairDataset(dict(small_dataset.methods),
@@ -660,8 +670,31 @@ class TestTimeDetection:
         assert set(data) >= {"runs", "mean_s", "training_s"}
 
 
+def _benchmark_program_names():
+    """``(module, name)`` of every program name a benchmark file reads: each
+    ``program.<module>.<name>``, and each ``<module>.<name>`` in a file that imports
+    ``<module>`` with ``from clonecat import ...``."""
+    used = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "clonecat"
+                    for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value
+            if (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+                    and owner.value.id == "program"):
+                used.add((owner.attr, node.attr))
+            elif isinstance(owner, ast.Name) and owner.id in imported:
+                used.add((owner.id, node.attr))
+    return used
+
+
 def test_benchmark_traced_functions_resolve():
-    """Every function the benchmark traces exists, so no per-layer metric reads 0 unnoticed."""
+    """Every function the benchmark traces, and every other program name it reads,
+    exists, so no per-layer metric reads 0 and no benchmark step breaks unnoticed."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -669,6 +702,10 @@ def test_benchmark_traced_functions_resolve():
 
     missing = [f"{module}.{name}" for module, names in spans.TRACED.items() for name in names
                if not callable(getattr(importlib.import_module(module), name, None))]
+    used = _benchmark_program_names()
+    assert {("encoder", "encode_method"), ("lexcat", "tokenize")} <= used  # the scan finds names
+    missing += [f"clonecat.{module}.{name}" for module, name in sorted(used)
+                if not hasattr(importlib.import_module(f"clonecat.{module}"), name)]
     assert missing == []
 
 
@@ -712,13 +749,17 @@ def test_harness_and_synthetic_corpus_stay_apart():
 
 
 def test_module_all_names_resolve():
-    """Every ``__all__`` name of every package module resolves: each public name's
-    one home is its module, since ``clonecat/__init__.py`` re-exports nothing."""
+    """Every ``__all__`` name of every package module resolves, and an object that names
+    its module (a function or class) is defined there: each public name's one home is
+    its module, since ``clonecat/__init__.py`` re-exports nothing."""
     import clonecat
 
     problems = []
     for info in pkgutil.iter_modules(clonecat.__path__):
         module = importlib.import_module(f"clonecat.{info.name}")
-        problems += [f"{info.name}.{name} does not resolve"
-                     for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        for name in getattr(module, "__all__", ()):
+            if not hasattr(module, name):
+                problems.append(f"{info.name}.{name} does not resolve")
+            elif getattr(getattr(module, name), "__module__", module.__name__) != module.__name__:
+                problems.append(f"{info.name}.{name} is defined in another module")
     assert problems == []

@@ -355,10 +355,10 @@ class TestInferenceCommands:
         table, params = load_table(trained["emb"]), load_params(trained["enc"])
         vector_lines, report_lines, tables = [], [], []
         for source_id in sorted(methods):
-            mv, trace = encode_method(methods[source_id], table, params)
+            mv, matrix = encode_method(methods[source_id], table, params)
             vector_lines.append(json.dumps(
                 {"source_id": source_id, "vector": [float(x) for x in mv.vector]}))
-            report = category_weights(trace, source_id=source_id)
+            report = category_weights(matrix, source_id=source_id)
             report_lines.append(json.dumps(report.to_json_dict(), sort_keys=True))
             tables.append(format_weights_table(report))
         model = ["--functions", str(workspace / "funcs"),

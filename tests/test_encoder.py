@@ -314,7 +314,7 @@ class TestCategoryInput:
 class TestEncodeMethod:
     def test_present_mask_tracks_nonempty_categories(self, small_table, enc_params):
         cm = categorize_source("int a = 1;", "m")
-        _, trace = encode_method(cm, small_table, enc_params)
+        _, matrix = encode_method(cm, small_table, enc_params)
         order = [
             TokenCategory.ANNOTATION, TokenCategory.BASIC_TYPE,
             TokenCategory.BINARY_INTEGER, TokenCategory.BOOLEAN,
@@ -326,23 +326,22 @@ class TestEncodeMethod:
             TokenCategory.NULL,
         ]
         expected = np.array([bool(cm.counts.get(c)) for c in order])
-        np.testing.assert_array_equal(trace.present_mask, expected)
+        np.testing.assert_array_equal(matrix.any(axis=1), expected)
 
     def test_trace_zero_outside_present_rows_and_cols(self, gcd2, small_table, enc_params):
-        _, trace = encode_method(gcd2, small_table, enc_params)
-        absent = ~trace.present_mask
-        assert np.all(trace.matrix[absent, :] == 0.0)
-        assert np.all(trace.matrix[:, absent] == 0.0)
+        _, matrix = encode_method(gcd2, small_table, enc_params)
+        absent = ~_present(gcd2)
+        assert np.all(matrix[absent, :] == 0.0)
+        assert np.all(matrix[:, absent] == 0.0)
 
     def test_trace_present_rows_sum_to_one(self, gcd2, small_table, enc_params):
-        _, trace = encode_method(gcd2, small_table, enc_params)
-        present = trace.present_mask
+        _, matrix = encode_method(gcd2, small_table, enc_params)
         np.testing.assert_allclose(
-            trace.matrix[present].sum(axis=1), 1.0, atol=1e-9
+            matrix[_present(gcd2)].sum(axis=1), 1.0, atol=1e-9
         )
 
     def test_vector_is_mean_over_present_positions(self, gcd2, small_table, enc_params):
-        vec, trace, cache = encode_method(
+        vec, _, cache = encode_method(
             gcd2, small_table, enc_params, want_cache=True
         )
         from clonecat.blocks import block_forward as bf
@@ -351,20 +350,25 @@ class TestEncodeMethod:
         y, _, _ = bf(enc_params.type_block, type_cache.x[0])
         np.testing.assert_allclose(vec.vector, y.mean(axis=0), atol=1e-12)
         cats = [_slot_categories(cache)[slot] for slot in slots[0]]
-        np.testing.assert_array_equal(cats, np.flatnonzero(trace.present_mask))
+        np.testing.assert_array_equal(cats, np.flatnonzero(_present(gcd2)))
 
     def test_empty_method_yields_zero_vector(self, small_table, enc_params):
         cm = categorize_source("", "empty")
-        vec, trace = encode_method(cm, small_table, enc_params)
+        vec, matrix = encode_method(cm, small_table, enc_params)
         np.testing.assert_array_equal(vec.vector, np.zeros(D_MODEL))
-        assert not trace.present_mask.any()
-        assert np.all(trace.matrix == 0.0)
+        assert not _present(cm).any()
+        assert np.all(matrix == 0.0)
 
     def test_deterministic(self, gcd1, small_table, enc_params):
         v1, _ = encode_method(gcd1, small_table, enc_params)
         v2, _ = encode_method(gcd1, small_table, enc_params)
         np.testing.assert_array_equal(v1.vector, v2.vector)
         assert v1.source_id == "gcd1"
+
+
+def _present(method):
+    """The categories the lexer found in ``method``, as a (15,) mask in canonical order."""
+    return np.array([bool(method.counts.get(cat)) for cat in category_order()])
 
 
 def _slot_categories(cache):
@@ -386,12 +390,13 @@ class TestEncodeMethods:
     @given(st.lists(st.integers(0, len(_SNIPPETS) - 1), min_size=1, max_size=16))
     @settings(max_examples=60, deadline=None)
     def test_vector_does_not_depend_on_batch(self, small_table, enc_params, picks):
-        vectors, traces, _ = encode_methods([_SNIPPETS[i] for i in picks], small_table, enc_params)
+        vectors, matrices, _ = encode_methods([_SNIPPETS[i] for i in picks], small_table,
+                                              enc_params)
         for row, i in enumerate(picks):
-            mv, trace = encode_method(_SNIPPETS[i], small_table, enc_params)
+            mv, matrix = encode_method(_SNIPPETS[i], small_table, enc_params)
             assert vectors[row].tobytes() == mv.vector.tobytes()
-            assert traces[row].matrix.tobytes() == trace.matrix.tobytes()
-            np.testing.assert_array_equal(traces[row].present_mask, trace.present_mask)
+            assert matrices[row].tobytes() == matrix.tobytes()
+            np.testing.assert_array_equal(matrices[row].any(axis=1), _present(_SNIPPETS[i]))
 
     def test_type_block_sees_only_present_category_means(self, small_table, enc_params):
         """A method's type-block input has one row per category it contains, in
@@ -471,32 +476,31 @@ class TestEncodeMethods:
     def test_copies_under_other_ids_encode_as_alone(self, small_table, enc_params):
         """Methods that share inputs share block runs, and still get their own bytes."""
         methods = [*_COPIES, *_SNIPPETS[:5], *_SNIPPETS]
-        vectors, traces, _ = encode_methods(methods, small_table, enc_params)
+        vectors, matrices, _ = encode_methods(methods, small_table, enc_params)
         for row, method in enumerate(methods):
-            mv, trace = encode_method(method, small_table, enc_params)
+            mv, matrix = encode_method(method, small_table, enc_params)
             assert vectors[row].tobytes() == mv.vector.tobytes()
-            assert traces[row].matrix.tobytes() == trace.matrix.tobytes()
-            np.testing.assert_array_equal(traces[row].present_mask, trace.present_mask)
+            assert matrices[row].tobytes() == matrix.tobytes()
+            np.testing.assert_array_equal(matrices[row].any(axis=1), _present(method))
 
     def test_same_size_type_inputs_keep_their_own_categories(self, small_table, enc_params):
         """Two methods whose type inputs have the same size but different categories
-        share one type-block stack, and each keeps the mask and trace it has alone."""
-        present = {m.source_id: [bool(m.counts.get(c)) for c in category_order()]
-                   for m in _SNIPPETS}
+        share one type-block stack, and each keeps the categories and matrix it has alone."""
+        present = {m.source_id: _present(m).tolist() for m in _SNIPPETS}
         a, b = next((a, b) for a, b in itertools.combinations(_SNIPPETS, 2)
                     if sum(present[a.source_id]) == sum(present[b.source_id]) > 1
                     and present[a.source_id] != present[b.source_id])
-        _, traces, cache = encode_methods([a, b], small_table, enc_params, want_cache=True)
+        _, matrices, cache = encode_methods([a, b], small_table, enc_params, want_cache=True)
         assert len(cache.type) == 1 and cache.type[0][0].tolist() == [1, 2]
-        for method, trace in zip([a, b], traces, strict=True):
+        for method, matrix in zip([a, b], matrices, strict=True):
             _, alone = encode_method(method, small_table, enc_params)
-            assert trace.present_mask.tolist() == present[method.source_id]
-            np.testing.assert_array_equal(trace.present_mask, alone.present_mask)
-            assert trace.matrix.tobytes() == alone.matrix.tobytes()
+            assert matrix.any(axis=1).tolist() == present[method.source_id]
+            assert alone.any(axis=1).tolist() == present[method.source_id]
+            assert matrix.tobytes() == alone.tobytes()
 
     def test_equal_row_counts_share_one_block_call(self, small_table, enc_params):
-        _, traces, cache = encode_methods(_SNIPPETS, small_table, enc_params, want_cache=True)
-        per_method_calls = sum(int(t.present_mask.sum()) + int(t.present_mask.any()) for t in traces)
+        _, _, cache = encode_methods(_SNIPPETS, small_table, enc_params, want_cache=True)
+        per_method_calls = sum(int(_present(m).sum()) + int(_present(m).any()) for m in _SNIPPETS)
         assert len(cache.category) + len(cache.type) < per_method_calls / 4
         assert max(len(slots) for _cat, slots, _c in cache.category) > 1
         assert max(len(ids) for ids, _slots, _c in cache.type) > 1
